@@ -1,6 +1,6 @@
 """Automated mitral-inflow Doppler measurement from spectral Doppler images."""
 
-from .calibration import VelocitySample, col_to_time, row_to_velocity, time_to_col, velocity_to_row
+from .calibration import col_to_time, row_to_velocity, time_to_col, velocity_to_row
 from .ecg import EcgSignal, QrsMarks, QrsParams, detect_qrs, extract_ecg
 from .errors import (
     AggregationError,

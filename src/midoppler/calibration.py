@@ -5,17 +5,7 @@ to time from the left edge of the spectral region. Sub-pixel positions are
 carried as floats; rounding happens only when rendering back to pixels.
 """
 
-from dataclasses import dataclass
-
 from .ingestion import CalibrationManifest
-
-
-@dataclass(frozen=True)
-class VelocitySample:
-    """One point of the envelope: ms from the spectral left edge, m/s."""
-
-    time: float
-    velocity: float
 
 
 def row_to_velocity(row: float, manifest: CalibrationManifest) -> float:

@@ -5,6 +5,7 @@ Calibration lives in a sibling ``key = value`` manifest that stands in for
 the scanner metadata a DICOM header would normally provide.
 """
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -235,9 +236,12 @@ def _parse_ints(value: str, count: int, key: str):
 
 def _parse_float(value: str, key: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ManifestError(f"key {key!r}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ManifestError(f"key {key!r}: expected a finite number, got {value!r}")
+    return number
 
 
 def load_manifest(path, image_size=None) -> CalibrationManifest:

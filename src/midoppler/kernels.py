@@ -1,255 +1,71 @@
-"""Hot per-pixel kernels used by segmentation.
-
-Each kernel exists twice: a numba ``@njit`` loop version and a vectorized
-pure-numpy version. The dispatcher functions (``column_median``,
-``vertical_opening``, ``remove_small_components``) pick the jitted path when
-numba imported cleanly; setting the environment variable
-``MIDOPPLER_DISABLE_NUMBA`` to anything but ``""``/``"0"`` forces the numpy
-path. Both paths produce bit-identical output (asserted by the test suite)
-so the flag only changes speed. ``benchmarks/bench_kernels.py`` compares the
-two.
+"""Hot per-pixel kernels used by segmentation, on numpy and scipy.ndimage.
 
 The median and the morphological opening run per column on purpose: the
 Doppler envelope is a per-column structure, and 2-D windows clip the narrow
 single-column pinnacles that steep velocity peaks produce at typical
 time/velocity pixel aspect ratios.
+
+The column median is an odd-even transposition network of elementwise
+min/max over row-shifted views. It only ever picks input values, so it is
+exact, and at the small windows segmentation uses it beats both a sort and
+``ndimage.median_filter``; its cost grows with window**2 and it stops paying
+off near window 13.
 """
 
-import os
-
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-NUMBA_DISABLED = os.environ.get("MIDOPPLER_DISABLE_NUMBA", "") not in ("", "0")
-
-if NUMBA_DISABLED:
-    HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
+from scipy import ndimage
 
 
 def active_backend() -> str:
-    """Name of the kernel backend in use: "numba" or "numpy"."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation, recorded by benchmark runs."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# column median
-
-
-def column_median_numpy(img: np.ndarray, window: int) -> np.ndarray:
-    """Per-column 1-D median with replicated edges (numpy path)."""
-    if window == 1:
-        return img.copy()
+def column_median(img: np.ndarray, window: int) -> np.ndarray:
+    """Per-column median filter with replicated edges; window odd and >= 1."""
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"median window must be odd and >= 1, got {window}")
+    img = np.asarray(img, dtype=np.float32)
     half = window // 2
+    height = img.shape[0]
     padded = np.pad(img, ((half, half), (0, 0)), mode="edge")
-    win = sliding_window_view(padded, window, axis=0)  # (H, W, window)
-    med = np.sort(win, axis=2)[:, :, window // 2]
-    return np.ascontiguousarray(med)
+    rows = [padded[k:k + height] for k in range(window)]
+    for sweep in range(window):
+        for i in range(sweep % 2, window - 1, 2):
+            rows[i], rows[i + 1] = (
+                np.minimum(rows[i], rows[i + 1]),
+                np.maximum(rows[i], rows[i + 1]),
+            )
+    return np.ascontiguousarray(rows[half])
 
 
-def _column_median_loops(img, window, out):
-    h, w = img.shape
-    half = window // 2
-    buf = np.empty(window, img.dtype)
-    for c in range(w):
-        for r in range(h):
-            for k in range(window):
-                rr = r - half + k
-                if rr < 0:
-                    rr = 0
-                elif rr >= h:
-                    rr = h - 1
-                buf[k] = img[rr, c]
-            # insertion sort: windows are tiny and mostly presorted
-            for a in range(1, window):
-                key = buf[a]
-                b = a - 1
-                while b >= 0 and buf[b] > key:
-                    buf[b + 1] = buf[b]
-                    b -= 1
-                buf[b + 1] = key
-            out[r, c] = buf[half]
-
-
-# ---------------------------------------------------------------------------
-# vertical opening (remove vertical runs shorter than the structuring length)
-
-
-def vertical_opening_numpy(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Binary opening with a vertical line of length 2*radius+1 (numpy path).
+def vertical_opening(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Binary opening along columns with a line of length 2*radius+1.
 
     Equivalent to dropping every vertical foreground run shorter than the
     structuring length; longer runs are kept unchanged.
     """
-    if radius == 0:
-        return mask.copy()
-    min_len = 2 * radius + 1
-    h, w = mask.shape
-    padded = np.zeros((w, h + 2), dtype=np.int8)
-    padded[:, 1:-1] = mask.T
-    d = np.diff(padded, axis=1)
-    col, start = np.nonzero(d == 1)
-    _, end = np.nonzero(d == -1)
-    keep = (end - start) >= min_len
-    out = np.zeros_like(mask)
-    for i in np.nonzero(keep)[0]:
-        out[start[i]:end[i], col[i]] = True
-    return out
-
-
-def _vertical_opening_loops(mask, radius, out):
-    h, w = mask.shape
-    min_len = 2 * radius + 1
-    for c in range(w):
-        r = 0
-        while r < h:
-            if mask[r, c]:
-                r0 = r
-                while r < h and mask[r, c]:
-                    r += 1
-                if r - r0 >= min_len:
-                    for rr in range(r0, r):
-                        out[rr, c] = True
-            else:
-                r += 1
-
-
-# ---------------------------------------------------------------------------
-# small connected component removal (8-connectivity)
-
-
-def remove_small_components_numpy(mask: np.ndarray, min_area: int) -> np.ndarray:
-    """Drop 8-connected components with area below min_area (numpy path).
-
-    Labels horizontal runs, merges runs of adjacent rows with union-find,
-    then blanks the runs whose component area is too small. The python loop
-    runs over runs, not pixels.
-    """
-    h, w = mask.shape
-    padded = np.zeros((h, w + 2), dtype=np.int8)
-    padded[:, 1:-1] = mask
-    d = np.diff(padded, axis=1)
-    row, cstart = np.nonzero(d == 1)
-    _, cend = np.nonzero(d == -1)
-    n = row.size
-    if n == 0:
-        return mask.copy()
-
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    row_ptr = np.searchsorted(row, np.arange(h + 1))
-    for r in range(1, h):
-        i, i_end = row_ptr[r - 1], row_ptr[r]
-        j, j_end = row_ptr[r], row_ptr[r + 1]
-        while i < i_end and j < j_end:
-            # diagonal contact counts: [s, e) ranges touch when s <= other e
-            if cstart[j] <= cend[i] and cend[j] >= cstart[i]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-            if cend[i] < cend[j]:
-                i += 1
-            else:
-                j += 1
-
-    roots = np.fromiter((find(k) for k in range(n)), np.int64, n)
-    areas = np.bincount(roots, weights=(cend - cstart).astype(np.float64))
-    out = mask.copy()
-    for k in np.nonzero(areas[roots] < min_area)[0]:
-        out[row[k], cstart[k]:cend[k]] = False
-    return out
-
-
-def _remove_small_loops(mask, min_area):
-    h, w = mask.shape
-    labels = np.zeros((h, w), np.int32)
-    areas = np.zeros(h * w // 2 + 2, np.int64)
-    stack = np.empty((h * w, 2), np.int32)
-    nlab = 0
-    for r0 in range(h):
-        for c0 in range(w):
-            if mask[r0, c0] and labels[r0, c0] == 0:
-                nlab += 1
-                labels[r0, c0] = nlab
-                stack[0, 0] = r0
-                stack[0, 1] = c0
-                top = 1
-                count = 0
-                while top > 0:
-                    top -= 1
-                    r = stack[top, 0]
-                    c = stack[top, 1]
-                    count += 1
-                    for dr in range(-1, 2):
-                        for dc in range(-1, 2):
-                            rr = r + dr
-                            cc = c + dc
-                            if 0 <= rr and rr < h and 0 <= cc and cc < w:
-                                if mask[rr, cc] and labels[rr, cc] == 0:
-                                    labels[rr, cc] = nlab
-                                    stack[top, 0] = rr
-                                    stack[top, 1] = cc
-                                    top += 1
-                areas[nlab] = count
-    out = np.empty((h, w), np.bool_)
-    for r in range(h):
-        for c in range(w):
-            out[r, c] = mask[r, c] and areas[labels[r, c]] >= min_area
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-
-if HAVE_NUMBA:
-    _column_median_jit = njit(cache=True)(_column_median_loops)
-    _vertical_opening_jit = njit(cache=True)(_vertical_opening_loops)
-    _remove_small_jit = njit(cache=True)(_remove_small_loops)
-
-
-def column_median(img: np.ndarray, window: int) -> np.ndarray:
-    """Per-column median filter; window must be odd and >= 1."""
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"median window must be odd and >= 1, got {window}")
-    img = np.ascontiguousarray(img, dtype=np.float32)
-    if window == 1 or not HAVE_NUMBA:
-        return column_median_numpy(img, window)
-    out = np.empty_like(img)
-    _column_median_jit(img, window, out)
-    return out
-
-
-def vertical_opening(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Binary opening along columns with a line of length 2*radius+1."""
     if radius < 0:
         raise ValueError(f"opening radius must be >= 0, got {radius}")
-    mask = np.ascontiguousarray(mask, dtype=np.bool_)
-    if radius == 0 or not HAVE_NUMBA:
-        return vertical_opening_numpy(mask, radius)
-    out = np.zeros_like(mask)
-    _vertical_opening_jit(mask, radius, out)
-    return out
+    h, w = np.shape(mask)
+    # columns laid end to end, each followed by one background pixel so
+    # that no run crosses from one column into the next
+    columns = np.zeros((w, h + 1), dtype=np.int8)
+    columns[:, :h] = np.asarray(mask, dtype=np.bool_).T
+    d = np.diff(columns.ravel(), prepend=np.int8(0))
+    start = np.flatnonzero(d == 1)
+    end = np.flatnonzero(d == -1)
+    keep = (end - start) >= 2 * radius + 1
+    edges = np.zeros(columns.size, dtype=np.int8)
+    edges[start[keep]] = 1
+    edges[end[keep]] = -1
+    kept = np.cumsum(edges, dtype=np.int8).reshape(w, h + 1)[:, :h]
+    return np.ascontiguousarray(kept.T, dtype=np.bool_)
 
 
 def remove_small_components(mask: np.ndarray, min_area: int) -> np.ndarray:
     """Remove 8-connected foreground components with area < min_area."""
-    mask = np.ascontiguousarray(mask, dtype=np.bool_)
-    if min_area <= 1:
-        return mask.copy()
-    if not HAVE_NUMBA:
-        return remove_small_components_numpy(mask, min_area)
-    return _remove_small_jit(mask, min_area)
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3)))
+    keep = np.bincount(labels.ravel()) >= min_area
+    keep[0] = False
+    return keep[labels]

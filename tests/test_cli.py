@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, file outputs, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,20 @@ def test_analyze_continues_past_missing_manifest(tmp_path, capsys):
     assert code == 1  # an error occurred...
     assert (tmp_path / "good.measurements.csv").exists()  # ...but work continued
     assert "bad.ppm" in captured.err
+
+
+def test_analyze_continues_past_non_finite_manifest(tmp_path, capsys):
+    for stem in ("a_good", "b_nan", "c_good"):
+        make_study(tmp_path, stem=stem)
+    path = tmp_path / "b_nan.manifest"
+    path.write_text(re.sub(r"(?m)^time_scale = .*$", "time_scale = nan", path.read_text()))
+    code = main(["analyze", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "b_nan.ppm: error:" in captured.err and "time_scale" in captured.err
+    assert not (tmp_path / "b_nan.measurements.csv").exists()
+    for stem in ("a_good", "c_good"):
+        assert sorted(read_measurement_csv(tmp_path / f"{stem}.measurements.csv")) == [1, 2, 3]
 
 
 def test_analyze_no_inputs_is_nothing_to_do(tmp_path, capsys):

@@ -123,6 +123,18 @@ def test_manifest_negative_scale_rejected(tmp_path):
         load_manifest(write_manifest(tmp_path, text))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e400"])
+@pytest.mark.parametrize(
+    "key, default",
+    [("velocity_scale", "0.005"), ("time_scale", "2.5"), ("ecg_color_tolerance", "60")],
+)
+def test_manifest_non_finite_number_rejected(tmp_path, key, default, value):
+    text = MANIFEST_TEXT.replace(f"{key} = {default}", f"{key} = {value}")
+    assert text != MANIFEST_TEXT
+    with pytest.raises(ManifestError, match=f"{key}.*finite"):
+        load_manifest(write_manifest(tmp_path, text))
+
+
 def test_manifest_unknown_key_rejected(tmp_path):
     with pytest.raises(ManifestError, match="unknown manifest key"):
         load_manifest(write_manifest(tmp_path, MANIFEST_TEXT + "gain = 3\n"))
