@@ -6,6 +6,7 @@ was rejected or there was nothing to do, 1 when any error occurred.
 
 import argparse
 import sys
+import traceback
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -209,6 +210,10 @@ def cmd_analyze(args) -> int:
             measured += 1
         except (MidopplerError, OSError) as exc:
             print(f"{image_path}: error: {exc}", file=sys.stderr)
+            errors += 1
+        except Exception as exc:  # one faulty study must not abort the batch
+            traceback.print_exc(file=sys.stderr)
+            print(f"{image_path}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
             errors += 1
     if errors:
         return 1

@@ -59,22 +59,31 @@ class QrsParams:
 
 
 def extract_ecg(image: RasterImage, manifest: CalibrationManifest) -> EcgSignal:
-    """Recover the ECG waveform from the ecg_region by color keying."""
+    """Recover the ECG waveform from the ecg_region by color keying.
+
+    A pixel matches when every channel lies within the tolerance of the key
+    channel. The test runs on the uint8 channels against bounds clamped to
+    0..255. The row-index sums behind the centroids are integers, so float64
+    holds them exactly.
+    """
     x0, y0, x1, y1 = manifest.ecg_region
-    region = image.pixels[y0:y1 + 1, x0:x1 + 1].astype(np.int16)
-    key = np.array(manifest.ecg_color, dtype=np.int16)
-    match = (np.abs(region - key) <= manifest.ecg_color_tolerance).all(axis=2)
-    if not match.any():
+    region = image.pixels[y0:y1 + 1, x0:x1 + 1]
+    tolerance = manifest.ecg_color_tolerance
+    match = np.ones(region.shape[:2], dtype=np.bool_)
+    for channel, key in enumerate(manifest.ecg_color):
+        values = region[..., channel]
+        match &= max(key - tolerance, 0) <= values
+        match &= values <= min(key + tolerance, 255)
+    counts = np.count_nonzero(match, axis=0)
+    if not counts.any():
         raise EcgExtractionError(
             f"no pixel within tolerance {manifest.ecg_color_tolerance} of color "
             f"{manifest.ecg_color} in ecg_region"
         )
 
     height, width = match.shape
-    counts = match.sum(axis=0)
     valid = counts > 0
-    rows = np.arange(height, dtype=np.float64)[:, None]
-    centroid = (match * rows).sum(axis=0) / np.maximum(counts, 1)
+    centroid = (np.arange(height, dtype=np.float64) @ match) / np.maximum(counts, 1)
     amplitude = (height - 1) - centroid  # invert: larger = higher on screen
 
     cols = np.arange(width)

@@ -306,10 +306,10 @@ def load_manifest(path, image_size=None) -> CalibrationManifest:
 
 def validate_manifest(manifest: CalibrationManifest, image_size=None) -> None:
     """Raise ManifestError on any violated manifest invariant."""
-    if manifest.velocity_scale <= 0:
-        raise ManifestError(f"velocity_scale must be positive, got {manifest.velocity_scale}")
-    if manifest.time_scale <= 0:
-        raise ManifestError(f"time_scale must be positive, got {manifest.time_scale}")
+    for name in ("velocity_scale", "time_scale"):
+        value = getattr(manifest, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ManifestError(f"{name} must be finite and positive, got {value}")
     for name, region in (
         ("spectral_region", manifest.spectral_region),
         ("ecg_region", manifest.ecg_region),
@@ -334,9 +334,10 @@ def validate_manifest(manifest: CalibrationManifest, image_size=None) -> None:
     for channel in manifest.ecg_color:
         if not (0 <= channel <= 255):
             raise ManifestError(f"ecg_color channel out of range: {manifest.ecg_color}")
-    if manifest.ecg_color_tolerance < 0:
+    # at 255 every pixel of ecg_region would match whatever the key
+    if not (0 <= manifest.ecg_color_tolerance < 255):
         raise ManifestError(
-            f"ecg_color_tolerance must be >= 0, got {manifest.ecg_color_tolerance}"
+            f"ecg_color_tolerance must be in [0, 255), got {manifest.ecg_color_tolerance}"
         )
 
 

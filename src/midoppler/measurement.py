@@ -24,7 +24,13 @@ from scipy.signal import find_peaks
 
 from .ecg import QrsMarks, QrsParams, detect_qrs, extract_ecg
 from .errors import AggregationError, LabelingError, RoutingRejection, MidopplerError
-from .ingestion import CalibrationManifest, RasterImage, atomic_write_text, route_image
+from .ingestion import (
+    CalibrationManifest,
+    RasterImage,
+    atomic_write_text,
+    route_image,
+    validate_manifest,
+)
 from .segmentation import (
     EnvelopeTrace,
     SegmentationParams,
@@ -351,6 +357,7 @@ def measure_study(
     not fail the study; a study where nothing is measurable yields a result
     with zero beats.
     """
+    _stage("manifest", validate_manifest, manifest, (image.width, image.height))
     decision = route_image(manifest)
     if not decision.accepted:
         raise RoutingRejection(

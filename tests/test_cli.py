@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from midoppler import cli
 from midoppler.cli import main
 from midoppler.ingestion import load_image, save_image, save_manifest
 from midoppler.measurement import read_measurement_csv
@@ -120,6 +121,31 @@ def test_analyze_continues_past_non_finite_manifest(tmp_path, capsys):
     assert not (tmp_path / "b_nan.measurements.csv").exists()
     for stem in ("a_good", "c_good"):
         assert sorted(read_measurement_csv(tmp_path / f"{stem}.measurements.csv")) == [1, 2, 3]
+
+
+def test_analyze_isolates_unexpected_exception(tmp_path, capsys, monkeypatch):
+    for stem in ("a_good", "b_boom", "c_good"):
+        make_study(tmp_path, stem=stem)
+    real_measure_study = cli.measure_study
+    seen = []
+
+    def flaky_measure_study(image, manifest, **kwargs):
+        seen.append(image)
+        if len(seen) == 2:
+            raise RuntimeError("injected fault")
+        return real_measure_study(image, manifest, **kwargs)
+
+    monkeypatch.setattr(cli, "measure_study", flaky_measure_study)
+    code = main(["analyze", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(seen) == 3
+    assert "b_boom.ppm: error: RuntimeError: injected fault" in captured.err
+    assert "Traceback" in captured.err
+    assert not (tmp_path / "b_boom.measurements.csv").exists()
+    for stem in ("a_good", "c_good"):
+        assert sorted(read_measurement_csv(tmp_path / f"{stem}.measurements.csv")) == [1, 2, 3]
+        assert f"{stem}.ppm: 3 beats" in captured.out
 
 
 def test_analyze_no_inputs_is_nothing_to_do(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midoppler.ecg import EcgSignal, QrsParams, detect_qrs, extract_ecg
 from midoppler.errors import EcgExtractionError
@@ -60,6 +62,66 @@ def test_extract_recovers_rendered_polyline_subpixel():
     height = ey1 - ey0 + 1
     expected = (height - 1) - (truth.ecg_rows - ey0)
     assert np.abs(signal.samples - expected).max() <= 0.5
+
+
+def reference_extract_ecg(image, manifest):
+    """Keying by int16 absolute differences, reduced with float sums."""
+    x0, y0, x1, y1 = manifest.ecg_region
+    region = image.pixels[y0:y1 + 1, x0:x1 + 1].astype(np.int16)
+    key = np.array(manifest.ecg_color, dtype=np.int16)
+    match = (np.abs(region - key) <= manifest.ecg_color_tolerance).all(axis=2)
+    if not match.any():
+        raise EcgExtractionError("no match")
+    height, width = match.shape
+    counts = match.sum(axis=0)
+    valid = counts > 0
+    rows = np.arange(height, dtype=np.float64)[:, None]
+    centroid = (match * rows).sum(axis=0) / np.maximum(counts, 1)
+    amplitude = (height - 1) - centroid
+    measured = np.nonzero(valid)[0]
+    samples = np.interp(np.arange(width), measured, amplitude[measured])
+    return EcgSignal(samples=samples, valid_flags=valid)
+
+
+CHANNELS = st.one_of(st.sampled_from([0, 255]), st.integers(0, 255))
+
+
+@st.composite
+def keyed_studies(draw):
+    """An image whose pixels sit near the key (inside or just outside the
+    tolerance) or anywhere, a random ecg_region inside it, key and tolerance."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 60))
+    y0, y1 = sorted(draw(st.integers(0, height - 1)) for _ in range(2))
+    x0, x1 = sorted(draw(st.integers(0, width - 1)) for _ in range(2))
+    key = tuple(draw(CHANNELS) for _ in range(3))
+    tolerance = draw(st.integers(0, 254))
+    near = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = rng.integers(-tolerance - 2, tolerance + 3, (height, width, 3))
+    pixels = np.clip(np.array(key) + offsets, 0, 255)
+    anywhere = rng.uniform(size=(height, width)) >= near
+    pixels[anywhere] = rng.integers(0, 256, (int(anywhere.sum()), 3))
+    image = RasterImage(pixels.astype(np.uint8))
+    manifest = make_manifest(
+        ecg_region=(x0, y0, x1, y1), ecg_color=key, ecg_color_tolerance=tolerance
+    )
+    return image, manifest
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_studies())
+def test_extract_matches_int16_reference(study):
+    image, manifest = study
+    try:
+        expected = reference_extract_ecg(image, manifest)
+    except EcgExtractionError:
+        with pytest.raises(EcgExtractionError):
+            extract_ecg(image, manifest)
+        return
+    signal = extract_ecg(image, manifest)
+    assert np.array_equal(signal.valid_flags, expected.valid_flags)
+    assert signal.samples.dtype == expected.samples.dtype
+    assert np.array_equal(signal.samples, expected.samples)
 
 
 # detect_qrs ------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Image decode/encode, manifest parsing, and label routing."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,9 @@ from midoppler.ingestion import (
     save_gray_image,
     save_image,
     save_manifest,
+    validate_manifest,
 )
+from midoppler.measurement import measure_study
 from midoppler.synth import SynthParams, generate_synthetic
 
 from conftest import make_manifest
@@ -133,6 +138,38 @@ def test_manifest_non_finite_number_rejected(tmp_path, key, default, value):
     assert text != MANIFEST_TEXT
     with pytest.raises(ManifestError, match=f"{key}.*finite"):
         load_manifest(write_manifest(tmp_path, text))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["velocity_scale", "time_scale"])
+def test_in_code_manifest_non_finite_scale_rejected(key, value):
+    with pytest.raises(ManifestError, match=f"{key}.*finite"):
+        validate_manifest(replace(make_manifest(), **{key: value}))
+
+
+@pytest.mark.parametrize("key, value", [("time_scale", math.nan), ("velocity_scale", math.inf)])
+def test_measure_study_validates_manifest_first(key, value):
+    image, manifest, _ = generate_synthetic(SynthParams(seed=2))
+    with pytest.raises(ManifestError, match=f"manifest: {key}"):
+        measure_study(image, replace(manifest, **{key: value}))
+
+
+@pytest.mark.parametrize("value", ["255", "300", "1e30"])
+def test_manifest_ecg_tolerance_upper_bound(tmp_path, value):
+    text = MANIFEST_TEXT.replace("ecg_color_tolerance = 60", f"ecg_color_tolerance = {value}")
+    assert text != MANIFEST_TEXT
+    with pytest.raises(ManifestError, match="ecg_color_tolerance"):
+        load_manifest(write_manifest(tmp_path, text))
+    with pytest.raises(ManifestError, match="ecg_color_tolerance"):
+        validate_manifest(replace(make_manifest(), ecg_color_tolerance=float(value)))
+
+
+def test_manifest_ecg_tolerance_range_ends():
+    for value in (0, 254):
+        validate_manifest(replace(make_manifest(), ecg_color_tolerance=value))
+    for value in (-1, math.nan):
+        with pytest.raises(ManifestError, match="ecg_color_tolerance"):
+            validate_manifest(replace(make_manifest(), ecg_color_tolerance=value))
 
 
 def test_manifest_unknown_key_rejected(tmp_path):

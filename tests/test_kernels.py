@@ -103,6 +103,14 @@ def test_opening_rejects_negative_radius():
         kernels.vertical_opening(np.zeros((4, 4), bool), -1)
 
 
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_opening_clears_columns_shorter_than_the_line(radius):
+    for height in range(1, 2 * radius + 1):
+        assert not kernels.vertical_opening(np.ones((height, 3), bool), radius).any()
+    full = np.ones((2 * radius + 1, 3), bool)
+    assert kernels.vertical_opening(full, radius).all()
+
+
 # property tests --------------------------------------------------------------
 
 SIDE = st.integers(1, 40)
