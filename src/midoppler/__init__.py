@@ -1,9 +1,8 @@
 """Automated mitral-inflow Doppler measurement from spectral Doppler images."""
 
-from .calibration import col_to_time, row_to_velocity, time_to_col, velocity_to_row
+from .calibration import time_to_col, velocity_to_row
 from .ecg import EcgSignal, QrsMarks, QrsParams, detect_qrs, extract_ecg
 from .errors import (
-    AggregationError,
     EcgExtractionError,
     GenerationError,
     ImageFormatError,
@@ -35,8 +34,7 @@ from .measurement import (
     FlowPeak,
     PeakParams,
     StudyMeans,
-    StudyResult,
-    aggregate,
+    StudyRun,
     deceleration_time,
     detect_flow_peaks,
     label_beats,

@@ -10,7 +10,7 @@ import traceback
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
-from .ecg import QrsParams, detect_qrs, ecg_csv_rows, extract_ecg
+from .ecg import QrsParams, ecg_csv_rows
 from .errors import GenerationError, MidopplerError, StatsError
 from .ingestion import (
     atomic_write_text,
@@ -23,19 +23,13 @@ from .ingestion import (
 from .measurement import (
     DtParams,
     PeakParams,
-    StudyResult,
-    measure_beats,
+    StudyMeans,
     measure_study,
     read_measurement_csv,
     write_study_csv,
 )
 from .overlay import render_overlay
-from .segmentation import (
-    SegmentationParams,
-    import_mask,
-    mask_to_trace,
-    segment_envelope_threshold,
-)
+from .segmentation import THRESHOLD_MODES, SegmentationParams
 from .stats import FIELD_COLUMNS, agreement_csv_text, compare
 from .synth import AliasBand, Dropout, Spike, SynthParams, generate_synthetic, write_truth_csv
 
@@ -44,46 +38,71 @@ _SYNTH_FILE_KEYS = {
 }
 
 
+# (measure_study keyword, param dataclass, ((flag, field, help), ...)) in
+# --help order; each flag takes its type and default from the dataclass field.
+_PIPELINE_FLAGS = (
+    ("seg_params", SegmentationParams, (
+        ("--median-window", "median_window", "per-column median window (odd)"),
+        ("--threshold-mode", "threshold_mode", None),
+        ("--fixed-threshold", "fixed_threshold", "threshold for fixed mode"),
+        ("--open-radius", "open_radius", "vertical opening radius"),
+        ("--min-component-area", "min_component_area", "px^2; smaller components are dropped"),
+    )),
+    ("peak_params", PeakParams, (
+        ("--smooth-ms", "smooth_window_ms", "trace smoothing window"),
+        ("--min-prominence", "min_prominence", "m/s; flow peak prominence gate"),
+        ("--min-width-ms", "min_width_ms", "flow peak width gate at half prominence"),
+    )),
+    ("dt_params", DtParams, (
+        ("--curvature-threshold", "curvature_threshold", "m/s per ms^2; DT slope-change gate"),
+        ("--skip-ms", "skip_ms", "descent skipped right after the E peak"),
+    )),
+    ("qrs_params", QrsParams, (
+        ("--refractory-ms", "refractory_ms", "minimum QRS spacing"),
+        ("--qrs-threshold-fraction", "threshold_fraction", "fraction of the 98th-percentile derivative energy"),
+    )),
+)
+
+
+def _checked_type(cls, field):
+    """argparse type of one pipeline flag: the field's type, then cls's own checks.
+
+    A value the dataclass rejects becomes a usage error naming the flag.
+    """
+    def convert(text):
+        value = field.type(text)
+        try:
+            cls(**{field.name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    convert.__name__ = field.type.__name__  # argparse's "invalid int value" names it
+    return convert
+
+
 def _add_pipeline_flags(parser):
     group = parser.add_argument_group("pipeline parameters")
-    group.add_argument("--median-window", type=int, default=3, help="per-column median window (odd)")
-    group.add_argument("--threshold-mode", choices=("automatic", "fixed"), default="automatic")
-    group.add_argument("--fixed-threshold", type=int, default=128, help="threshold for fixed mode")
-    group.add_argument("--open-radius", type=int, default=1, help="vertical opening radius")
-    group.add_argument("--min-component-area", type=float, default=25.0, help="px^2; smaller components are dropped")
-    group.add_argument("--smooth-ms", type=float, default=15.0, help="trace smoothing window")
-    group.add_argument("--min-prominence", type=float, default=0.15, help="m/s; flow peak prominence gate")
-    group.add_argument("--min-width-ms", type=float, default=30.0, help="flow peak width gate at half prominence")
-    group.add_argument("--curvature-threshold", type=float, default=1e-4, help="m/s per ms^2; DT slope-change gate")
-    group.add_argument("--skip-ms", type=float, default=10.0, help="descent skipped right after the E peak")
-    group.add_argument("--refractory-ms", type=float, default=200.0, help="minimum QRS spacing")
-    group.add_argument("--qrs-threshold-fraction", type=float, default=0.5, help="fraction of the 98th-percentile derivative energy")
+    for _, cls, flags in _PIPELINE_FLAGS:
+        fields = {f.name: f for f in dataclass_fields(cls)}
+        for flag, name, help_text in flags:
+            field = fields[name]
+            group.add_argument(
+                flag,
+                type=_checked_type(cls, field),
+                default=field.default,
+                choices=THRESHOLD_MODES if name == "threshold_mode" else None,
+                help=help_text,
+            )
     group.add_argument("--mask", default=None, help="import an external envelope mask (single input only)")
 
 
-def _pipeline_kwargs(args):
-    return dict(
-        seg_params=SegmentationParams(
-            median_window=args.median_window,
-            threshold_mode=args.threshold_mode,
-            fixed_threshold=args.fixed_threshold,
-            open_radius=args.open_radius,
-            min_component_area=args.min_component_area,
-        ),
-        peak_params=PeakParams(
-            min_prominence=args.min_prominence,
-            min_width_ms=args.min_width_ms,
-        ),
-        dt_params=DtParams(
-            curvature_threshold=args.curvature_threshold,
-            skip_ms=args.skip_ms,
-        ),
-        qrs_params=QrsParams(
-            refractory_ms=args.refractory_ms,
-            threshold_fraction=args.qrs_threshold_fraction,
-        ),
-        smooth_window_ms=args.smooth_ms,
-    )
+def _pipeline_params(args) -> dict:
+    """measure_study's param keywords, built from the pipeline flags."""
+    return {
+        keyword: cls(**{name: getattr(args, flag[2:].replace("-", "_")) for flag, name, _ in flags})
+        for keyword, cls, flags in _PIPELINE_FLAGS
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,6 +188,13 @@ def _expand_inputs(inputs):
     return images
 
 
+def _load_study(image_path, manifest_arg):
+    """The image and its manifest (by default <image-stem>.manifest)."""
+    manifest_path = Path(manifest_arg) if manifest_arg else image_path.with_suffix(".manifest")
+    image = load_image(image_path)
+    return image, load_manifest(manifest_path, image_size=(image.width, image.height))
+
+
 def cmd_analyze(args) -> int:
     images = _expand_inputs(args.inputs)
     if not images:
@@ -181,32 +207,30 @@ def cmd_analyze(args) -> int:
         print("--mask requires a single input image", file=sys.stderr)
         return 1
 
-    kwargs = _pipeline_kwargs(args)
+    params = _pipeline_params(args)
     measured = rejected = errors = 0
     for image_path in images:
         try:
-            manifest_path = Path(args.manifest) if args.manifest else image_path.with_suffix(".manifest")
-            image = load_image(image_path)
-            manifest = load_manifest(manifest_path, image_size=(image.width, image.height))
+            image, manifest = _load_study(image_path, args.manifest)
             decision = route_image(manifest)
             if not decision.accepted:
                 print(f"{image_path}: rejected (label={decision.label})")
                 rejected += 1
                 continue
-            result = measure_study(
+            run = measure_study(
                 image,
                 manifest,
                 mask_path=args.mask,
                 drop_outliers=args.drop_outliers,
-                **kwargs,
+                **params,
             )
             out_dir = Path(args.out) if args.out else image_path.parent
             out_dir.mkdir(parents=True, exist_ok=True)
             csv_path = out_dir / f"{image_path.stem}.measurements.csv"
-            write_study_csv(csv_path, result)
+            write_study_csv(csv_path, run)
             if args.dump_ecg:
-                _dump_ecg(out_dir / f"{image_path.stem}.ecg.csv", image, manifest)
-            print(f"{image_path}: {_summary_line(result)} -> {csv_path}")
+                _dump_ecg(out_dir / f"{image_path.stem}.ecg.csv", run.ecg, manifest)
+            print(f"{image_path}: {_summary_line(run)} -> {csv_path}")
             measured += 1
         except (MidopplerError, OSError) as exc:
             print(f"{image_path}: error: {exc}", file=sys.stderr)
@@ -220,21 +244,20 @@ def cmd_analyze(args) -> int:
     return 0 if measured else 2
 
 
-def _summary_line(result: StudyResult) -> str:
+def _summary_line(means: StudyMeans) -> str:
     def fmt(value, pattern):
         return pattern.format(value) if value is not None else "-"
 
     return (
-        f"{result.n_beats} beats"
-        f"  E={fmt(result.mean_e, '{:.3f}')}"
-        f"  A={fmt(result.mean_a, '{:.3f}')}"
-        f"  E/A={fmt(result.mean_ea, '{:.3f}')}"
-        f"  DT={fmt(result.mean_dt, '{:.1f}')}ms"
+        f"{means.n_beats} beats"
+        f"  E={fmt(means.mean_e, '{:.3f}')}"
+        f"  A={fmt(means.mean_a, '{:.3f}')}"
+        f"  E/A={fmt(means.mean_ea, '{:.3f}')}"
+        f"  DT={fmt(means.mean_dt, '{:.1f}')}ms"
     )
 
 
-def _dump_ecg(path, image, manifest) -> None:
-    signal = extract_ecg(image, manifest)
+def _dump_ecg(path, signal, manifest) -> None:
     lines = ["time_ms,amplitude_px,valid"]
     for t, amp, valid in ecg_csv_rows(signal, manifest):
         lines.append(f"{t:.1f},{amp:.2f},{int(valid)}")
@@ -411,34 +434,17 @@ def cmd_agree(args) -> int:
 def cmd_overlay(args) -> int:
     image_path = Path(args.image)
     try:
-        manifest_path = Path(args.manifest) if args.manifest else image_path.with_suffix(".manifest")
-        image = load_image(image_path)
-        manifest = load_manifest(manifest_path, image_size=(image.width, image.height))
+        image, manifest = _load_study(image_path, args.manifest)
         decision = route_image(manifest)
         if not decision.accepted:
             print(f"{image_path}: rejected (label={decision.label})")
             return 2
 
-        kwargs = _pipeline_kwargs(args)
-        if args.mask:
-            mask = import_mask(args.mask, manifest)
-        else:
-            mask = segment_envelope_threshold(image, manifest, kwargs["seg_params"])
-        trace = mask_to_trace(mask, manifest)
-        signal = extract_ecg(image, manifest)
-        qrs = detect_qrs(signal, kwargs["qrs_params"], manifest)
-        details = measure_beats(
-            trace,
-            qrs,
-            manifest,
-            peak_params=kwargs["peak_params"],
-            dt_params=kwargs["dt_params"],
-            smooth_window_ms=kwargs["smooth_window_ms"],
-        )
-        if not details:
+        run = measure_study(image, manifest, mask_path=args.mask, **_pipeline_params(args))
+        if not run.details:
             print(f"warning: {image_path}: no measurable beats, drawing border only", file=sys.stderr)
 
-        annotated = render_overlay(image, manifest, trace, details)
+        annotated = render_overlay(image, manifest, run.trace, run.details)
         out_path = Path(args.out) if args.out else image_path.with_suffix(".overlay.ppm")
         save_image(out_path, annotated)
         print(out_path)

@@ -8,7 +8,6 @@ threshold is relative (a fraction of the 98th percentile of the squared
 first difference) so display gain does not matter.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,10 +142,3 @@ def ecg_csv_rows(signal: EcgSignal, manifest: CalibrationManifest):
     ecg_x0 = manifest.ecg_region[0]
     for i, (amp, valid) in enumerate(zip(signal.samples, signal.valid_flags)):
         yield column_time(ecg_x0 + i, manifest), float(amp), bool(valid)
-
-
-def heart_rate_bpm(marks: QrsMarks) -> float:
-    """Mean heart rate implied by the detected marks (nan when < 2 marks)."""
-    if len(marks) < 2:
-        return math.nan
-    return 60000.0 / float(np.mean(np.diff(marks.times)))

@@ -33,10 +33,6 @@ class LabelingError(MidopplerError):
     """Beats cannot be bounded (fewer than two QRS marks)."""
 
 
-class AggregationError(MidopplerError):
-    """Study-level averaging was requested on zero beats."""
-
-
 class GenerationError(MidopplerError):
     """Synthetic parameter set has conflicting wave geometry."""
 

@@ -1,4 +1,4 @@
-"""E/A peak detection, QRS-gated beat labeling, deceleration time, aggregation.
+"""The study pipeline, E/A peak detection, QRS-gated beat labeling, DT, means.
 
 Beats are bounded by consecutive QRS marks. Within a window the last flow
 peak is the A wave (atrial contraction immediately precedes the QRS) and
@@ -16,14 +16,14 @@ for a straight descent, and are flagged.
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import find_peaks
 
-from .ecg import QrsMarks, QrsParams, detect_qrs, extract_ecg
-from .errors import AggregationError, LabelingError, RoutingRejection, MidopplerError
+from .ecg import EcgSignal, QrsMarks, QrsParams, detect_qrs, extract_ecg
+from .errors import LabelingError, MidopplerError, RoutingRejection
 from .ingestion import (
     CalibrationManifest,
     RasterImage,
@@ -32,8 +32,10 @@ from .ingestion import (
     validate_manifest,
 )
 from .segmentation import (
+    EnvelopeMask,
     EnvelopeTrace,
     SegmentationParams,
+    check_smoothing_window,
     import_mask,
     mask_to_trace,
     segment_envelope_threshold,
@@ -45,8 +47,6 @@ FLAG_FUSED_EA = "fused_ea"
 FLAG_GAP_IN_DESCENT = "gap_in_descent"
 FLAG_NO_SLOPE_CHANGE = "no_slope_change"
 FLAG_MISSING_A = "missing_a"
-
-DEFAULT_SMOOTH_WINDOW_MS = 15.0
 
 CSV_HEADER = "beat,e_mps,a_mps,ea_ratio,dt_ms,e_time_ms,a_time_ms,flags"
 
@@ -63,10 +63,12 @@ class FlowPeak:
 class PeakParams:
     min_prominence: float = 0.15  # m/s
     min_width_ms: float = 30.0
+    smooth_window_ms: float = 15.0  # peaks are found on the trace smoothed over this
 
     def __post_init__(self):
         if self.min_prominence <= 0 or self.min_width_ms <= 0:
             raise ValueError("peak gates must be positive")
+        check_smoothing_window(self.smooth_window_ms)
 
 
 @dataclass(frozen=True)
@@ -126,17 +128,18 @@ class StudyMeans:
     n_beats: int
 
 
-@dataclass
-class StudyResult:
-    beats: list
-    mean_e: float | None
-    mean_a: float | None
-    mean_ea: float | None
-    mean_dt: float | None
+@dataclass(frozen=True)
+class StudyRun(StudyMeans):
+    """One study through the pipeline: its means and what led to them."""
 
-    @property
-    def n_beats(self) -> int:
-        return len(self.beats)
+    mask: EnvelopeMask
+    trace: EnvelopeTrace     # raw border velocity per spectral column
+    smoothed: EnvelopeTrace  # the trace the peaks and DT are read from
+    ecg: EcgSignal
+    qrs: QrsMarks
+    peaks: list              # FlowPeaks detected on the smoothed trace
+    details: list            # one BeatDetail per labeled beat
+    beats: list              # their BeatMeasurements
 
 
 def detect_flow_peaks(trace: EnvelopeTrace, params: PeakParams | None = None):
@@ -291,25 +294,25 @@ def _refine_peak(raw: EnvelopeTrace, peak: FlowPeak, radius: int) -> FlowPeak:
 
 def measure_beats(
     raw_trace: EnvelopeTrace,
+    smoothed: EnvelopeTrace,
+    peaks,
     qrs: QrsMarks,
     manifest: CalibrationManifest,
     peak_params: PeakParams | None = None,
     dt_params: DtParams | None = None,
-    smooth_window_ms: float = DEFAULT_SMOOTH_WINDOW_MS,
 ):
-    """Full per-beat measurement on an envelope trace.
+    """Per-beat E, A and DT from the flow peaks detected on the smoothed trace.
 
-    Returns a list of BeatDetail; empty when fewer than two QRS marks or no
-    gated peaks exist.
+    Peak amplitudes are read back from the raw trace within half a smoothing
+    window (peak_params.smooth_window_ms). Returns a list of BeatDetail;
+    empty when fewer than two QRS marks or no peaks exist.
     """
     peak_params = peak_params or PeakParams()
     dt_params = dt_params or DtParams()
-    smoothed = smooth_trace(raw_trace, smooth_window_ms)
-    peaks = detect_flow_peaks(smoothed, peak_params)
     if len(qrs) < 2 or not peaks:
         return []
     labeled = label_beats(peaks, qrs)
-    refine_radius = smoothing_columns(smooth_window_ms, raw_trace.spacing()) // 2 + 1
+    refine_radius = smoothing_columns(peak_params.smooth_window_ms, raw_trace.spacing()) // 2 + 1
 
     details = []
     for beat in labeled:
@@ -347,14 +350,13 @@ def measure_study(
     peak_params: PeakParams | None = None,
     dt_params: DtParams | None = None,
     qrs_params: QrsParams | None = None,
-    smooth_window_ms: float = DEFAULT_SMOOTH_WINDOW_MS,
     mask_path=None,
     drop_outliers: bool = False,
-) -> StudyResult:
+) -> StudyRun:
     """Run the whole pipeline on one routed study image.
 
     Stage failures carry a stage prefix. Individual unmeasurable beats do
-    not fail the study; a study where nothing is measurable yields a result
+    not fail the study; a study where nothing is measurable yields a run
     with zero beats.
     """
     _stage("manifest", validate_manifest, manifest, (image.width, image.height))
@@ -364,31 +366,30 @@ def measure_study(
             f"label {decision.label!r} is not mitral inflow; study was not routed here"
         )
 
+    peak_params = peak_params or PeakParams()
     if mask_path is not None:
         mask = _stage("mask-import", import_mask, mask_path, manifest)
     else:
         mask = _stage(
             "segmentation", segment_envelope_threshold, image, manifest, seg_params
         )
-    raw_trace = _stage("trace", mask_to_trace, mask, manifest)
-    signal = _stage("ecg", extract_ecg, image, manifest)
-    qrs = _stage("qrs", detect_qrs, signal, qrs_params or QrsParams(), manifest)
-    details = measure_beats(
-        raw_trace,
-        qrs,
-        manifest,
-        peak_params=peak_params,
-        dt_params=dt_params,
-        smooth_window_ms=smooth_window_ms,
-    )
+    trace = _stage("trace", mask_to_trace, mask, manifest)
+    ecg = _stage("ecg", extract_ecg, image, manifest)
+    qrs = _stage("qrs", detect_qrs, ecg, qrs_params or QrsParams(), manifest)
+    smoothed = smooth_trace(trace, peak_params.smooth_window_ms)
+    peaks = detect_flow_peaks(smoothed, peak_params)
+    details = measure_beats(trace, smoothed, peaks, qrs, manifest, peak_params, dt_params)
     beats = [d.measurement for d in details]
-    means = summarize_beats(beats, drop_outliers=drop_outliers)
-    return StudyResult(
+    return StudyRun(
+        **asdict(summarize_beats(beats, drop_outliers=drop_outliers)),
+        mask=mask,
+        trace=trace,
+        smoothed=smoothed,
+        ecg=ecg,
+        qrs=qrs,
+        peaks=peaks,
+        details=details,
         beats=beats,
-        mean_e=means.mean_e,
-        mean_a=means.mean_a,
-        mean_ea=means.mean_ea,
-        mean_dt=means.mean_dt,
     )
 
 
@@ -434,13 +435,6 @@ def summarize_beats(beats, drop_outliers: bool = False) -> StudyMeans:
     )
 
 
-def aggregate(result: StudyResult, drop_outliers: bool = False) -> StudyMeans:
-    """Study-level means; raises on a study with zero beats."""
-    if result.n_beats == 0:
-        raise AggregationError("cannot aggregate a study with zero beats")
-    return summarize_beats(result.beats, drop_outliers=drop_outliers)
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization: one row per beat, trailing summary row, fixed formats
 # (velocities 3 decimals, times 1 decimal) so outputs are byte-stable.
@@ -454,23 +448,23 @@ def _fmt1(value) -> str:
     return "" if value is None else f"{value:.1f}"
 
 
-def study_csv_text(result: StudyResult) -> str:
+def study_csv_text(beats, means: StudyMeans) -> str:
     lines = [CSV_HEADER]
-    for i, b in enumerate(result.beats, start=1):
+    for i, b in enumerate(beats, start=1):
         flags = "|".join(sorted(b.quality))
         lines.append(
             f"{i},{_fmt3(b.e_velocity)},{_fmt3(b.a_velocity)},{_fmt3(b.ea_ratio)},"
             f"{_fmt1(b.dt_ms)},{_fmt1(b.e_time)},{_fmt1(b.a_time)},{flags}"
         )
     lines.append(
-        f"mean,{_fmt3(result.mean_e)},{_fmt3(result.mean_a)},{_fmt3(result.mean_ea)},"
-        f"{_fmt1(result.mean_dt)},,,"
+        f"mean,{_fmt3(means.mean_e)},{_fmt3(means.mean_a)},{_fmt3(means.mean_ea)},"
+        f"{_fmt1(means.mean_dt)},,,"
     )
     return "\n".join(lines) + "\n"
 
 
-def write_study_csv(path, result: StudyResult) -> None:
-    atomic_write_text(path, study_csv_text(result))
+def write_study_csv(path, run: StudyRun) -> None:
+    atomic_write_text(path, study_csv_text(run.beats, run))
 
 
 def read_measurement_csv(path):

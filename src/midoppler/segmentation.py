@@ -18,12 +18,13 @@ from .ingestion import CalibrationManifest, RasterImage, load_gray_image, save_g
 
 PADDED_MASK_SIZE = 1024  # externally produced masks may arrive zero-padded
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float32)
+THRESHOLD_MODES = ("automatic", "fixed")
 
 
 @dataclass(frozen=True)
 class SegmentationParams:
     median_window: int = 3
-    threshold_mode: str = "automatic"  # "automatic" | "fixed"
+    threshold_mode: str = "automatic"  # one of THRESHOLD_MODES
     fixed_threshold: int = 128
     open_radius: int = 1
     min_component_area: float = 25.0
@@ -31,7 +32,7 @@ class SegmentationParams:
     def __post_init__(self):
         if self.median_window < 1 or self.median_window % 2 == 0:
             raise ValueError(f"median_window must be odd and >= 1, got {self.median_window}")
-        if self.threshold_mode not in ("automatic", "fixed"):
+        if self.threshold_mode not in THRESHOLD_MODES:
             raise ValueError(f"threshold_mode must be automatic or fixed, got {self.threshold_mode!r}")
         if not (0 <= self.fixed_threshold <= 255):
             raise ValueError(f"fixed_threshold must be in [0, 255], got {self.fixed_threshold}")
@@ -242,8 +243,7 @@ def smooth_trace(trace: EnvelopeTrace, window_ms: float) -> EnvelopeTrace:
     Windows are clipped at the trace edges, so a window wider than the trace
     degrades to the global mean. Time stamps and gap flags pass through.
     """
-    if window_ms <= 0:
-        raise ValueError(f"window_ms must be positive, got {window_ms}")
+    check_smoothing_window(window_ms)
     n = len(trace.velocities)
     if n < 2:
         return EnvelopeTrace(trace.times.copy(), trace.velocities.copy(), trace.gap_flags.copy())
@@ -257,6 +257,12 @@ def smooth_trace(trace: EnvelopeTrace, window_ms: float) -> EnvelopeTrace:
     hi = np.clip(idx + half + 1, 0, n)
     smoothed = np.maximum((sums[hi] - sums[lo]) / (hi - lo), 0.0)
     return EnvelopeTrace(trace.times.copy(), smoothed, trace.gap_flags.copy())
+
+
+def check_smoothing_window(window_ms: float) -> None:
+    """Reject a non-positive smoothing window (smooth_trace, PeakParams)."""
+    if window_ms <= 0:
+        raise ValueError(f"window_ms must be positive, got {window_ms}")
 
 
 def smoothing_columns(window_ms: float, spacing_ms: float) -> int:

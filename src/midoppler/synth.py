@@ -11,13 +11,13 @@ uniform noise; artifacts (bright spikes, dropouts, an aliasing band below
 the baseline) are drawn after the envelope.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import GenerationError
 from .ingestion import CalibrationManifest, RasterImage, atomic_write_text
-from .measurement import CSV_HEADER, _fmt1, _fmt3
+from .measurement import BeatMeasurement, study_csv_text, summarize_beats
 
 ENVELOPE_INTENSITY = 205
 BACKGROUND_INTENSITY = 12
@@ -373,27 +373,8 @@ def _render_ecg(pixels, params, qrs_times, time_scale, ecg_x0, ey0, ey1, region_
 
 def truth_csv_text(truth: GroundTruth) -> str:
     """Ground truth in the measurement CSV schema, one row per beat."""
-    lines = [CSV_HEADER]
-    e_values, a_values, ea_values, dt_values = [], [], [], []
-    for i, b in enumerate(truth.beats, start=1):
-        lines.append(
-            f"{i},{_fmt3(b.e_velocity)},{_fmt3(b.a_velocity)},{_fmt3(b.ea_ratio)},"
-            f"{_fmt1(b.dt_ms)},{_fmt1(b.e_time)},{_fmt1(b.a_time)},"
-        )
-        e_values.append(b.e_velocity)
-        if b.a_velocity is not None:
-            a_values.append(b.a_velocity)
-            ea_values.append(b.ea_ratio)
-        dt_values.append(b.dt_ms)
-
-    def mean(values):
-        return sum(values) / len(values) if values else None
-
-    lines.append(
-        f"mean,{_fmt3(mean(e_values))},{_fmt3(mean(a_values))},"
-        f"{_fmt3(mean(ea_values))},{_fmt1(mean(dt_values))},,,"
-    )
-    return "\n".join(lines) + "\n"
+    beats = [BeatMeasurement(**asdict(b), quality=frozenset()) for b in truth.beats]
+    return study_csv_text(beats, summarize_beats(beats))
 
 
 def write_truth_csv(path, truth: GroundTruth) -> None:

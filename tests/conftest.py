@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from midoppler.ingestion import CalibrationManifest
-from midoppler.segmentation import EnvelopeTrace
+from midoppler.measurement import PeakParams, detect_flow_peaks, measure_beats
+from midoppler.segmentation import EnvelopeTrace, smooth_trace
 
 
 def make_manifest(**overrides) -> CalibrationManifest:
@@ -26,6 +27,13 @@ def make_trace(velocities, spacing_ms=2.5, t0=0.0, gaps=None) -> EnvelopeTrace:
     if gaps is None:
         gaps = np.zeros(len(velocities), dtype=bool)
     return EnvelopeTrace(times=times, velocities=velocities, gap_flags=np.asarray(gaps, bool))
+
+
+def measure_trace(trace, qrs, manifest):
+    """measure_beats on a raw trace, smoothed and peak-gated as measure_study does."""
+    params = PeakParams()
+    smoothed = smooth_trace(trace, params.smooth_window_ms)
+    return measure_beats(trace, smoothed, detect_flow_peaks(smoothed, params), qrs, manifest, params)
 
 
 def triangle(times, center, half_width, height):

@@ -17,19 +17,12 @@ import pytest
 from midoppler.cli import main as cli_main
 from midoppler.ecg import EcgSignal, QrsParams, detect_qrs, extract_ecg
 from midoppler.ingestion import save_image, save_manifest
-from midoppler.measurement import (
-    PeakParams,
-    detect_flow_peaks,
-    measure_beats,
-    measure_study,
-    read_measurement_csv,
-)
+from midoppler.measurement import measure_study, read_measurement_csv
 from midoppler.ecg import QrsMarks
-from midoppler.segmentation import mask_to_trace, segment_envelope_threshold, smooth_trace
 from midoppler.stats import bland_altman, pearson, r_squared
 from midoppler.synth import Spike, SynthParams, corpus_params, generate_synthetic, write_truth_csv
 
-from conftest import make_manifest, make_trace, triangle
+from conftest import make_manifest, make_trace, measure_trace, triangle
 
 N_STUDIES = 100
 E_A_TOL = 0.02    # m/s, criterion 1
@@ -133,11 +126,8 @@ def test_criterion_3_artifact_spike_exclusion(corpus):
             assert abs(beat.dt_ms - clean_rows[i]["dt_ms"]) <= pytest_tol_dt
 
         # no spike may survive the width gate as a detected peak
-        mask = segment_envelope_threshold(image, manifest)
-        trace = smooth_trace(mask_to_trace(mask, manifest), 15.0)
-        peaks = detect_flow_peaks(trace, PeakParams())
-        assert len(peaks) == 2 * len(truth.beats), f"seed {seed}: extra peak detected"
-        for peak in peaks:
+        assert len(result.peaks) == 2 * len(truth.beats), f"seed {seed}: extra peak detected"
+        for peak in result.peaks:
             assert all(abs(peak.time - s.time_ms) > 15.0 for s in spikes), (
                 f"seed {seed}: peak at a spike position"
             )
@@ -221,13 +211,13 @@ def test_criterion_6_ea_ratio_scale_invariance():
         qrs = QrsMarks(times=np.array([40.0, 940.0, 1840.0]))
         reference = [
             d.measurement.ea_ratio
-            for d in measure_beats(make_trace(base, spacing_ms=spacing), qrs, manifest)
+            for d in measure_trace(make_trace(base, spacing_ms=spacing), qrs, manifest)
         ]
         assert len(reference) == 2 and all(r is not None for r in reference)
         for k in (0.5, 1.0, 2.0):
             scaled = [
                 d.measurement.ea_ratio
-                for d in measure_beats(make_trace(base * k, spacing_ms=spacing), qrs, manifest)
+                for d in measure_trace(make_trace(base * k, spacing_ms=spacing), qrs, manifest)
             ]
             for r0, r1 in zip(reference, scaled):
                 assert abs(r1 - r0) <= 1e-9 * abs(r0)

@@ -1,65 +1,62 @@
-"""Row/column to physical-unit conversions."""
+"""Physical-unit <-> row/column conversions, against mask_to_trace's readings."""
 
 import numpy as np
 import pytest
 
-from midoppler.calibration import (
-    col_to_time,
-    row_to_velocity,
-    time_to_col,
-    velocity_to_row,
-)
+from midoppler.calibration import column_time, time_to_col, velocity_to_row
+from midoppler.segmentation import EnvelopeMask, mask_to_trace
 
 from conftest import make_manifest
 
 
+def staircase_trace(manifest, tops):
+    """mask_to_trace of a mask whose column j is filled from row tops[j] down."""
+    x0, y0, x1, y1 = manifest.spectral_region
+    cells = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
+    for j, top in enumerate(tops):
+        cells[top - y0:, j] = True
+    return mask_to_trace(EnvelopeMask(cells), manifest)
+
+
 def test_baseline_row_maps_to_zero(manifest):
-    assert row_to_velocity(manifest.baseline_row, manifest) == 0.0
+    assert velocity_to_row(0.0, manifest) == manifest.baseline_row
 
 
 def test_linear_velocity_scale(manifest):
-    assert row_to_velocity(manifest.baseline_row - 10, manifest) == pytest.approx(0.05)
+    assert velocity_to_row(0.05, manifest) == pytest.approx(manifest.baseline_row - 10)
 
 
 def test_sign_convention_below_baseline():
     manifest = make_manifest(baseline_row=70)
-    assert row_to_velocity(90, manifest) == pytest.approx(-0.1)
+    assert velocity_to_row(-0.1, manifest) == pytest.approx(90)
 
 
 def test_flow_below_baseline_flips_sign():
     manifest = make_manifest(baseline_row=70, flow_above_baseline=False)
-    assert row_to_velocity(90, manifest) == pytest.approx(0.1)
-
-
-def test_row_outside_region_rejected(manifest):
-    with pytest.raises(ValueError):
-        row_to_velocity(manifest.spectral_region[3] + 1, manifest)
+    assert velocity_to_row(0.1, manifest) == pytest.approx(90)
 
 
 def test_time_origin_at_region_left(manifest):
-    assert col_to_time(manifest.spectral_region[0], manifest) == 0.0
+    assert column_time(manifest.spectral_region[0], manifest) == 0.0
+    assert time_to_col(0.0, manifest) == manifest.spectral_region[0]
 
 
 def test_linear_time_scale(manifest):
     x0 = manifest.spectral_region[0]
-    assert col_to_time(x0 + 100, manifest) == pytest.approx(250.0)
-
-
-def test_col_outside_region_rejected(manifest):
-    with pytest.raises(ValueError):
-        col_to_time(manifest.spectral_region[2] + 1, manifest)
+    assert column_time(x0 + 100, manifest) == pytest.approx(250.0)
 
 
 def test_row_to_velocity_strictly_decreasing(manifest):
-    _, y0, _, y1 = manifest.spectral_region
-    rows = np.arange(y0, y1 + 1)
-    velocities = [row_to_velocity(r, manifest) for r in rows]
+    _, y0, _, _ = manifest.spectral_region
+    rows = np.arange(y0, manifest.baseline_row + 1)  # top of the region down to the baseline
+    velocities = staircase_trace(manifest, rows).velocities[: len(rows)]
     assert all(a > b for a, b in zip(velocities, velocities[1:]))
+    assert velocities[-1] == 0.0
 
 
 def test_col_to_time_strictly_increasing(manifest):
     x0, _, x1, _ = manifest.spectral_region
-    times = [col_to_time(c, manifest) for c in range(x0, x1 + 1)]
+    times = [column_time(c, manifest) for c in range(x0, x1 + 1)]
     assert all(a < b for a, b in zip(times, times[1:]))
 
 
@@ -70,10 +67,11 @@ def test_conversions_invert_up_to_pixel_quantization():
             velocity_scale=float(rng.uniform(0.001, 0.02)),
             time_scale=float(rng.uniform(0.5, 10.0)),
         )
-        x0, y0, x1, y1 = manifest.spectral_region
-        for row in rng.integers(y0, y1 + 1, size=5):
-            back = velocity_to_row(row_to_velocity(int(row), manifest), manifest)
-            assert round(back) == row
+        x0, y0, x1, _ = manifest.spectral_region
+        tops = rng.integers(y0, manifest.baseline_row + 1, size=x1 - x0 + 1)
+        trace = staircase_trace(manifest, tops)
+        for col in rng.integers(0, x1 - x0 + 1, size=5):
+            assert round(velocity_to_row(trace.velocities[col], manifest)) == tops[col]
+            assert round(time_to_col(trace.times[col], manifest)) == x0 + col
         for col in rng.integers(x0, x1 + 1, size=5):
-            back = time_to_col(col_to_time(int(col), manifest), manifest)
-            assert round(back) == col
+            assert round(time_to_col(column_time(int(col), manifest), manifest)) == col

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, file outputs, determinism."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,16 @@ import pytest
 from midoppler import cli
 from midoppler.cli import main
 from midoppler.ingestion import load_image, save_image, save_manifest
-from midoppler.measurement import read_measurement_csv
-from midoppler.overlay import A_COLOR, BORDER_COLOR, CROSSING_COLOR, E_COLOR, SLOPE_COLOR
+from midoppler.measurement import measure_study, read_measurement_csv, study_csv_text
+from midoppler.overlay import (
+    A_COLOR,
+    BORDER_COLOR,
+    CROSSING_COLOR,
+    E_COLOR,
+    SLOPE_COLOR,
+    render_overlay,
+)
+from midoppler.segmentation import EnvelopeMask, export_mask
 from midoppler.synth import SynthParams, generate_synthetic, write_truth_csv
 
 
@@ -154,8 +163,6 @@ def test_analyze_no_inputs_is_nothing_to_do(tmp_path, capsys):
 
 
 def test_analyze_with_imported_mask(tmp_path):
-    from midoppler.segmentation import EnvelopeMask, export_mask
-
     _, manifest, truth = make_study(tmp_path)
     mask_path = tmp_path / "study_0000.mask.pgm"
     export_mask(mask_path, EnvelopeMask(truth.mask))
@@ -303,6 +310,60 @@ def test_overlay_unwritable_output_exits_one(tmp_path, capsys):
 def test_overlay_rejected_label_exits_two(tmp_path):
     make_study(tmp_path, label="pulm_vein")
     assert main(["overlay", str(tmp_path / "study_0000.ppm")]) == 2
+
+
+def test_overlay_missing_ecg_key_names_the_stage(tmp_path, capsys):
+    _, manifest, _ = make_study(tmp_path)
+    save_manifest(
+        tmp_path / "study_0000.manifest",
+        replace(manifest, ecg_color=(255, 0, 255), ecg_color_tolerance=10),
+    )
+    out = tmp_path / "annotated.ppm"
+    code = main(["overlay", str(tmp_path / "study_0000.ppm"), "--out", str(out)])
+    assert code == 1
+    assert "study_0000.ppm: error: ecg: no pixel within tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overlay_mask_draws_what_analyze_mask_measures(tmp_path):
+    image, manifest, truth = make_study(tmp_path, noise_sigma=0.15, seed=5)
+    # an envelope 8 rows lower than the rendered one, so the mask visibly matters
+    cells = np.zeros_like(truth.mask)
+    cells[8:] = truth.mask[:-8]
+    mask_path = tmp_path / "lowered.mask.pgm"
+    export_mask(mask_path, EnvelopeMask(cells))
+    image_path = str(tmp_path / "study_0000.ppm")
+
+    assert main(["analyze", image_path, "--mask", str(mask_path), "--out", str(tmp_path)]) == 0
+    assert main(["overlay", image_path, "--mask", str(mask_path), "--out", str(tmp_path / "m.ppm")]) == 0
+    assert main(["overlay", image_path, "--out", str(tmp_path / "plain.ppm")]) == 0
+
+    run = measure_study(image, manifest, mask_path=mask_path)
+    assert run.n_beats == 3
+    csv_text = (tmp_path / "study_0000.measurements.csv").read_text()
+    assert csv_text == study_csv_text(run.beats, run)
+    drawn = load_image(tmp_path / "m.ppm").pixels
+    assert np.array_equal(drawn, render_overlay(image, manifest, run.trace, run.details).pixels)
+    assert not np.array_equal(drawn, load_image(tmp_path / "plain.ppm").pixels)
+
+
+# pipeline flags --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["analyze", "overlay"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--median-window", "2"), ("--qrs-threshold-fraction", "1.5"), ("--smooth-ms", "0")],
+)
+def test_rejected_pipeline_value_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    make_study(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "study_0000.ppm"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.measurements.csv")) and not list(tmp_path.glob("*.overlay.ppm"))
 
 
 # help ------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Flow peak detection, beat labeling, deceleration time, aggregation."""
+"""Flow peak detection, beat labeling, deceleration time, study means, StudyRun."""
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from midoppler.ecg import QrsMarks
-from midoppler.errors import AggregationError, LabelingError
+from midoppler.ecg import QrsMarks, QrsParams, detect_qrs
+from midoppler.errors import LabelingError
 from midoppler.measurement import (
     FLAG_FUSED_EA,
     FLAG_GAP_IN_DESCENT,
@@ -12,16 +14,16 @@ from midoppler.measurement import (
     BeatMeasurement,
     FlowPeak,
     PeakParams,
-    StudyResult,
-    aggregate,
     deceleration_time,
     detect_flow_peaks,
     label_beats,
-    measure_beats,
+    measure_study,
     summarize_beats,
 )
+from midoppler.segmentation import mask_to_trace, smooth_trace
+from midoppler.synth import SynthParams, corpus_params, generate_synthetic
 
-from conftest import make_trace, triangle
+from conftest import make_trace, measure_trace, triangle
 
 SPACING = 2.5
 
@@ -209,7 +211,7 @@ def test_dt_exact_for_linear_descents(manifest, v_peak, dt_true):
     assert result.dt_ms == pytest.approx(dt_true, abs=SPACING)
 
 
-# measure_beats / aggregation -------------------------------------------------
+# measure_beats / study means -------------------------------------------------
 
 
 def ea_trace(e=0.8, a=0.5, scale=1.0, spacing=SPACING):
@@ -224,7 +226,7 @@ def ea_trace(e=0.8, a=0.5, scale=1.0, spacing=SPACING):
 
 def test_measure_beats_labels_and_ratio(manifest):
     trace, qrs = ea_trace()
-    details = measure_beats(trace, qrs, manifest)
+    details = measure_trace(trace, qrs, manifest)
     assert len(details) == 2
     for d in details:
         m = d.measurement
@@ -235,21 +237,21 @@ def test_measure_beats_labels_and_ratio(manifest):
 
 def test_ea_ratio_scale_invariance(manifest):
     base_trace, qrs = ea_trace()
-    base = [d.measurement.ea_ratio for d in measure_beats(base_trace, qrs, manifest)]
+    base = [d.measurement.ea_ratio for d in measure_trace(base_trace, qrs, manifest)]
     for k in (0.5, 2.0):
         scaled_trace, _ = ea_trace(scale=k)
-        ratios = [d.measurement.ea_ratio for d in measure_beats(scaled_trace, qrs, manifest)]
+        ratios = [d.measurement.ea_ratio for d in measure_trace(scaled_trace, qrs, manifest)]
         for r0, r1 in zip(base, ratios):
             assert r1 == pytest.approx(r0, rel=1e-9)
 
 
 def test_time_translation_shifts_times_only(manifest):
     trace, qrs = ea_trace()
-    base = measure_beats(trace, qrs, manifest)
+    base = measure_trace(trace, qrs, manifest)
     offset = 500.0
     shifted_trace = make_trace(trace.velocities, t0=offset)
     shifted_qrs = QrsMarks(times=qrs.times + offset)
-    shifted = measure_beats(shifted_trace, shifted_qrs, manifest)
+    shifted = measure_trace(shifted_trace, shifted_qrs, manifest)
     assert len(base) == len(shifted)
     for d0, d1 in zip(base, shifted):
         assert d1.measurement.e_velocity == d0.measurement.e_velocity
@@ -260,17 +262,12 @@ def test_time_translation_shifts_times_only(manifest):
 
 def test_measure_beats_without_marks_is_empty(manifest):
     trace, _ = ea_trace()
-    assert measure_beats(trace, QrsMarks(times=np.array([40.0])), manifest) == []
+    assert measure_trace(trace, QrsMarks(times=np.array([40.0])), manifest) == []
 
 
 def test_aggregate_means():
-    result = StudyResult(beats=[beat(e=0.8), beat(e=0.8), beat(e=0.8)],
-                         mean_e=None, mean_a=None, mean_ea=None, mean_dt=None)
-    assert aggregate(result).mean_e == pytest.approx(0.8)
-
-    result = StudyResult(beats=[beat(e=0.7), beat(e=0.9)],
-                         mean_e=None, mean_a=None, mean_ea=None, mean_dt=None)
-    assert aggregate(result).mean_e == pytest.approx(0.8)
+    assert summarize_beats([beat(e=0.8), beat(e=0.8), beat(e=0.8)]).mean_e == pytest.approx(0.8)
+    assert summarize_beats([beat(e=0.7), beat(e=0.9)]).mean_e == pytest.approx(0.8)
 
 
 def test_aggregate_uses_present_fields_only():
@@ -288,15 +285,26 @@ def test_aggregate_excludes_fused_from_a_and_ratio():
     assert means.mean_e == pytest.approx(0.8)  # fused beats still count for E
 
 
-def test_aggregate_zero_beats_is_an_error():
-    empty = StudyResult(beats=[], mean_e=None, mean_a=None, mean_ea=None, mean_dt=None)
-    with pytest.raises(AggregationError):
-        aggregate(empty)
-
-
 def test_outlier_mode_drops_far_beats():
     beats = [beat(dt=180.0), beat(dt=182.0), beat(dt=178.0), beat(dt=420.0)]
     plain = summarize_beats(beats)
     filtered = summarize_beats(beats, drop_outliers=True)
     assert plain.mean_dt > 200.0
     assert filtered.mean_dt == pytest.approx(180.0, abs=2.0)
+
+
+# measure_study's run record --------------------------------------------------
+
+
+def test_study_run_holds_each_stage_output():
+    image, manifest, truth = generate_synthetic(corpus_params(SynthParams(noise_sigma=0.15), 3))
+    run = measure_study(image, manifest)
+    assert run.n_beats == len(truth.beats) == 3
+    assert run.beats == [d.measurement for d in run.details]
+    assert run.peaks == detect_flow_peaks(run.smoothed)
+    assert len(run.peaks) == 2 * run.n_beats
+    assert np.array_equal(run.smoothed.velocities, smooth_trace(run.trace, 15.0).velocities)
+    assert np.array_equal(run.trace.velocities, mask_to_trace(run.mask, manifest).velocities)
+    assert np.array_equal(run.qrs.times, detect_qrs(run.ecg, QrsParams(), manifest).times)
+    means = summarize_beats(run.beats)
+    assert {k: getattr(run, k) for k in asdict(means)} == asdict(means)

@@ -25,6 +25,17 @@ def test_generation_is_deterministic():
     assert truth_csv_text(first_truth) == truth_csv_text(second_truth)
 
 
+def test_fused_truth_csv_text():
+    _, _, truth = generate_synthetic(SynthParams(a_velocity=0.0, seed=3))
+    assert truth_csv_text(truth) == (
+        "beat,e_mps,a_mps,ea_ratio,dt_ms,e_time_ms,a_time_ms,flags\n"
+        "1,0.800,,,180.0,411.7,,\n"
+        "2,0.800,,,180.0,1411.6,,\n"
+        "3,0.800,,,180.0,2411.5,,\n"
+        "mean,0.800,,,180.0,,,\n"
+    )
+
+
 def test_different_seeds_change_noise():
     a, _, _ = generate_synthetic(SynthParams(seed=1, noise_sigma=0.2))
     b, _, _ = generate_synthetic(SynthParams(seed=2, noise_sigma=0.2))
