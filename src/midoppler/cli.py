@@ -5,9 +5,12 @@ was rejected or there was nothing to do, 1 when any error occurred.
 """
 
 import argparse
+import os
 import sys
 import traceback
+from collections import Counter
 from dataclasses import fields as dataclass_fields, replace
+from functools import partial
 from pathlib import Path
 
 from .ecg import QrsParams, ecg_csv_rows
@@ -207,41 +210,137 @@ def cmd_analyze(args) -> int:
         print("--mask requires a single input image", file=sys.stderr)
         return 1
 
-    params = _pipeline_params(args)
-    measured = rejected = errors = 0
-    for image_path in images:
-        try:
-            image, manifest = _load_study(image_path, args.manifest)
-            decision = route_image(manifest)
-            if not decision.accepted:
-                print(f"{image_path}: rejected (label={decision.label})")
-                rejected += 1
-                continue
-            run = measure_study(
-                image,
-                manifest,
-                mask_path=args.mask,
-                drop_outliers=args.drop_outliers,
-                **params,
-            )
-            out_dir = Path(args.out) if args.out else image_path.parent
-            out_dir.mkdir(parents=True, exist_ok=True)
-            csv_path = out_dir / f"{image_path.stem}.measurements.csv"
-            write_study_csv(csv_path, run)
-            if args.dump_ecg:
-                _dump_ecg(out_dir / f"{image_path.stem}.ecg.csv", run.ecg, manifest)
-            print(f"{image_path}: {_summary_line(run)} -> {csv_path}")
-            measured += 1
-        except (MidopplerError, OSError) as exc:
-            print(f"{image_path}: error: {exc}", file=sys.stderr)
-            errors += 1
-        except Exception as exc:  # one faulty study must not abort the batch
-            traceback.print_exc(file=sys.stderr)
-            print(f"{image_path}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            errors += 1
-    if errors:
+    outcomes = Counter()
+    for outcome, out_text, err_text in _analyze_all(images, args, _pipeline_params(args)):
+        sys.stdout.write(out_text)
+        sys.stderr.write(err_text)
+        outcomes[outcome] += 1
+    if outcomes["error"]:
         return 1
-    return 0 if measured else 2
+    return 0 if outcomes["measured"] else 2
+
+
+def _analyze_all(images, args, params):
+    """(outcome, stdout text, stderr text) of each input, in input order.
+
+    Two or more inputs run on one process per usable CPU, at most one per
+    input: this process and forked workers. A single input, a single CPU,
+    a platform without fork or sched_getaffinity, or inputs that would
+    write the same output files run in-process only.
+    """
+    analyze = partial(_analyze_one, args=args, params=params)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(images))
+    distinct_outputs = len({_out_dir(p, args) / p.stem for p in images}) == len(images)
+    if workers > 1 and distinct_outputs:
+        import multiprocessing  # imported here, so that `import midoppler.cli` stays lean
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork, not spawn: workers inherit the imported numpy/scipy, which
+            # a fresh interpreter would take about a second to import again.
+            yield from _pooled(analyze, images, workers, multiprocessing.get_context("fork"))
+            return
+    yield from map(analyze, images)
+
+
+def _pooled(analyze, images, workers, context):
+    """Run the batch on workers - 1 forked workers and on this process.
+
+    The workers take inputs from the front of the batch and this process
+    takes them from the back, each input claimed first in a shared array so
+    that it runs once; finished inputs are yielded in input order between
+    this process's own. Fork write-protects every page of this process, and
+    an idle wait lets the workers evict its caches: staying busy until the
+    two ends meet takes those costs inside the batch, instead of in the
+    caller's next study.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    def collect(index):
+        try:
+            return futures[index].result()
+        except Exception as exc:  # e.g. BrokenProcessPool: a worker died
+            return "error", "", f"{images[index]}: error: {type(exc).__name__}: {exc}\n"
+
+    claims = context.Array("b", len(images))
+    pool = ProcessPoolExecutor(
+        workers - 1, mp_context=context, initializer=_hold_claims, initargs=(claims,)
+    )
+    try:
+        futures = [
+            pool.submit(_analyze_claimed, index, analyze, image_path)
+            for index, image_path in enumerate(images)
+        ]
+        here, done, back = {}, 0, len(images)
+        while done < back:
+            if futures[done].done():
+                yield collect(done)
+                done += 1
+            elif _claim(claims, back - 1):
+                back -= 1
+                here[back] = analyze(images[back])
+            else:  # a worker has it, and the workers have all before it
+                break
+        for index in range(done, len(images)):
+            yield here[index] if index in here else collect(index)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+_worker_claims = None  # in a forked worker: the claims of its batch
+
+
+def _hold_claims(claims):
+    global _worker_claims
+    _worker_claims = claims
+
+
+def _analyze_claimed(index, analyze, image_path):
+    """A worker's run of one input; None when another process claimed it."""
+    return analyze(image_path) if _claim(_worker_claims, index) else None
+
+
+def _claim(claims, index) -> bool:
+    """Claim input index for the calling process; False if it was taken."""
+    with claims.get_lock():
+        taken = claims[index]
+        claims[index] = 1
+    return not taken
+
+
+def _out_dir(image_path, args) -> Path:
+    return Path(args.out) if args.out else image_path.parent
+
+
+def _analyze_one(image_path, args, params):
+    """One input of `analyze`: (outcome, stdout text, stderr text).
+
+    The outcome is "measured", "rejected" or "error". Writes the output
+    files and prints nothing, so that a worker process can run it.
+    """
+    try:
+        image, manifest = _load_study(image_path, args.manifest)
+        decision = route_image(manifest)
+        if not decision.accepted:
+            return "rejected", f"{image_path}: rejected (label={decision.label})\n", ""
+        run = measure_study(
+            image,
+            manifest,
+            mask_path=args.mask,
+            drop_outliers=args.drop_outliers,
+            **params,
+        )
+        out_dir = _out_dir(image_path, args)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        csv_path = out_dir / f"{image_path.stem}.measurements.csv"
+        write_study_csv(csv_path, run)
+        if args.dump_ecg:
+            _dump_ecg(out_dir / f"{image_path.stem}.ecg.csv", run.ecg, manifest)
+        return "measured", f"{image_path}: {_summary_line(run)} -> {csv_path}\n", ""
+    except (MidopplerError, OSError) as exc:
+        return "error", "", f"{image_path}: error: {exc}\n"
+    except Exception as exc:  # one faulty study must not abort the batch
+        return "error", "", f"{traceback.format_exc()}{image_path}: error: {type(exc).__name__}: {exc}\n"
 
 
 def _summary_line(means: StudyMeans) -> str:

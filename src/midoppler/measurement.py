@@ -213,7 +213,6 @@ def label_beats(peaks, qrs: QrsMarks):
 def deceleration_time(
     trace: EnvelopeTrace,
     e_peak: FlowPeak,
-    manifest: CalibrationManifest,
     params: DtParams | None = None,
 ) -> DtResult:
     """Slope-change extrapolation of the E-wave descent to the baseline.
@@ -297,7 +296,6 @@ def measure_beats(
     smoothed: EnvelopeTrace,
     peaks,
     qrs: QrsMarks,
-    manifest: CalibrationManifest,
     peak_params: PeakParams | None = None,
     dt_params: DtParams | None = None,
 ):
@@ -318,7 +316,7 @@ def measure_beats(
     for beat in labeled:
         e_ref = _refine_peak(raw_trace, beat.e_peak, refine_radius)
         a_ref = _refine_peak(raw_trace, beat.a_peak, refine_radius) if beat.a_peak else None
-        dt_res = deceleration_time(smoothed, e_ref, manifest, dt_params)
+        dt_res = deceleration_time(smoothed, e_ref, dt_params)
         flags = set(beat.flags) | set(dt_res.flags)
         if a_ref is None:
             flags.add(FLAG_MISSING_A)
@@ -378,7 +376,7 @@ def measure_study(
     qrs = _stage("qrs", detect_qrs, ecg, qrs_params or QrsParams(), manifest)
     smoothed = smooth_trace(trace, peak_params.smooth_window_ms)
     peaks = detect_flow_peaks(smoothed, peak_params)
-    details = measure_beats(trace, smoothed, peaks, qrs, manifest, peak_params, dt_params)
+    details = measure_beats(trace, smoothed, peaks, qrs, peak_params, dt_params)
     beats = [d.measurement for d in details]
     return StudyRun(
         **asdict(summarize_beats(beats, drop_outliers=drop_outliers)),

@@ -29,11 +29,11 @@ def make_trace(velocities, spacing_ms=2.5, t0=0.0, gaps=None) -> EnvelopeTrace:
     return EnvelopeTrace(times=times, velocities=velocities, gap_flags=np.asarray(gaps, bool))
 
 
-def measure_trace(trace, qrs, manifest):
+def measure_trace(trace, qrs):
     """measure_beats on a raw trace, smoothed and peak-gated as measure_study does."""
     params = PeakParams()
     smoothed = smooth_trace(trace, params.smooth_window_ms)
-    return measure_beats(trace, smoothed, detect_flow_peaks(smoothed, params), qrs, manifest, params)
+    return measure_beats(trace, smoothed, detect_flow_peaks(smoothed, params), qrs, params)
 
 
 def triangle(times, center, half_width, height):

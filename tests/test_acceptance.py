@@ -194,7 +194,6 @@ def test_criterion_5_agreement_methodology(corpus, capsys):
 
 
 def test_criterion_6_ea_ratio_scale_invariance():
-    manifest = make_manifest()
     rng = np.random.default_rng(99)
     spacing = 2.5
     checked = 0
@@ -211,13 +210,13 @@ def test_criterion_6_ea_ratio_scale_invariance():
         qrs = QrsMarks(times=np.array([40.0, 940.0, 1840.0]))
         reference = [
             d.measurement.ea_ratio
-            for d in measure_trace(make_trace(base, spacing_ms=spacing), qrs, manifest)
+            for d in measure_trace(make_trace(base, spacing_ms=spacing), qrs)
         ]
         assert len(reference) == 2 and all(r is not None for r in reference)
         for k in (0.5, 1.0, 2.0):
             scaled = [
                 d.measurement.ea_ratio
-                for d in measure_trace(make_trace(base * k, spacing_ms=spacing), qrs, manifest)
+                for d in measure_trace(make_trace(base * k, spacing_ms=spacing), qrs)
             ]
             for r0, r1 in zip(reference, scaled):
                 assert abs(r1 - r0) <= 1e-9 * abs(r0)

@@ -1,6 +1,11 @@
 """End-to-end CLI behavior: exit codes, file outputs, determinism."""
 
+import multiprocessing
+import os
 import re
+import shutil
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +25,23 @@ from midoppler.overlay import (
 )
 from midoppler.segmentation import EnvelopeMask, export_mask
 from midoppler.synth import SynthParams, generate_synthetic, write_truth_csv
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="batches run in-process without fork",
+)
+
+
+def report_cpus(monkeypatch, count):
+    """Make `analyze` see count usable CPUs, so a batch runs on that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def outcome_lines(captured, image_path):
+    """The stdout and stderr lines that report image_path's outcome."""
+    prefix = f"{image_path}: "
+    return [line for line in (captured.out + captured.err).splitlines() if line.startswith(prefix)]
 
 
 def make_study(tmp_path, stem="study_0000", **params):
@@ -133,14 +155,15 @@ def test_analyze_continues_past_non_finite_manifest(tmp_path, capsys):
 
 
 def test_analyze_isolates_unexpected_exception(tmp_path, capsys, monkeypatch):
-    for stem in ("a_good", "b_boom", "c_good"):
-        make_study(tmp_path, stem=stem)
+    make_study(tmp_path, stem="a_good")
+    boom, _, _ = make_study(tmp_path, stem="b_boom", heart_rate=70.0)
+    make_study(tmp_path, stem="c_good")
     real_measure_study = cli.measure_study
-    seen = []
 
+    # keyed on the image, not on a call count: worker processes see the
+    # monkeypatch but share no state with this process or with each other
     def flaky_measure_study(image, manifest, **kwargs):
-        seen.append(image)
-        if len(seen) == 2:
+        if np.array_equal(image.pixels, boom.pixels):
             raise RuntimeError("injected fault")
         return real_measure_study(image, manifest, **kwargs)
 
@@ -148,13 +171,133 @@ def test_analyze_isolates_unexpected_exception(tmp_path, capsys, monkeypatch):
     code = main(["analyze", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 1
-    assert len(seen) == 3
+    for stem in ("a_good", "b_boom", "c_good"):
+        assert len(outcome_lines(captured, tmp_path / f"{stem}.ppm")) == 1
     assert "b_boom.ppm: error: RuntimeError: injected fault" in captured.err
     assert "Traceback" in captured.err
     assert not (tmp_path / "b_boom.measurements.csv").exists()
     for stem in ("a_good", "c_good"):
         assert sorted(read_measurement_csv(tmp_path / f"{stem}.measurements.csv")) == [1, 2, 3]
         assert f"{stem}.ppm: 3 beats" in captured.out
+
+
+def test_analyze_batch_equals_serial_single_runs(tmp_path, capsys, monkeypatch):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for k in range(4):
+        make_study(inputs, stem=f"m{k}", noise_sigma=0.15, heart_rate=55.0 + 15.0 * k, seed=k)
+    make_study(inputs, stem="r_lvot", label="LVOT")
+    make_study(inputs, stem="u_unknown", label="spectral_unknown")
+    make_study(inputs, stem="t_truncated")
+    truncated = inputs / "t_truncated.ppm"
+    truncated.write_bytes(truncated.read_bytes()[:1000])
+    images = sorted(inputs.glob("*.ppm"))
+    report_cpus(monkeypatch, 3)  # fewer workers than inputs
+    out = tmp_path / "out"
+
+    def run(argvs):
+        codes = [main(argv) for argv in argvs]
+        captured = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return codes, captured.out, captured.err, files
+
+    batch_codes, *batch = run([["analyze", str(inputs), "--dump-ecg", "--out", str(out)]])
+    single_codes, *singles = run(
+        [["analyze", str(image), "--dump-ecg", "--out", str(out)] for image in images]
+    )
+    assert batch == singles
+    assert sorted(single_codes) == [0, 0, 0, 0, 1, 1, 2]
+    assert batch_codes == [1]
+    assert sorted(batch[2]) == sorted(
+        f"m{k}.{kind}.csv" for k in range(4) for kind in ("measurements", "ecg")
+    )
+
+
+@needs_fork
+def test_analyze_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
+    images = {
+        stem: make_study(tmp_path, stem=stem, heart_rate=hr)[0]
+        for stem, hr in (("a_dies", 60.0), ("b", 70.0), ("c", 80.0), ("d", 90.0))
+    }
+    real_measure_study = cli.measure_study
+    test_pid = os.getpid()
+
+    def dying_measure_study(image, manifest, **kwargs):
+        if np.array_equal(image.pixels, images["a_dies"].pixels):
+            if os.getpid() == test_pid:  # run in-process: fail, do not end pytest
+                raise RuntimeError("a_dies ran in-process, not in a worker")
+            os._exit(3)
+        if os.getpid() == test_pid:
+            time.sleep(0.2)  # meanwhile the worker claims a_dies, the first input
+        return real_measure_study(image, manifest, **kwargs)
+
+    monkeypatch.setattr(cli, "measure_study", dying_measure_study)
+    report_cpus(monkeypatch, 2)
+    codes = []
+    batch = threading.Thread(
+        target=lambda: codes.append(main(["analyze", str(tmp_path)])), daemon=True
+    )
+    batch.start()
+    batch.join(timeout=120)
+    assert not batch.is_alive(), "the batch hung after a worker died"
+    captured = capsys.readouterr()
+    assert codes == [1]
+    (dead,) = outcome_lines(captured, tmp_path / "a_dies.ppm")
+    assert ": error: BrokenProcessPool: " in dead
+    for stem in ("b", "c"):
+        (line,) = outcome_lines(captured, tmp_path / f"{stem}.ppm")
+        assert ": 3 beats" in line or ": error: " in line
+    (last,) = outcome_lines(captured, tmp_path / "d.ppm")  # taken by this process first
+    assert ": 3 beats" in last
+
+
+@needs_fork
+def test_analyze_batch_runs_its_last_inputs_in_this_process(tmp_path, capsys, monkeypatch):
+    # fork write-protects this process's pages; the studies it runs during
+    # the batch take those faults instead of the caller's next study
+    images = [make_study(tmp_path, stem=f"s{k}", heart_rate=60.0 + 10.0 * k)[0] for k in range(4)]
+    real_measure_study = cli.measure_study
+    test_pid = os.getpid()
+    calls = tmp_path / "calls.txt"  # appended to by every process
+
+    def measure_study(image, manifest, **kwargs):
+        (k,) = [k for k, seen in enumerate(images) if np.array_equal(image.pixels, seen.pixels)]
+        with open(calls, "a") as log:
+            log.write(f"{k} {int(os.getpid() == test_pid)}\n")
+        return real_measure_study(image, manifest, **kwargs)
+
+    monkeypatch.setattr(cli, "measure_study", measure_study)
+    report_cpus(monkeypatch, 2)
+    assert main(["analyze", str(tmp_path)]) == 0
+    ran = [tuple(map(int, line.split())) for line in calls.read_text().splitlines()]
+    assert sorted(k for k, _ in ran) == [0, 1, 2, 3]  # each input once
+    here = [k for k, in_here in ran if in_here]
+    assert here and here == [3, 2, 1, 0][: len(here)]  # from the back, one at a time
+    printed = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()]
+    assert printed == [str(tmp_path / f"s{k}.ppm") for k in range(4)]
+
+
+@needs_fork
+def test_analyze_shared_output_keeps_serial_order(tmp_path, capsys, monkeypatch):
+    first_dir, second_dir, out = tmp_path / "first", tmp_path / "second", tmp_path / "out"
+    first_dir.mkdir()
+    second_dir.mkdir()
+    first, _, _ = make_study(first_dir, heart_rate=60.0)
+    make_study(second_dir, heart_rate=80.0)
+    assert main(["analyze", str(second_dir)]) == 0
+    expected = (second_dir / "study_0000.measurements.csv").read_bytes()
+    real_measure_study = cli.measure_study
+
+    def slow_first(image, manifest, **kwargs):
+        if np.array_equal(image.pixels, first.pixels):
+            time.sleep(0.5)  # run in parallel, the first input would write last
+        return real_measure_study(image, manifest, **kwargs)
+
+    monkeypatch.setattr(cli, "measure_study", slow_first)
+    report_cpus(monkeypatch, 2)
+    assert main(["analyze", str(first_dir), str(second_dir), "--out", str(out)]) == 0
+    assert (out / "study_0000.measurements.csv").read_bytes() == expected
 
 
 def test_analyze_no_inputs_is_nothing_to_do(tmp_path, capsys):

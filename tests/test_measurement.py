@@ -20,7 +20,7 @@ from midoppler.measurement import (
     measure_study,
     summarize_beats,
 )
-from midoppler.segmentation import mask_to_trace, smooth_trace
+from midoppler.segmentation import mask_to_trace, smooth_trace, smoothing_columns
 from midoppler.synth import SynthParams, corpus_params, generate_synthetic
 
 from conftest import make_trace, measure_trace, triangle
@@ -155,13 +155,13 @@ def straight_descent_trace():
     return make_trace(v)
 
 
-def test_dt_straight_line_descent(manifest):
+def test_dt_straight_line_descent():
     trace = straight_descent_trace()
-    result = deceleration_time(trace, peak(500.0, 1.0), manifest)
+    result = deceleration_time(trace, peak(500.0, 1.0))
     assert result.dt_ms == pytest.approx(200.0, abs=SPACING)
 
 
-def test_dt_bilinear_slope_change(manifest):
+def test_dt_bilinear_slope_change():
     # 1.0 m/s at 500 ms, slope -0.005 m/s/ms to 0.5 at 600 ms, then -0.001
     times = grid(600)
     v = np.zeros_like(times)
@@ -171,43 +171,43 @@ def test_dt_bilinear_slope_change(manifest):
     v[seg1] = 1.0 - 0.005 * (times[seg1] - 500.0)
     seg2 = times > 600.0
     v[seg2] = np.clip(0.5 - 0.001 * (times[seg2] - 600.0), 0.0, None)
-    result = deceleration_time(make_trace(v), peak(500.0, 1.0), manifest)
+    result = deceleration_time(make_trace(v), peak(500.0, 1.0))
     assert result.dt_ms == pytest.approx(200.0, abs=10.0)
     assert result.slope_change_time == pytest.approx(600.0, abs=15.0)
     assert FLAG_NO_SLOPE_CHANGE not in result.flags
 
 
-def test_dt_truncated_descent_is_absent(manifest):
+def test_dt_truncated_descent_is_absent():
     # linear descent that leaves the trace at 0.4 m/s with no slope change
     times = grid(200)
     v = 1.0 - 0.0012 * times  # ends near 0.4, never reaches the 5% floor
-    result = deceleration_time(make_trace(v), peak(0.0, 1.0), manifest)
+    result = deceleration_time(make_trace(v), peak(0.0, 1.0))
     assert result.dt_ms is None
     assert FLAG_NO_SLOPE_CHANGE in result.flags
 
 
-def test_dt_gap_in_descent_flagged(manifest):
+def test_dt_gap_in_descent_flagged():
     trace = straight_descent_trace()
     gaps = np.zeros(len(trace.velocities), bool)
     gaps[210:220] = True  # 525..550 ms, on the descent
     trace = make_trace(trace.velocities, gaps=gaps)
-    result = deceleration_time(trace, peak(500.0, 1.0), manifest)
+    result = deceleration_time(trace, peak(500.0, 1.0))
     assert FLAG_GAP_IN_DESCENT in result.flags
 
 
-def test_dt_peak_off_trace_rejected(manifest):
+def test_dt_peak_off_trace_rejected():
     with pytest.raises(ValueError):
-        deceleration_time(make_trace(np.ones(50)), peak(1e5, 1.0), manifest)
+        deceleration_time(make_trace(np.ones(50)), peak(1e5, 1.0))
 
 
 @pytest.mark.parametrize("v_peak", [0.4, 0.8, 1.2])
 @pytest.mark.parametrize("dt_true", [120.0, 180.0, 260.0])
-def test_dt_exact_for_linear_descents(manifest, v_peak, dt_true):
+def test_dt_exact_for_linear_descents(v_peak, dt_true):
     times = grid(400)
     apex = 300.0
     slope = v_peak / dt_true
     v = np.clip(np.where(times <= apex, v_peak * times / apex, v_peak - slope * (times - apex)), 0.0, None)
-    result = deceleration_time(make_trace(v), peak(apex, v_peak), manifest)
+    result = deceleration_time(make_trace(v), peak(apex, v_peak))
     assert result.dt_ms == pytest.approx(dt_true, abs=SPACING)
 
 
@@ -224,9 +224,9 @@ def ea_trace(e=0.8, a=0.5, scale=1.0, spacing=SPACING):
     return make_trace(v * scale, spacing_ms=spacing), qrs
 
 
-def test_measure_beats_labels_and_ratio(manifest):
+def test_measure_beats_labels_and_ratio():
     trace, qrs = ea_trace()
-    details = measure_trace(trace, qrs, manifest)
+    details = measure_trace(trace, qrs)
     assert len(details) == 2
     for d in details:
         m = d.measurement
@@ -235,23 +235,23 @@ def test_measure_beats_labels_and_ratio(manifest):
         assert m.ea_ratio == pytest.approx(1.6, abs=0.07)
 
 
-def test_ea_ratio_scale_invariance(manifest):
+def test_ea_ratio_scale_invariance():
     base_trace, qrs = ea_trace()
-    base = [d.measurement.ea_ratio for d in measure_trace(base_trace, qrs, manifest)]
+    base = [d.measurement.ea_ratio for d in measure_trace(base_trace, qrs)]
     for k in (0.5, 2.0):
         scaled_trace, _ = ea_trace(scale=k)
-        ratios = [d.measurement.ea_ratio for d in measure_trace(scaled_trace, qrs, manifest)]
+        ratios = [d.measurement.ea_ratio for d in measure_trace(scaled_trace, qrs)]
         for r0, r1 in zip(base, ratios):
             assert r1 == pytest.approx(r0, rel=1e-9)
 
 
-def test_time_translation_shifts_times_only(manifest):
+def test_time_translation_shifts_times_only():
     trace, qrs = ea_trace()
-    base = measure_trace(trace, qrs, manifest)
+    base = measure_trace(trace, qrs)
     offset = 500.0
     shifted_trace = make_trace(trace.velocities, t0=offset)
     shifted_qrs = QrsMarks(times=qrs.times + offset)
-    shifted = measure_trace(shifted_trace, shifted_qrs, manifest)
+    shifted = measure_trace(shifted_trace, shifted_qrs)
     assert len(base) == len(shifted)
     for d0, d1 in zip(base, shifted):
         assert d1.measurement.e_velocity == d0.measurement.e_velocity
@@ -260,9 +260,31 @@ def test_time_translation_shifts_times_only(manifest):
         assert d1.measurement.e_time == pytest.approx(d0.measurement.e_time + offset, abs=1e-9)
 
 
-def test_measure_beats_without_marks_is_empty(manifest):
+def test_measure_beats_without_marks_is_empty():
     trace, _ = ea_trace()
-    assert measure_trace(trace, QrsMarks(times=np.array([40.0])), manifest) == []
+    assert measure_trace(trace, QrsMarks(times=np.array([40.0]))) == []
+
+
+def test_peak_amplitude_read_within_refine_radius():
+    # The raw apex sits half a smoothing window from the smoothed peak, the
+    # farthest a smoothed local maximum allows, and a taller raw sample sits
+    # just outside the refine radius (half a window plus one column).
+    times = SPACING * np.arange(240)
+    v = triangle(times, 300.0, 60.0, 0.9)
+    peak_idx = 120
+    half = smoothing_columns(PeakParams().smooth_window_ms, SPACING) // 2
+    radius = half + 1
+    v[peak_idx - 3] = v[peak_idx - 2] = 0.95
+    v[peak_idx + half] = 1.0
+    v[peak_idx + radius] = 0.5  # keeps the smoothed peak at peak_idx
+    v[peak_idx + radius + 1] = 1.05
+    trace = make_trace(v)
+    smoothed_peaks = detect_flow_peaks(smooth_trace(trace, PeakParams().smooth_window_ms))
+    assert [p.time for p in smoothed_peaks] == [times[peak_idx]]
+
+    (detail,) = measure_trace(trace, QrsMarks(times=np.array([100.0, 550.0])))
+    assert detail.measurement.e_velocity == 1.0
+    assert detail.measurement.e_time == times[peak_idx + half]
 
 
 def test_aggregate_means():
