@@ -237,7 +237,7 @@ def _analyze_all(images, args, params):
 
         if "fork" in multiprocessing.get_all_start_methods():
             # fork, not spawn: workers inherit the imported numpy/scipy, which
-            # a fresh interpreter would take about a second to import again.
+            # a fresh interpreter would take about 0.4 s to import again.
             yield from _pooled(analyze, images, workers, multiprocessing.get_context("fork"))
             return
     yield from map(analyze, images)

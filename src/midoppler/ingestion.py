@@ -164,6 +164,20 @@ def _parse_pnm_header(data: bytes, path, magic: bytes):
     return width, height, pos
 
 
+def _load_pnm(path, magic: bytes, channels: tuple) -> np.ndarray:
+    """Decode a binary PNM file to a (height, width, *channels) uint8 array."""
+    data = _read_file(path)
+    width, height, offset = _parse_pnm_header(data, path, magic)
+    shape = (height, width, *channels)
+    need = math.prod(shape)
+    found = len(data) - offset
+    if found < need:
+        raise ImageFormatError(
+            f"{path}: truncated pixel data, expected {need} bytes, found {found}"
+        )
+    return np.frombuffer(data, np.uint8, count=need, offset=offset).reshape(shape).copy()
+
+
 def _read_file(path) -> bytes:
     try:
         return Path(path).read_bytes()
@@ -173,16 +187,7 @@ def _read_file(path) -> bytes:
 
 def load_image(path) -> RasterImage:
     """Decode a binary PPM (P6) file; no color transform is applied."""
-    data = _read_file(path)
-    width, height, offset = _parse_pnm_header(data, path, b"P6")
-    need = width * height * 3
-    raster = data[offset:offset + need]
-    if len(raster) < need:
-        raise ImageFormatError(
-            f"{path}: truncated pixel data, expected {need} bytes, found {len(raster)}"
-        )
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
-    return RasterImage(pixels)
+    return RasterImage(_load_pnm(path, b"P6", (3,)))
 
 
 def save_image(path, image: RasterImage) -> None:
@@ -192,15 +197,7 @@ def save_image(path, image: RasterImage) -> None:
 
 def load_gray_image(path) -> np.ndarray:
     """Decode a binary PGM (P5) file to a (height, width) uint8 array."""
-    data = _read_file(path)
-    width, height, offset = _parse_pnm_header(data, path, b"P5")
-    need = width * height
-    raster = data[offset:offset + need]
-    if len(raster) < need:
-        raise ImageFormatError(
-            f"{path}: truncated pixel data, expected {need} bytes, found {len(raster)}"
-        )
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    return _load_pnm(path, b"P5", ())
 
 
 def save_gray_image(path, gray: np.ndarray) -> None:

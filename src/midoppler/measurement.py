@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .ecg import EcgSignal, QrsMarks, QrsParams, detect_qrs, extract_ecg
 from .errors import LabelingError, MidopplerError, RoutingRejection
@@ -145,8 +144,10 @@ class StudyRun(StudyMeans):
 def detect_flow_peaks(trace: EnvelopeTrace, params: PeakParams | None = None):
     """Local maxima passing the prominence and width gates, in time order.
 
-    Prominence is standard topographic prominence; width is measured at half
-    prominence, in ms. Narrow artifact spikes fail the width gate.
+    A plateau of equal samples peaks at its middle sample (rounded down).
+    Prominence is standard topographic prominence over the whole trace (no
+    window); width is measured at half prominence, in ms, interpolated
+    linearly between samples. Narrow artifact spikes fail the width gate.
     """
     params = params or PeakParams()
     velocities = trace.velocities
@@ -155,21 +156,83 @@ def detect_flow_peaks(trace: EnvelopeTrace, params: PeakParams | None = None):
     if velocities.size < 3:
         return []
     spacing = trace.spacing()
-    indices, props = find_peaks(
-        velocities,
-        prominence=params.min_prominence,
-        width=params.min_width_ms / spacing,
-        rel_height=0.5,
-    )
     return [
         FlowPeak(
             time=float(trace.times[i]),
             velocity=float(velocities[i]),
-            prominence=float(props["prominences"][k]),
-            width=float(props["widths"][k] * spacing),
+            prominence=prominence,
+            width=width * spacing,
         )
-        for k, i in enumerate(indices)
+        for i, prominence, width in _find_peaks(
+            velocities, params.min_prominence, params.min_width_ms / spacing
+        )
     ]
+
+
+def _find_peaks(x: np.ndarray, min_prominence: float, min_width: float):
+    """(index, prominence, width) of each peak of x passing both gates.
+
+    The subset of ``scipy.signal.find_peaks(x, prominence=min_prominence,
+    width=min_width, rel_height=0.5)`` that detect_flow_peaks uses, with the
+    same float operations, so prominences and widths (in samples) are equal
+    to the bit. The prominence gate is applied before widths are measured.
+    """
+    # A peak is a run of equal samples entered by a rise and left by a fall.
+    steps = np.diff(x)
+    changes = steps.nonzero()[0]  # i where x[i + 1] != x[i]
+    rises = steps[changes] > 0
+    runs = (rises[:-1] > rises[1:]).nonzero()[0]
+    if runs.size == 0:
+        return []
+    peaks = ((changes[runs] + 1 + changes[runs + 1]) // 2).tolist()
+    # Between two neighbouring peaks x falls and then rises, so each side of
+    # a peak is a chain of such valleys, broken by the first higher peak.
+    valleys = np.minimum.reduceat(x, [0] + peaks).tolist()
+    values = memoryview(x)
+    tops = [values[p] for p in peaks]
+    left_mins = _lowest_valleys(tops, valleys[:-1])
+    right_mins = _lowest_valleys(tops[::-1], valleys[:0:-1])[::-1]
+
+    found = []
+    for p, top, left, right in zip(peaks, tops, left_mins, right_mins):
+        prominence = top - max(left, right)
+        if prominence < min_prominence:
+            continue
+        # height >= max(left, right), so each walk stops on its own side's
+        # lowest sample at the latest; scipy's bound at the base never acts.
+        height = top - prominence * 0.5
+        i = p
+        while height < values[i]:
+            i -= 1
+        left_ip = float(i)
+        if values[i] < height:
+            left_ip += (height - values[i]) / (values[i + 1] - values[i])
+        i = p
+        while height < values[i]:
+            i += 1
+        right_ip = float(i)
+        if values[i] < height:
+            right_ip -= (height - values[i]) / (values[i - 1] - values[i])
+        width = right_ip - left_ip
+        if width >= min_width:
+            found.append((p, prominence, width))
+    return found
+
+
+def _lowest_valleys(tops, valleys):
+    """Per peak, the lowest valley met walking away from it to a higher peak.
+
+    valleys[k] lies on the walking side of peak k. Peaks no higher than the
+    current one are passed (scipy walks over samples <= the peak), so a
+    stack keeps the lowest valley up to each peak still able to stop a walk.
+    """
+    lowest, stack = [], []
+    for top, low in zip(tops, valleys):
+        while stack and stack[-1][0] <= top:
+            low = min(low, stack.pop()[1])
+        lowest.append(low)
+        stack.append((top, low))
+    return lowest
 
 
 def label_beats(peaks, qrs: QrsMarks):

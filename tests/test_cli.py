@@ -4,13 +4,17 @@ import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import midoppler
 from midoppler import cli
 from midoppler.cli import main
 from midoppler.ingestion import load_image, save_image, save_manifest
@@ -105,6 +109,25 @@ def test_analyze_valid_study(tmp_path, capsys):
     rows = read_measurement_csv(tmp_path / "study_0000.measurements.csv")
     assert sorted(rows) == [1, 2, 3]
     assert rows[1]["e_mps"] == pytest.approx(0.8, abs=0.02)
+
+
+def test_analyze_cold_start_skips_scipy_signal(tmp_path):
+    # importing scipy.signal costs about 1 s, more than the rest of the
+    # package; a fresh single-study call must not pay it, even lazily
+    make_study(tmp_path)
+    script = (
+        "import sys, midoppler.cli\n"
+        f"status = midoppler.cli.main(['analyze', {str(tmp_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(status, 'scipy.signal' in sys.modules)\n"
+    )
+    src = str(Path(midoppler.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "study_0000.measurements.csv").exists()
 
 
 def test_analyze_is_deterministic(tmp_path):

@@ -68,6 +68,18 @@ def test_truncated_file_reports_path(tmp_path):
         load_image(path)
 
 
+@pytest.mark.parametrize("found", [0, 50])
+@pytest.mark.parametrize("magic, load, channels", [(b"P6", load_image, 3), (b"P5", load_gray_image, 1)])
+def test_truncated_pixel_data_message(tmp_path, magic, load, channels, found):
+    path = tmp_path / "cut.pnm"
+    path.write_bytes(magic + b"\n10 10\n255\n" + b"\x00" * found)
+    with pytest.raises(ImageFormatError) as info:
+        load(path)
+    assert str(info.value) == (
+        f"{path}: truncated pixel data, expected {100 * channels} bytes, found {found}"
+    )
+
+
 def test_wrong_magic_is_corrupt_header(tmp_path):
     path = tmp_path / "bad.ppm"
     path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")

@@ -4,6 +4,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from midoppler.ecg import QrsMarks, QrsParams, detect_qrs
 from midoppler.errors import LabelingError
@@ -18,6 +21,7 @@ from midoppler.measurement import (
     detect_flow_peaks,
     label_beats,
     measure_study,
+    _find_peaks,
     summarize_beats,
 )
 from midoppler.segmentation import mask_to_trace, smooth_trace, smoothing_columns
@@ -97,6 +101,47 @@ def test_peaks_invariant_under_narrow_spikes():
 def test_empty_trace_rejected():
     with pytest.raises(ValueError):
         detect_flow_peaks(make_trace(np.empty(0)))
+
+
+@st.composite
+def peak_traces(draw):
+    """0-60 samples: integer runs (plateaus at either end, equal minima and
+    equal peaks), Gaussian noise, rounded random walks, or noise through
+    smooth_trace (zero-clipped, as the peak finder meets it)."""
+    kind = draw(st.sampled_from(["runs", "noise", "walk", "smoothed"]))
+    if kind == "runs":
+        runs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5)), max_size=20))
+        x = np.repeat([v for v, _ in runs], [k for _, k in runs])[:60]
+        return x.astype(np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=draw(st.integers(0, 60)))
+    if kind == "walk":
+        return np.round(np.cumsum(x))
+    if kind == "smoothed":
+        return smooth_trace(make_trace(x), draw(st.sampled_from([7.5, 12.5]))).velocities
+    return x
+
+
+# exact values that integer traces hit, so a gate's equality case is reached
+gates = st.one_of(
+    st.sampled_from([1e-9, 0.5, 1.0, 1.5, 2.0, 3.0, 1e3]),
+    st.floats(min_value=1e-9, max_value=10.0),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(peak_traces(), gates, gates)
+@example(np.array([0.0, 1.0, 1.0, 0.0]), 1e-9, 1e-9)  # plateau peaks at its left middle
+@example(np.array([0.0, 2.0, 0.0]), 2.0, 1.0)  # prominence and width equal their gates
+@example(np.array([0.0, 2.0, 1.0, 2.0, 0.0]), 1.5, 1e-9)  # walks pass an equal peak
+def test_find_peaks_matches_scipy(x, min_prominence, min_width):
+    indices, props = find_peaks(x, prominence=min_prominence, width=min_width, rel_height=0.5)
+    found = _find_peaks(x, min_prominence, min_width)
+    assert [i for i, _, _ in found] == indices.tolist()
+    prominences = np.array([p for _, p, _ in found], dtype=np.float64)
+    widths = np.array([w for _, _, w in found], dtype=np.float64)
+    assert prominences.tobytes() == props["prominences"].tobytes()
+    assert widths.tobytes() == props["widths"].tobytes()
 
 
 # label_beats -----------------------------------------------------------------
