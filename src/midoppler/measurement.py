@@ -373,7 +373,7 @@ def measure_beats(
     if len(qrs) < 2 or not peaks:
         return []
     labeled = label_beats(peaks, qrs)
-    refine_radius = smoothing_columns(peak_params.smooth_window_ms, raw_trace.spacing()) // 2 + 1
+    refine_radius = smoothing_columns(peak_params.smooth_window_ms, raw_trace.spacing()) // 2
 
     details = []
     for beat in labeled:

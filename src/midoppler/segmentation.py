@@ -2,10 +2,13 @@
 
 The classical route converts the spectral region to grayscale, median
 filters, thresholds (fixed or automatic two-class variance maximization),
-opens, drops small connected components, keeps the flow side of the
-baseline, and fills each column down to the baseline. Externally produced
-masks (e.g. from a segmentation network) enter through ``import_mask`` and
-go through the same trace reduction.
+opens, drops small connected components, and ends at the envelope border:
+per column, the outermost foreground row on the flow side of the baseline
+and whether the column has any. The trace is read from that border; the
+filled mask (each column one run from the border to the baseline) is only
+built when something asks for its cells. Externally produced masks (e.g.
+from a segmentation network) enter through ``import_mask`` and have their
+border searched by the same helper.
 """
 
 from dataclasses import dataclass
@@ -42,24 +45,54 @@ class SegmentationParams:
             raise ValueError(f"min_component_area must be >= 0, got {self.min_component_area}")
 
 
-@dataclass
 class EnvelopeMask:
-    """Binary flow mask over the spectral region, 1 = flow signal."""
+    """Binary flow mask over the spectral region, 1 = flow signal.
 
-    cells: np.ndarray
+    ``EnvelopeMask(cells)`` wraps a full mask. Classical segmentation builds
+    one with ``from_border`` instead, which keeps only the envelope border
+    (``border`` = per-column outermost flow row and has-flow flag) and fills
+    ``cells`` from the border to the baseline the first time they are read.
+    """
 
-    def __post_init__(self):
-        if self.cells.ndim != 2:
+    def __init__(self, cells: np.ndarray):
+        if cells.ndim != 2:
             raise ValueError("mask cells must be a 2-D array")
-        self.cells = self.cells.astype(bool, copy=False)
+        self._cells = cells.astype(bool, copy=False)
+        self.shape = self._cells.shape
+        self.border = None
+
+    @classmethod
+    def from_border(cls, outer, has, height: int, baseline_local: int, flow_above: bool):
+        mask = cls.__new__(cls)
+        mask._cells = None
+        mask.shape = (height, len(outer))
+        mask.border = (outer, has)
+        mask._baseline = (baseline_local, flow_above)
+        return mask
+
+    @property
+    def cells(self) -> np.ndarray:
+        if self._cells is None:
+            outer, has = self.border
+            baseline, flow_above = self._baseline
+            cells = np.zeros(self.shape, dtype=bool)
+            # a column without flow gets a border just past the baseline
+            if flow_above:
+                start = np.where(has, outer, baseline + 1)
+                cells[:baseline + 1] = np.arange(baseline + 1)[:, None] >= start
+            else:
+                stop = np.where(has, outer, baseline - 1)
+                cells[baseline:] = np.arange(baseline, self.height)[:, None] <= stop
+            self._cells = cells
+        return self._cells
 
     @property
     def width(self) -> int:
-        return self.cells.shape[1]
+        return self.shape[1]
 
     @property
     def height(self) -> int:
-        return self.cells.shape[0]
+        return self.shape[0]
 
 
 @dataclass
@@ -94,9 +127,10 @@ def _region_shape(manifest: CalibrationManifest):
 def otsu_threshold(gray: np.ndarray) -> int:
     """Two-class between-class variance maximization on a 0..255 histogram.
 
-    Returns the lowest maximizing threshold t; foreground is gray > t.
+    gray must lie in [0, 255], as the luma of uint8 RGB does. Returns the
+    lowest maximizing threshold t; foreground is gray > t.
     """
-    levels = np.clip(np.round(gray), 0, 255).astype(np.uint8)
+    levels = np.rint(gray).astype(np.uint8)
     hist = np.bincount(levels.ravel(), minlength=256).astype(np.float64)
     w0 = np.cumsum(hist)
     total = w0[-1]
@@ -116,9 +150,10 @@ def segment_envelope_threshold(
 ) -> EnvelopeMask:
     """Classical threshold segmentation of the flow envelope.
 
-    Output columns contain a single vertical run from the baseline to the
-    envelope border (holes inside the flow signal are filled by
-    construction).
+    Returns the envelope border of the cleaned foreground on the flow side
+    of the baseline. Its cells, if read, hold a single vertical run per
+    column from the baseline to the border (holes inside the flow signal
+    are filled by construction).
     """
     params = params or SegmentationParams()
     rows, cols = _region_slice(manifest)
@@ -147,30 +182,29 @@ def segment_envelope_threshold(
     )
 
     baseline_local = manifest.baseline_row - manifest.spectral_region[1]
-    if manifest.flow_above_baseline:
-        foreground[baseline_local + 1:, :] = False
-    else:
-        foreground[:baseline_local, :] = False
-
-    filled = _fill_to_baseline(foreground, baseline_local, manifest.flow_above_baseline)
-    if not filled.any():
-        raise SegmentationError("no foreground remains after cleanup")
-    return EnvelopeMask(filled)
-
-
-def _fill_to_baseline(mask: np.ndarray, baseline_local: int, flow_above: bool) -> np.ndarray:
-    """Per column, fill from the outermost foreground pixel to the baseline."""
-    height, width = mask.shape
-    out = np.zeros_like(mask)
-    row_idx = np.arange(height)[:, None]
-    has = mask.any(axis=0)
+    flow_above = manifest.flow_above_baseline
     if flow_above:
-        outer = np.argmax(mask, axis=0)  # topmost True
-        out[:] = has[None, :] & (row_idx >= outer[None, :]) & (row_idx <= baseline_local)
+        outer, has = _outer_rows(foreground[:baseline_local + 1], True)
     else:
-        outer = height - 1 - np.argmax(mask[::-1], axis=0)  # bottommost True
-        out[:] = has[None, :] & (row_idx <= outer[None, :]) & (row_idx >= baseline_local)
-    return out
+        outer, has = _outer_rows(foreground[baseline_local:], False)
+        outer += baseline_local
+    if not has.any():
+        raise SegmentationError("no foreground remains after cleanup")
+    return EnvelopeMask.from_border(outer, has, foreground.shape[0], baseline_local, flow_above)
+
+
+def _outer_rows(cells: np.ndarray, flow_above: bool):
+    """Per column, the outermost foreground row and whether there is one.
+
+    Outermost is the topmost row for flow above the baseline and the
+    bottommost below it. A column without foreground gets an arbitrary row.
+    """
+    if flow_above:
+        outer = np.argmax(cells, axis=0)
+    else:
+        outer = cells.shape[0] - 1 - np.argmax(cells[::-1], axis=0)
+    has = cells[outer, np.arange(cells.shape[1])]
+    return outer, has
 
 
 def import_mask(path, manifest: CalibrationManifest) -> EnvelopeMask:
@@ -206,24 +240,25 @@ def export_mask(path, mask: EnvelopeMask) -> None:
 def mask_to_trace(mask: EnvelopeMask, manifest: CalibrationManifest) -> EnvelopeTrace:
     """Reduce a mask to the per-column envelope border velocity.
 
+    A mask from classical segmentation carries its border; any other mask
+    has it searched from its cells.
+
     Columns without foreground are linearly interpolated from their nearest
     measured neighbors (edge columns take the nearest value) and flagged.
     """
     height, width = _region_shape(manifest)
-    if mask.cells.shape != (height, width):
+    if mask.shape != (height, width):
         raise SegmentationError(
             f"mask is {mask.width}x{mask.height}, spectral region is {width}x{height}"
         )
-    cells = mask.cells
-    if not cells.any():
+    if mask.border is not None:
+        outer, has = mask.border
+    else:
+        outer, has = _outer_rows(mask.cells, manifest.flow_above_baseline)
+    if not has.any():
         raise SegmentationError("mask is entirely empty")
 
     _, y0, _, _ = manifest.spectral_region
-    has = cells.any(axis=0)
-    if manifest.flow_above_baseline:
-        outer = np.argmax(cells, axis=0)
-    else:
-        outer = height - 1 - np.argmax(cells[::-1], axis=0)
     measured = np.nonzero(has)[0]
     rows_abs = y0 + outer[measured]
     velocities = (manifest.baseline_row - rows_abs) * manifest.velocity_scale

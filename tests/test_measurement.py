@@ -312,17 +312,17 @@ def test_measure_beats_without_marks_is_empty():
 
 def test_peak_amplitude_read_within_refine_radius():
     # The raw apex sits half a smoothing window from the smoothed peak, the
-    # farthest a smoothed local maximum allows, and a taller raw sample sits
-    # just outside the refine radius (half a window plus one column).
+    # farthest a smoothed local maximum allows and so the refine radius, and
+    # a taller raw sample sits two columns outside that radius.
     times = SPACING * np.arange(240)
     v = triangle(times, 300.0, 60.0, 0.9)
     peak_idx = 120
     half = smoothing_columns(PeakParams().smooth_window_ms, SPACING) // 2
-    radius = half + 1
+    outside = half + 1
     v[peak_idx - 3] = v[peak_idx - 2] = 0.95
     v[peak_idx + half] = 1.0
-    v[peak_idx + radius] = 0.5  # keeps the smoothed peak at peak_idx
-    v[peak_idx + radius + 1] = 1.05
+    v[peak_idx + outside] = 0.5  # keeps the smoothed peak at peak_idx
+    v[peak_idx + outside + 1] = 1.05
     trace = make_trace(v)
     smoothed_peaks = detect_flow_peaks(smooth_trace(trace, PeakParams().smooth_window_ms))
     assert [p.time for p in smoothed_peaks] == [times[peak_idx]]

@@ -1,20 +1,29 @@
 """Threshold segmentation, mask import/export, trace reduction, smoothing."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from midoppler.errors import SegmentationError
 from midoppler.ingestion import RasterImage, save_gray_image
+from midoppler.measurement import measure_study, study_csv_text
 from midoppler.segmentation import (
+    _LUMA,
     EnvelopeMask,
     SegmentationParams,
     export_mask,
     import_mask,
     mask_to_trace,
+    otsu_threshold,
     segment_envelope_threshold,
     smooth_trace,
 )
-from midoppler.synth import SynthParams, generate_synthetic
+from midoppler.synth import AliasBand, Dropout, SynthParams, corpus_params, generate_synthetic
 
 from conftest import make_manifest, make_trace
 
@@ -86,6 +95,52 @@ def test_mask_dimension_mismatch_rejected(tmp_path):
         import_mask(path, manifest)
 
 
+def clipped_otsu(gray):
+    """otsu_threshold as it read with clip(round(gray), 0, 255) levels."""
+    levels = np.clip(np.round(gray), 0, 255).astype(np.uint8)
+    hist = np.bincount(levels.ravel(), minlength=256).astype(np.float64)
+    w0 = np.cumsum(hist)
+    total = w0[-1]
+    moments = np.cumsum(hist * np.arange(256))
+    w1 = total - w0
+    valid = (w0 > 0) & (w1 > 0)
+    mu0 = np.divide(moments, w0, out=np.zeros(256), where=w0 > 0)
+    mu1 = np.divide(moments[-1] - moments, w1, out=np.zeros(256), where=w1 > 0)
+    between = np.where(valid, w0 * w1 * (mu0 - mu1) ** 2, -1.0)
+    return int(np.argmax(between))
+
+
+# luma values: any float32 in [0, 255], or a multiple of 0.5 (rounding ties)
+LEVELS = st.one_of(st.floats(0, 255, width=32), st.integers(0, 510).map(lambda k: k / 2))
+
+
+@st.composite
+def gray_frames(draw):
+    shape = (draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    kind = draw(st.sampled_from(["any", "constant", "two-level"]))
+    if kind == "constant":
+        return np.full(shape, draw(LEVELS), np.float32)
+    if kind == "two-level":
+        high = draw(arrays(np.bool_, shape))
+        return np.where(high, draw(LEVELS), draw(LEVELS)).astype(np.float32)
+    return draw(arrays(np.float32, shape, elements=LEVELS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gray_frames())
+def test_otsu_threshold_matches_clipped_rounding(gray):
+    assert otsu_threshold(gray) == clipped_otsu(gray)
+
+
+def test_luma_of_uint8_rgb_stays_in_byte_range():
+    corners = np.array(list(itertools.product((0, 255), repeat=3)), np.uint8)
+    ramp = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1)
+    rgb = np.concatenate([corners, ramp])[None].repeat(5, axis=0)
+    gray = rgb.astype(np.float32) @ _LUMA  # as segment_envelope_threshold computes it
+    assert gray.min() == 0.0 and gray.max() == 255.0
+    assert np.array([255, 255, 255], np.float32) @ _LUMA == np.float32(255.0)
+
+
 # mask_to_trace ---------------------------------------------------------------
 
 
@@ -151,6 +206,41 @@ def test_segmented_columns_are_single_runs_touching_baseline():
         edges = np.diff(np.concatenate(([0], column.view(np.int8), [0])))
         assert (edges == 1).sum() == 1  # exactly one vertical run
         assert column[baseline_local]  # touching the baseline row
+
+
+def mirrored(image, manifest):
+    """The study with its spectral rows flipped, so the flow lies below the baseline."""
+    x0, y0, x1, y1 = manifest.spectral_region
+    pixels = image.pixels.copy()
+    pixels[y0:y1 + 1, x0:x1 + 1] = pixels[y0:y1 + 1, x0:x1 + 1][::-1]
+    flipped = replace(
+        manifest, flow_above_baseline=False, baseline_row=y0 + y1 - manifest.baseline_row
+    )
+    return RasterImage(pixels), flipped
+
+
+@pytest.mark.parametrize(
+    "seed, artifacts, gaps",
+    [(21, (), False), (22, (AliasBand(),), False), (23, (Dropout(700.0, 40.0),), True)],
+)
+def test_below_baseline_flow_measures_as_its_mirror(seed, artifacts, gaps):
+    params = replace(corpus_params(SynthParams(noise_sigma=0.15), seed), artifacts=artifacts)
+    image, manifest, _ = generate_synthetic(params)
+    flipped_image, flipped_manifest = mirrored(image, manifest)
+    run = measure_study(image, manifest)
+    flipped = measure_study(flipped_image, flipped_manifest)
+    assert run.n_beats == 3
+    assert run.trace.gap_flags.any() == gaps  # the dropout leaves columns without flow
+    assert np.array_equal(flipped.trace.velocities, run.trace.velocities)
+    assert np.array_equal(flipped.trace.gap_flags, run.trace.gap_flags)
+    assert study_csv_text(flipped.beats, flipped) == study_csv_text(run.beats, run)
+    assert np.array_equal(flipped.mask.cells, run.mask.cells[::-1])
+    # the border the segmentation hands over equals a search of its cells
+    for study, study_manifest in ((run, manifest), (flipped, flipped_manifest)):
+        searched = mask_to_trace(EnvelopeMask(study.mask.cells), study_manifest)
+        assert np.array_equal(searched.velocities, study.trace.velocities)
+        assert np.array_equal(searched.gap_flags, study.trace.gap_flags)
+        assert np.array_equal(searched.times, study.trace.times)
 
 
 # smoothing -------------------------------------------------------------------
