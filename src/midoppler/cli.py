@@ -19,6 +19,7 @@ from .ingestion import (
     atomic_write_text,
     load_image,
     load_manifest,
+    read_key_values,
     route_image,
     save_image,
     save_manifest,
@@ -36,13 +37,10 @@ from .segmentation import THRESHOLD_MODES, SegmentationParams
 from .stats import FIELD_COLUMNS, agreement_csv_text, compare
 from .synth import AliasBand, Dropout, Spike, SynthParams, generate_synthetic, write_truth_csv
 
-_SYNTH_FILE_KEYS = {
-    f.name: f.type for f in dataclass_fields(SynthParams) if f.name != "artifacts"
-}
+# Each flag takes its type and default from a dataclass field: tables of
+# (flag, field, help) rows, in --help order.
 
-
-# (measure_study keyword, param dataclass, ((flag, field, help), ...)) in
-# --help order; each flag takes its type and default from the dataclass field.
+# (measure_study keyword, param dataclass, flag rows)
 _PIPELINE_FLAGS = (
     ("seg_params", SegmentationParams, (
         ("--median-window", "median_window", "per-column median window (odd)"),
@@ -66,9 +64,29 @@ _PIPELINE_FLAGS = (
     )),
 )
 
+# SynthParams flag rows; --n, between --seed and --e in --help, is not a field
+_SYNTH_FLAGS = (
+    ("--seed", "seed", None),
+    ("--e", "e_velocity", "E velocity, m/s"),
+    ("--a", "a_velocity", "A velocity, m/s (0 = fused)"),
+    ("--dt", "dt", "deceleration time, ms"),
+    ("--hr", "heart_rate", "heart rate, bpm"),
+    ("--beats", "n_beats", "number of cardiac cycles"),
+    ("--noise", "noise_sigma", "speckle intensity, 0..1"),
+    ("--knee-fraction", "dt_second_slope_fraction", "fraction of the E descent after the slope change"),
+    ("--label", "label", "manifest label"),
+)
+
+# a params file sets any SynthParams field but the artifacts; float | None parses as float
+_SYNTH_FILE_TYPES = {
+    f.name: float if f.type == float | None else f.type for f in dataclass_fields(SynthParams) if f.name != "artifacts"
+}
+
+_ALL_FIELDS = ",".join(FIELD_COLUMNS)
+
 
 def _checked_type(cls, field):
-    """argparse type of one pipeline flag: the field's type, then cls's own checks.
+    """argparse type of one flag: the field's type, then cls's own checks.
 
     A value the dataclass rejects becomes a usage error naming the flag.
     """
@@ -84,28 +102,34 @@ def _checked_type(cls, field):
     return convert
 
 
+def _add_flags(group, cls, flags):
+    fields = {f.name: f for f in dataclass_fields(cls)}
+    for flag, name, help_text in flags:
+        field = fields[name]
+        group.add_argument(
+            flag,
+            type=_checked_type(cls, field),
+            default=field.default,
+            choices=THRESHOLD_MODES if name == "threshold_mode" else None,
+            help=help_text,
+        )
+
+
+def _flag_values(args, flags) -> dict:
+    """{field: parsed value} of a table's flags."""
+    return {name: getattr(args, flag[2:].replace("-", "_")) for flag, name, _ in flags}
+
+
 def _add_pipeline_flags(parser):
     group = parser.add_argument_group("pipeline parameters")
     for _, cls, flags in _PIPELINE_FLAGS:
-        fields = {f.name: f for f in dataclass_fields(cls)}
-        for flag, name, help_text in flags:
-            field = fields[name]
-            group.add_argument(
-                flag,
-                type=_checked_type(cls, field),
-                default=field.default,
-                choices=THRESHOLD_MODES if name == "threshold_mode" else None,
-                help=help_text,
-            )
+        _add_flags(group, cls, flags)
     group.add_argument("--mask", default=None, help="import an external envelope mask (single input only)")
 
 
 def _pipeline_params(args) -> dict:
     """measure_study's param keywords, built from the pipeline flags."""
-    return {
-        keyword: cls(**{name: getattr(args, flag[2:].replace("-", "_")) for flag, name, _ in flags})
-        for keyword, cls, flags in _PIPELINE_FLAGS
-    }
+    return {keyword: cls(**_flag_values(args, flags)) for keyword, cls, flags in _PIPELINE_FLAGS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,20 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     ps.add_argument("--out", default=".", help="output directory")
-    ps.add_argument("--seed", type=int, default=0)
+    _add_flags(ps, SynthParams, _SYNTH_FLAGS[:1])
     ps.add_argument("--n", type=int, default=1, help="number of studies (seeds seed..seed+n-1)")
-    ps.add_argument("--e", type=float, default=0.8, help="E velocity, m/s")
-    ps.add_argument("--a", type=float, default=0.5, help="A velocity, m/s (0 = fused)")
-    ps.add_argument("--dt", type=float, default=180.0, help="deceleration time, ms")
-    ps.add_argument("--hr", type=float, default=60.0, help="heart rate, bpm")
-    ps.add_argument("--beats", type=int, default=3, help="number of cardiac cycles")
-    ps.add_argument("--noise", type=float, default=0.0, help="speckle intensity, 0..1")
-    ps.add_argument("--knee-fraction", type=float, default=0.0, help="fraction of the E descent after the slope change")
-    ps.add_argument("--label", default="mitral_inflow", help="manifest label")
+    _add_flags(ps, SynthParams, _SYNTH_FLAGS[1:])
     ps.add_argument("--spike", action="append", default=[], metavar="T,V,W", help="bright spike artifact time_ms,velocity,width_ms (repeatable)")
     ps.add_argument("--dropout", action="append", default=[], metavar="T,W", help="signal dropout time_ms,width_ms (repeatable)")
     ps.add_argument("--alias-band", action="store_true", help="add a bright band below the baseline")
-    ps.add_argument("--params", default=None, help="key = value file of SynthParams fields; overrides the numeric flags")
+    ps.add_argument("--params", default=None, help="key = value file of SynthParams fields; overrides the flags")
     ps.set_defaults(func=cmd_synth)
 
     pg = sub.add_parser(
@@ -158,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("series_a", help="CSV file or directory")
     pg.add_argument("series_b", help="CSV file or directory")
     pg.add_argument("--out", default=None, help="output CSV (default: stdout)")
-    pg.add_argument("--fields", default="E,A,EA,DT", help="comma-separated subset of E,A,EA,DT")
+    pg.add_argument("--fields", default=_ALL_FIELDS, help=f"comma-separated subset of {_ALL_FIELDS}")
     pg.add_argument("--per-patient", action="store_true", help="average each study before pairing")
     pg.set_defaults(func=cmd_agree)
 
@@ -381,66 +398,35 @@ def _parse_artifacts(args):
 
 
 def _params_from_file(path) -> dict:
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise GenerationError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _SYNTH_FILE_KEYS:
-            raise GenerationError(f"{path}:{lineno}: unknown parameter {key!r}")
-        if key == "label":
-            values[key] = value
-        elif key in ("n_beats", "seed", "width", "height"):
-            values[key] = int(value)
-        else:
-            values[key] = float(value)
-    return values
+    """The SynthParams fields a key = value file sets, converted by field type."""
+    raw = read_key_values(path, _SYNTH_FILE_TYPES, GenerationError, "params file")
+    return {key: _SYNTH_FILE_TYPES[key](value) for key, value in raw.items()}
 
 
 def cmd_synth(args) -> int:
+    """Write study, manifest and truth files; params file values override flags."""
     try:
+        values = _flag_values(args, _SYNTH_FLAGS)
         if args.params:
-            file_values = _params_from_file(args.params)
-            file_values.setdefault("seed", args.seed)
-            params = SynthParams(artifacts=_parse_artifacts(args), **file_values)
-        else:
-            params = SynthParams(
-                e_velocity=args.e,
-                a_velocity=args.a,
-                dt=args.dt,
-                heart_rate=args.hr,
-                n_beats=args.beats,
-                dt_second_slope_fraction=args.knee_fraction,
-                noise_sigma=args.noise,
-                artifacts=_parse_artifacts(args),
-                seed=args.seed,
-                label=args.label,
+            values.update(_params_from_file(args.params))
+        params = SynthParams(artifacts=_parse_artifacts(args), **values)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for seed in range(params.seed, params.seed + args.n):
+            image, manifest, truth = generate_synthetic(replace(params, seed=seed))
+            image_path, manifest_path, truth_path = (
+                out_dir / f"study_{seed:04d}{suffix}" for suffix in (".ppm", ".manifest", ".truth.csv")
             )
+            save_image(image_path, image)
+            save_manifest(manifest_path, manifest)
+            write_truth_csv(truth_path, truth)
+            print(f"{image_path}\n{manifest_path}\n{truth_path}")
     except ValueError as exc:
         print(f"error: bad artifact or parameter syntax: {exc}", file=sys.stderr)
         return 1
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for k in range(args.n):
-        seed = params.seed + k
-        try:
-            image, manifest, truth = generate_synthetic(replace(params, seed=seed))
-        except GenerationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        stem = f"study_{seed:04d}"
-        image_path = out_dir / f"{stem}.ppm"
-        manifest_path = out_dir / f"{stem}.manifest"
-        truth_path = out_dir / f"{stem}.truth.csv"
-        save_image(image_path, image)
-        save_manifest(manifest_path, manifest)
-        write_truth_csv(truth_path, truth)
-        print(f"{image_path}\n{manifest_path}\n{truth_path}")
+    except (GenerationError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -499,7 +485,7 @@ def cmd_agree(args) -> int:
     total_dropped = 0
     for name in field_names:
         if name not in FIELD_COLUMNS:
-            print(f"error: unknown field {name!r} (choose from E,A,EA,DT)", file=sys.stderr)
+            print(f"error: unknown field {name!r} (choose from {_ALL_FIELDS})", file=sys.stderr)
             return 1
         column = FIELD_COLUMNS[name]
         a_map = {k: v[column] for k, v in series_a.items() if column in v}

@@ -8,12 +8,15 @@ the scanner metadata a DICOM header would normally provide.
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ImageFormatError, ManifestError, UnknownLabelError
+
+MITRAL_INFLOW_LABEL = "mitral_inflow"
 
 # Image-class labels the router understands. Only the pulsed-wave mitral
 # inflow class is accepted for measurement; every other known label is a
@@ -31,7 +34,7 @@ KNOWN_LABELS = (
     "hepatic_vein",
     "mitral_TDI_lat",
     "mitral_TDI_med",
-    "mitral_inflow",
+    MITRAL_INFLOW_LABEL,
     "mitral_regurge",
     "pulm_valve",
     "pulm_vein",
@@ -42,8 +45,6 @@ KNOWN_LABELS = (
     "UI",
     "strain",
 )
-
-MITRAL_INFLOW_LABEL = "mitral_inflow"
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
@@ -207,21 +208,46 @@ def save_gray_image(path, gray: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
+# key = value files (manifests, synth params)
+
+
+def read_key_values(path, keys, error, kind) -> dict:
+    """{key: value text} of a ``key = value`` file; blank and ``#`` lines skip.
+
+    A missing ``=``, a key not in keys, a repeated key and an unreadable or
+    non-UTF-8 file raise error (a MidopplerError subclass) naming the path,
+    and the line where there is one; kind names the file in the message.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: cannot read {kind}: {exc}") from exc
+
+    values = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in keys:
+            raise error(f"{path}:{lineno}: unknown {kind} key {key!r}")
+        if key in values:
+            raise error(f"{path}:{lineno}: duplicate {kind} key {key!r}")
+        values[key] = value
+    return values
+
+
+# ---------------------------------------------------------------------------
 # manifest parsing
 
-_REQUIRED_KEYS = (
-    "label",
-    "velocity_scale",
-    "time_scale",
-    "baseline_row",
-    "spectral_region",
-    "flow_above_baseline",
-    "ecg_region",
-)
-_OPTIONAL_KEYS = ("ecg_color", "ecg_color_tolerance")
+# every CalibrationManifest field is a manifest key; one without a default is required
+_MANIFEST_DEFAULTS = {f.name: f.default for f in fields(CalibrationManifest)}
 
 
-def _parse_ints(value: str, count: int, key: str):
+def _parse_ints(value: str, key: str, count: int):
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != count:
         raise ManifestError(f"key {key!r}: expected {count} comma-separated integers")
@@ -241,62 +267,47 @@ def _parse_float(value: str, key: str) -> float:
     return number
 
 
+def _parse_int(value: str, key: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ManifestError(f"key {key!r}: expected an integer, got {value!r}") from None
+
+
+def _parse_bool(value: str, key: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ManifestError(f"key {key!r}: expected true/false, got {value!r}")
+    return value.lower() == "true"
+
+
+# how each non-text manifest value parses, in the order its errors are checked
+_VALUE_PARSERS = {
+    "flow_above_baseline": _parse_bool,
+    "baseline_row": _parse_int,
+    "velocity_scale": _parse_float,
+    "time_scale": _parse_float,
+    "spectral_region": partial(_parse_ints, count=4),
+    "ecg_region": partial(_parse_ints, count=4),
+    "ecg_color": partial(_parse_ints, count=3),
+    "ecg_color_tolerance": lambda value, key: int(_parse_float(value, key)),
+}
+
+
 def load_manifest(path, image_size=None) -> CalibrationManifest:
     """Parse a ``key = value`` manifest and validate its invariants.
 
-    image_size, when given as (width, height), additionally checks that the
-    declared regions fit inside the image.
+    An absent optional key takes its CalibrationManifest default. image_size,
+    when given as (width, height), additionally checks that the declared
+    regions fit inside the image.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ManifestError(f"{path}: cannot read manifest: {exc}") from exc
-
-    raw = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ManifestError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
-            raise ManifestError(f"{path}:{lineno}: unknown manifest key {key!r}")
-        if key in raw:
-            raise ManifestError(f"{path}:{lineno}: duplicate manifest key {key!r}")
-        raw[key] = value
-
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
+    raw = read_key_values(path, _MANIFEST_DEFAULTS, ManifestError, "manifest")
+    for key, default in _MANIFEST_DEFAULTS.items():
+        if default is MISSING and key not in raw:
             raise ManifestError(f"{path}: missing required key {key!r}")
-
-    if raw["flow_above_baseline"].lower() not in ("true", "false"):
-        raise ManifestError(
-            f"key 'flow_above_baseline': expected true/false, got {raw['flow_above_baseline']!r}"
-        )
-    try:
-        baseline_row = int(raw["baseline_row"])
-    except ValueError:
-        raise ManifestError(
-            f"key 'baseline_row': expected an integer, got {raw['baseline_row']!r}"
-        ) from None
-
-    manifest = CalibrationManifest(
-        label=raw["label"],
-        velocity_scale=_parse_float(raw["velocity_scale"], "velocity_scale"),
-        time_scale=_parse_float(raw["time_scale"], "time_scale"),
-        baseline_row=baseline_row,
-        spectral_region=_parse_ints(raw["spectral_region"], 4, "spectral_region"),
-        flow_above_baseline=raw["flow_above_baseline"].lower() == "true",
-        ecg_region=_parse_ints(raw["ecg_region"], 4, "ecg_region"),
-        ecg_color=_parse_ints(raw["ecg_color"], 3, "ecg_color")
-        if "ecg_color" in raw
-        else (0, 255, 0),
-        ecg_color_tolerance=int(_parse_float(raw["ecg_color_tolerance"], "ecg_color_tolerance"))
-        if "ecg_color_tolerance" in raw
-        else 60,
-    )
+    for key, parse in _VALUE_PARSERS.items():
+        if key in raw:
+            raw[key] = parse(raw[key], key)
+    manifest = CalibrationManifest(**raw)
     validate_manifest(manifest, image_size=image_size)
     return manifest
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import GenerationError
-from .ingestion import CalibrationManifest, RasterImage, atomic_write_text
+from .ingestion import MITRAL_INFLOW_LABEL, CalibrationManifest, RasterImage, atomic_write_text
 from .measurement import BeatMeasurement, study_csv_text, summarize_beats
 
 ENVELOPE_INTENSITY = 205
@@ -58,7 +58,7 @@ class SynthParams:
     noise_sigma: float = 0.0    # 0..1 speckle intensity
     artifacts: tuple = ()
     seed: int = 0
-    label: str = "mitral_inflow"
+    label: str = MITRAL_INFLOW_LABEL
     width: int = 1016
     height: int = 758
     # wave timing knobs (defaults fit the whole supported HR range)
@@ -315,8 +315,6 @@ def generate_synthetic(params: SynthParams):
             if r0 < r1:
                 region_view[r0:r1, :] = ALIAS_INTENSITY
 
-    ecg_rows = _render_ecg(pixels, params, qrs_times, time_scale, sx0, ey0, ey1, region_w)
-
     manifest = CalibrationManifest(
         label=params.label,
         velocity_scale=velocity_scale,
@@ -326,6 +324,7 @@ def generate_synthetic(params: SynthParams):
         flow_above_baseline=True,
         ecg_region=(sx0, ey0, sx1, ey1),
     )
+    ecg_rows = _render_ecg(pixels, manifest, qrs_times)
 
     has_a = params.a_velocity > 0
     beats = [
@@ -349,8 +348,12 @@ def generate_synthetic(params: SynthParams):
     return RasterImage(pixels), manifest, truth
 
 
-def _render_ecg(pixels, params, qrs_times, time_scale, ecg_x0, ey0, ey1, region_w):
-    """One ECG pixel per column: a flat line with a triangular R spike."""
+def _render_ecg(pixels, manifest: CalibrationManifest, qrs_times):
+    """One ECG pixel per column of the ECG region, in the manifest's color key:
+    a flat line with a triangular R spike at each QRS."""
+    ecg_x0, ey0, ecg_x1, ey1 = manifest.ecg_region
+    time_scale = manifest.time_scale
+    region_w = ecg_x1 - ecg_x0 + 1
     ecg_h = ey1 - ey0 + 1
     base_local = int(round(0.70 * (ecg_h - 1)))
     amp = 0.45 * ecg_h
@@ -365,9 +368,8 @@ def _render_ecg(pixels, params, qrs_times, time_scale, ecg_x0, ey0, ey1, region_
                 deviation = amp * (1.0 - abs(dc) / (half_cols + 1.0))
                 rows_local[col] = min(rows_local[col], base_local - int(round(deviation)))
 
-    color = np.array((0, 255, 0), dtype=np.uint8)
     cols = np.arange(region_w)
-    pixels[ey0 + rows_local, ecg_x0 + cols] = color
+    pixels[ey0 + rows_local, ecg_x0 + cols] = manifest.ecg_color
     return ey0 + rows_local
 
 

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from midoppler.overlay import (
     render_overlay,
 )
 from midoppler.segmentation import EnvelopeMask, export_mask
+from midoppler.stats import FIELD_COLUMNS
 from midoppler.synth import SynthParams, generate_synthetic, write_truth_csv
 
 
@@ -95,6 +96,50 @@ def test_synth_params_file(tmp_path):
     truth = read_measurement_csv(tmp_path / "study_0004.truth.csv")
     assert len(truth) == 2
     assert truth[1]["e_mps"] == pytest.approx(1.0)
+
+
+def test_synth_params_file_overrides_flags_and_flags_fill_the_rest(tmp_path):
+    params_file = tmp_path / "params.txt"
+    params_file.write_text("e_velocity = 1.0\nn_beats = 2\n")
+
+    def synth(name, *flags):
+        out = tmp_path / name
+        assert main(["synth", "--out", str(out), *flags]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    # the file's e_velocity and n_beats win; --label and --hr set what it lacks
+    written = synth("file", "--params", str(params_file), "--e", "0.6", "--beats", "4", "--label", "LVOT", "--hr", "90")
+    assert written == synth("flags", "--e", "1.0", "--beats", "2", "--label", "LVOT", "--hr", "90")
+    assert b"label = LVOT\n" in written["study_0000.manifest"]
+    truth = read_measurement_csv(tmp_path / "file" / "study_0000.truth.csv")
+    assert sorted(truth) == [1, 2]
+    assert truth[1]["e_mps"] == pytest.approx(1.0)
+    assert truth[2]["e_time_ms"] - truth[1]["e_time_ms"] == pytest.approx(60000.0 / 90.0, abs=5.0)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("e_velocity = 1.0\ngain = 3\n", "params.txt:2: unknown params file key 'gain'"),
+        ("e_velocity 1.0\n", "params.txt:1: expected 'key = value'"),
+        ("seed = 2\nseed = 3\n", "params.txt:2: duplicate params file key 'seed'"),
+        (None, "params.txt: cannot read params file"),
+        ("e_velocity = fast\n", "bad artifact or parameter syntax"),
+        ("n_beats = 2.5\n", "bad artifact or parameter syntax"),
+    ],
+    ids=["unknown-key", "no-equals", "duplicate", "missing-file", "non-numeric", "non-integer"],
+)
+def test_synth_params_file_errors_are_one_line(tmp_path, capsys, text, message):
+    params_file = tmp_path / "params.txt"
+    if text is not None:
+        params_file.write_text(text)
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--params", str(params_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not out.exists()
 
 
 # analyze ---------------------------------------------------------------------
@@ -175,6 +220,21 @@ def test_analyze_continues_past_non_finite_manifest(tmp_path, capsys):
     assert not (tmp_path / "b_nan.measurements.csv").exists()
     for stem in ("a_good", "c_good"):
         assert sorted(read_measurement_csv(tmp_path / f"{stem}.measurements.csv")) == [1, 2, 3]
+
+
+def test_analyze_reports_non_utf8_manifest_without_traceback(tmp_path, capsys):
+    make_study(tmp_path, stem="a_good")
+    make_study(tmp_path, stem="b_bytes")
+    path = tmp_path / "b_bytes.manifest"
+    path.write_bytes(path.read_bytes() + b"\xff")
+    assert main(["analyze", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err == (
+        f"{tmp_path / 'b_bytes.ppm'}: error: {path}: cannot read manifest: "
+        f"'utf-8' codec can't decode byte 0xff in position {path.stat().st_size - 1}: invalid start byte\n"
+    )
+    assert (tmp_path / "a_good.measurements.csv").exists()
 
 
 def test_analyze_isolates_unexpected_exception(tmp_path, capsys, monkeypatch):
@@ -543,3 +603,31 @@ def test_help_lists_defaults(capsys):
     assert "default: 15.0" in text       # --smooth-ms
     assert "default: 0.15" in text       # --min-prominence
     assert "default: 200.0" in text      # --refractory-ms
+
+def test_flag_defaults_are_the_dataclass_defaults():
+    # every flag of analyze, overlay and synth either sets a dataclass field,
+    # and then defaults to that field's default, or sets no field
+    parser = cli.build_parser()
+    tables = {
+        "analyze": [(cls, flags) for _, cls, flags in cli._PIPELINE_FLAGS],
+        "overlay": [(cls, flags) for _, cls, flags in cli._PIPELINE_FLAGS],
+        "synth": [(SynthParams, cli._SYNTH_FLAGS)],
+    }
+    not_settings = {
+        "analyze": {"inputs", "manifest", "out", "drop_outliers", "dump_ecg", "mask"},
+        "overlay": {"image", "manifest", "out", "mask"},
+        "synth": {"out", "n", "spike", "dropout", "alias_band", "params"},
+    }
+    positional = {"analyze": ["x.ppm"], "overlay": ["x.ppm"], "synth": []}
+    for command, table in tables.items():
+        args = vars(parser.parse_args([command, *positional[command]]))
+        checked = set()
+        for cls, flags in table:
+            defaults = {f.name: f.default for f in fields(cls)}
+            for flag, name, _ in flags:
+                dest = flag[2:].replace("-", "_")
+                assert args[dest] == defaults[name], (command, flag)
+                checked.add(dest)
+        assert set(args) - {"command", "func"} == checked | not_settings[command], command
+    agree = parser.parse_args(["agree", "a", "b"])
+    assert agree.fields == ",".join(FIELD_COLUMNS)

@@ -1,19 +1,28 @@
 """Image decode/encode, manifest parsing, and label routing."""
 
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from midoppler.errors import ImageFormatError, ManifestError, UnknownLabelError
+from midoppler.errors import (
+    GenerationError,
+    ImageFormatError,
+    ManifestError,
+    UnknownLabelError,
+)
 from midoppler.ingestion import (
     KNOWN_LABELS,
     MITRAL_INFLOW_LABEL,
+    CalibrationManifest,
     RasterImage,
     load_gray_image,
     load_image,
     load_manifest,
+    read_key_values,
     route_image,
     save_gray_image,
     save_image,
@@ -217,6 +226,28 @@ def test_manifest_default_color_applied(tmp_path):
     assert manifest.ecg_color_tolerance == 60
 
 
+@pytest.mark.parametrize("field", fields(CalibrationManifest), ids=lambda f: f.name)
+def test_manifest_keys_are_the_dataclass_fields(tmp_path, field):
+    # a field without a default is a required key; one with a default may be left out
+    text = "\n".join(l for l in MANIFEST_TEXT.splitlines() if l.split(" ")[0] != field.name)
+    assert text.count("\n") == MANIFEST_TEXT.count("\n") - 2
+    path = write_manifest(tmp_path, text)
+    if field.default is MISSING:
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: missing required key {field.name!r}"
+    else:
+        assert getattr(load_manifest(path), field.name) == field.default
+
+
+def test_manifest_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "study.manifest"
+    path.write_bytes(MANIFEST_TEXT.encode() + b"\xff")
+    with pytest.raises(ManifestError) as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"{path}: cannot read manifest: 'utf-8' codec can't decode")
+
+
 def test_manifest_save_load_roundtrip(tmp_path):
     manifest = make_manifest()
     path = tmp_path / "m.manifest"
@@ -247,3 +278,95 @@ def test_route_accepts_exactly_one_known_label():
         label for label in KNOWN_LABELS if route_image(make_manifest(label=label)).accepted
     ]
     assert accepted == [MITRAL_INFLOW_LABEL]
+
+
+# key = value reader ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a = 1\n\n# note\nstray line\n", "{path}:4: expected 'key = value', got 'stray line'"),
+        ("a = 1\nc = 3\n", "{path}:2: unknown test file key 'c'"),
+        ("a = 1\n  # note\nb = 2\na=3\n", "{path}:4: duplicate test file key 'a'"),
+    ],
+)
+def test_key_value_reader_errors_name_path_and_line(tmp_path, text, message):
+    path = tmp_path / "values.txt"
+    path.write_text(text)
+    with pytest.raises(GenerationError) as info:
+        read_key_values(path, ("a", "b"), GenerationError, "test file")
+    assert str(info.value) == message.format(path=path)
+
+
+def test_key_value_reader_strips_and_skips(tmp_path):
+    path = tmp_path / "values.txt"
+    path.write_text("# header\n\n  a =  x = y \n\tb=\n")
+    assert read_key_values(path, ("a", "b"), GenerationError, "test file") == {"a": "x = y", "b": ""}
+
+
+@pytest.mark.parametrize("data", [None, b"a = 1\n\xc3\n"])
+def test_key_value_reader_unreadable_file(tmp_path, data):
+    path = tmp_path / "values.txt"
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(GenerationError) as info:
+        read_key_values(path, ("a",), GenerationError, "test file")
+    assert str(info.value).startswith(f"{path}: cannot read test file: ")
+
+
+# fuzz: mutated files end in the loader's own error ---------------------------
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """data after 1-4 edits: a byte replaced, inserted or deleted, or a cut."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        byte = draw(st.integers(0, 255))
+        edit = draw(st.sampled_from(("replace", "insert", "delete", "cut")))
+        if edit == "replace" and pos < len(data):
+            data[pos] = byte
+        elif edit == "insert":
+            data.insert(pos, byte)
+        elif edit == "delete":
+            del data[pos:pos + 1]
+        elif edit == "cut":
+            del data[pos:]
+    return bytes(data)
+
+
+fuzz = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@fuzz
+@given(mutated(MANIFEST_TEXT.encode()))
+def test_fuzzed_manifest_raises_only_manifest_error(tmp_path, data):
+    path = tmp_path / "fuzz.manifest"
+    path.write_bytes(data)
+    try:
+        load_manifest(path, image_size=(600, 600))
+    except ManifestError:
+        pass
+
+
+PPM_BYTES = b"P6\n# scanner\n4 3\n255\n" + bytes(range(36))
+PGM_BYTES = b"P5\n4 3\n255\n" + bytes(range(0, 240, 20))
+
+
+@fuzz
+@given(st.one_of(
+    st.tuples(st.just(load_image), mutated(PPM_BYTES)),
+    st.tuples(st.just(load_gray_image), mutated(PGM_BYTES)),
+))
+def test_fuzzed_pnm_raises_only_image_format_error(tmp_path, case):
+    load, data = case
+    path = tmp_path / "fuzz.pnm"
+    path.write_bytes(data)
+    try:
+        load(path)
+    except ImageFormatError:
+        pass

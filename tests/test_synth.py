@@ -144,3 +144,10 @@ def test_knee_fraction_renders_bilinear_descent():
     slope_tail = (envelope[i_tail + 1] - envelope[i_tail]) / spacing
     assert slope_head < 0 and slope_tail < 0
     assert abs(slope_tail) < abs(slope_head)
+
+
+def test_ecg_is_drawn_in_the_manifest_color_key():
+    image, manifest, truth = generate_synthetic(SynthParams(seed=1, noise_sigma=0.2))
+    x0, _, x1, _ = manifest.ecg_region
+    drawn = image.pixels[truth.ecg_rows, np.arange(x0, x1 + 1)]
+    assert (drawn == manifest.ecg_color).all()
