@@ -437,15 +437,26 @@ def cmd_synth(args) -> int:
 def _load_series(path_str):
     """{(stem, beat): {column: value}} for a CSV file or directory of CSVs."""
     path = Path(path_str)
-    files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
+    if path.is_dir():
+        files = sorted(f for f in path.glob("*.csv") if not f.name.endswith(".ecg.csv"))
+    else:
+        files = [path]
     if not files:
         raise StatsError(f"{path}: no CSV files found")
     series = {}
     for f in files:
-        stem = f.name.split(".")[0]
+        stem = _study_stem(f.name)
         for beat, fields in read_measurement_csv(f).items():
             series[(stem, beat)] = fields
     return series
+
+
+def _study_stem(name):
+    """The study a CSV belongs to: its name without the measurement or truth suffix."""
+    for suffix in (".measurements.csv", ".truth.csv"):
+        if name.endswith(suffix):
+            return name[:-len(suffix)]
+    return Path(name).stem
 
 
 def _per_patient(series):

@@ -532,10 +532,13 @@ def read_measurement_csv(path):
     """Read a per-beat CSV into {beat_index: {field: value}}.
 
     The summary row and empty fields are skipped. Works for both pipeline
-    output and synthetic ground-truth files (same schema).
+    output and synthetic ground-truth files (same schema); a file without
+    a ``beat`` column is a ValueError that names it.
     """
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.DictReader(io.StringIO(text))
+    if "beat" not in (reader.fieldnames or ()):
+        raise ValueError(f"{path}: no 'beat' column, not a per-beat measurement CSV")
     beats = {}
     for row in reader:
         try:

@@ -2,13 +2,11 @@
 
 The classical route converts the spectral region to grayscale, median
 filters, thresholds (fixed or automatic two-class variance maximization),
-opens, drops small connected components, and ends at the envelope border:
-per column, the outermost foreground row on the flow side of the baseline
-and whether the column has any. The trace is read from that border; the
-filled mask (each column one run from the border to the baseline) is only
-built when something asks for its cells. Externally produced masks (e.g.
-from a segmentation network) enter through ``import_mask`` and have their
-border searched by the same helper.
+opens, drops small connected components, and hands over the cleaned
+foreground as the mask. Externally produced masks (e.g. from a
+segmentation network) enter through ``import_mask``. Both routes meet in
+``mask_to_trace``, the one place the envelope border is defined: per
+column, the outermost foreground row on the flow side of the baseline.
 """
 
 from dataclasses import dataclass
@@ -46,45 +44,14 @@ class SegmentationParams:
 
 
 class EnvelopeMask:
-    """Binary flow mask over the spectral region, 1 = flow signal.
-
-    ``EnvelopeMask(cells)`` wraps a full mask. Classical segmentation builds
-    one with ``from_border`` instead, which keeps only the envelope border
-    (``border`` = per-column outermost flow row and has-flow flag) and fills
-    ``cells`` from the border to the baseline the first time they are read.
-    """
+    """Binary mask over the spectral region, 1 = foreground (flow signal on
+    the flow side of the baseline; ``mask_to_trace`` ignores the far side)."""
 
     def __init__(self, cells: np.ndarray):
         if cells.ndim != 2:
             raise ValueError("mask cells must be a 2-D array")
-        self._cells = cells.astype(bool, copy=False)
-        self.shape = self._cells.shape
-        self.border = None
-
-    @classmethod
-    def from_border(cls, outer, has, height: int, baseline_local: int, flow_above: bool):
-        mask = cls.__new__(cls)
-        mask._cells = None
-        mask.shape = (height, len(outer))
-        mask.border = (outer, has)
-        mask._baseline = (baseline_local, flow_above)
-        return mask
-
-    @property
-    def cells(self) -> np.ndarray:
-        if self._cells is None:
-            outer, has = self.border
-            baseline, flow_above = self._baseline
-            cells = np.zeros(self.shape, dtype=bool)
-            # a column without flow gets a border just past the baseline
-            if flow_above:
-                start = np.where(has, outer, baseline + 1)
-                cells[:baseline + 1] = np.arange(baseline + 1)[:, None] >= start
-            else:
-                stop = np.where(has, outer, baseline - 1)
-                cells[baseline:] = np.arange(baseline, self.height)[:, None] <= stop
-            self._cells = cells
-        return self._cells
+        self.cells = cells.astype(bool, copy=False)
+        self.shape = self.cells.shape
 
     @property
     def width(self) -> int:
@@ -150,10 +117,8 @@ def segment_envelope_threshold(
 ) -> EnvelopeMask:
     """Classical threshold segmentation of the flow envelope.
 
-    Returns the envelope border of the cleaned foreground on the flow side
-    of the baseline. Its cells, if read, hold a single vertical run per
-    column from the baseline to the border (holes inside the flow signal
-    are filled by construction).
+    Returns the cleaned foreground over the whole spectral region, on both
+    sides of the baseline; ``mask_to_trace`` finds the border.
     """
     params = params or SegmentationParams()
     rows, cols = _region_slice(manifest)
@@ -180,31 +145,9 @@ def segment_envelope_threshold(
     foreground = kernels.remove_small_components(
         foreground, int(round(params.min_component_area))
     )
-
-    baseline_local = manifest.baseline_row - manifest.spectral_region[1]
-    flow_above = manifest.flow_above_baseline
-    if flow_above:
-        outer, has = _outer_rows(foreground[:baseline_local + 1], True)
-    else:
-        outer, has = _outer_rows(foreground[baseline_local:], False)
-        outer += baseline_local
-    if not has.any():
+    if not foreground.any():
         raise SegmentationError("no foreground remains after cleanup")
-    return EnvelopeMask.from_border(outer, has, foreground.shape[0], baseline_local, flow_above)
-
-
-def _outer_rows(cells: np.ndarray, flow_above: bool):
-    """Per column, the outermost foreground row and whether there is one.
-
-    Outermost is the topmost row for flow above the baseline and the
-    bottommost below it. A column without foreground gets an arbitrary row.
-    """
-    if flow_above:
-        outer = np.argmax(cells, axis=0)
-    else:
-        outer = cells.shape[0] - 1 - np.argmax(cells[::-1], axis=0)
-    has = cells[outer, np.arange(cells.shape[1])]
-    return outer, has
+    return EnvelopeMask(foreground)
 
 
 def import_mask(path, manifest: CalibrationManifest) -> EnvelopeMask:
@@ -240,33 +183,32 @@ def export_mask(path, mask: EnvelopeMask) -> None:
 def mask_to_trace(mask: EnvelopeMask, manifest: CalibrationManifest) -> EnvelopeTrace:
     """Reduce a mask to the per-column envelope border velocity.
 
-    A mask from classical segmentation carries its border; any other mask
-    has it searched from its cells.
-
-    Columns without foreground are linearly interpolated from their nearest
-    measured neighbors (edge columns take the nearest value) and flagged.
+    The border is, per column, the outermost foreground row on the flow
+    side of the baseline (baseline row included); foreground on the far
+    side is ignored. Columns without flow-side foreground are linearly
+    interpolated from their nearest measured neighbors (edge columns take
+    the nearest value) and flagged.
     """
     height, width = _region_shape(manifest)
     if mask.shape != (height, width):
         raise SegmentationError(
             f"mask is {mask.width}x{mask.height}, spectral region is {width}x{height}"
         )
-    if mask.border is not None:
-        outer, has = mask.border
+    # the flow side, ordered outermost row first and baseline row last
+    baseline = manifest.baseline_row - manifest.spectral_region[1]
+    if manifest.flow_above_baseline:
+        flow_side = mask.cells[:baseline + 1]
     else:
-        outer, has = _outer_rows(mask.cells, manifest.flow_above_baseline)
-    if not has.any():
-        raise SegmentationError("mask is entirely empty")
-
-    _, y0, _, _ = manifest.spectral_region
-    measured = np.nonzero(has)[0]
-    rows_abs = y0 + outer[measured]
-    velocities = (manifest.baseline_row - rows_abs) * manifest.velocity_scale
-    if not manifest.flow_above_baseline:
-        velocities = -velocities
-    velocities = np.maximum(velocities.astype(np.float64), 0.0)
-
+        flow_side = mask.cells[baseline:][::-1]
     cols = np.arange(width)
+    outer = np.argmax(flow_side, axis=0)
+    has = flow_side[outer, cols]
+    if not has.any():
+        side = "above" if manifest.flow_above_baseline else "below"
+        raise SegmentationError(f"mask is empty on the flow side ({side} the baseline)")
+
+    measured = np.nonzero(has)[0]
+    velocities = (flow_side.shape[0] - 1 - outer[measured]) * manifest.velocity_scale
     full = np.interp(cols, measured, velocities)
     times = cols * manifest.time_scale
     return EnvelopeTrace(times=times.astype(np.float64), velocities=full, gap_flags=~has)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from midoppler.ingestion import CalibrationManifest
+from midoppler.ingestion import CalibrationManifest, RasterImage
 from midoppler.measurement import PeakParams, detect_flow_peaks, measure_beats
-from midoppler.segmentation import EnvelopeTrace, smooth_trace
+from midoppler.segmentation import EnvelopeMask, EnvelopeTrace, smooth_trace
+from midoppler.synth import BACKGROUND_INTENSITY, AliasBand, SynthParams, generate_synthetic
 
 
 def make_manifest(**overrides) -> CalibrationManifest:
@@ -39,6 +40,24 @@ def measure_trace(trace, qrs):
 def triangle(times, center, half_width, height):
     """Triangular bump evaluated on a time grid."""
     return height * np.clip(1.0 - np.abs(times - center) / half_width, 0.0, None)
+
+
+def picture_mask(image, manifest) -> EnvelopeMask:
+    """The bright pixels of a gray study's spectral region, as an imported mask would mark them."""
+    x0, y0, x1, y1 = manifest.spectral_region
+    return EnvelopeMask(image.pixels[y0:y1 + 1, x0:x1 + 1, 0] >= 128)
+
+
+def alias_band_only(seed=25):
+    """A study whose only bright signal is the alias band, on the far side of the baseline."""
+    image, manifest, _ = generate_synthetic(
+        SynthParams(seed=seed, noise_sigma=0.15, artifacts=(AliasBand(),))
+    )
+    x0, y0, x1, _ = manifest.spectral_region
+    pixels = image.pixels.copy()
+    # the flow side and the two baseline band rows just past the baseline
+    pixels[y0:manifest.baseline_row + 3, x0:x1 + 1] = BACKGROUND_INTENSITY
+    return RasterImage(pixels), manifest
 
 
 @pytest.fixture

@@ -31,6 +31,8 @@ from midoppler.segmentation import EnvelopeMask, export_mask
 from midoppler.stats import FIELD_COLUMNS
 from midoppler.synth import SynthParams, generate_synthetic, write_truth_csv
 
+from conftest import alias_band_only, picture_mask
+
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -401,6 +403,29 @@ def test_analyze_with_imported_mask(tmp_path):
     assert rows[1]["e_mps"] == pytest.approx(0.8, abs=0.02)
 
 
+def test_empty_flow_side_is_one_trace_error_and_the_batch_goes_on(tmp_path, capsys):
+    make_study(tmp_path)
+    image, manifest = alias_band_only()
+    band = tmp_path / "band_only.ppm"
+    save_image(band, image)
+    save_manifest(tmp_path / "band_only.manifest", manifest)
+    mask_path = tmp_path / "band_only.mask.pgm"
+    export_mask(mask_path, picture_mask(image, manifest))
+    error = f"{band}: error: trace: mask is empty on the flow side (above the baseline)"
+
+    assert main(["analyze", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert outcome_lines(captured, band) == [error]
+    assert (tmp_path / "study_0000.measurements.csv").exists()
+
+    assert main(["analyze", str(band), "--mask", str(mask_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert outcome_lines(captured, band) == [error]
+    assert not (tmp_path / "band_only.measurements.csv").exists()
+
+
 def test_analyze_dump_ecg(tmp_path):
     make_study(tmp_path)
     assert main(["analyze", str(tmp_path), "--dump-ecg"]) == 0
@@ -451,6 +476,48 @@ def test_agree_measurements_vs_truth(tmp_path, capsys):
     assert [l.split(",")[0] for l in lines] == ["field", "E", "A", "EA", "DT"]
     e_bias = float(lines[1].split(",")[2])
     assert abs(e_bias) < 0.01
+
+
+def agree_measured_vs_truth(tmp_path, capsys, stems, *analyze_flags):
+    """Analyze the studies into measured/ and copy their truth CSVs to truth/,
+    then return agree's exit code and output on E."""
+    for i, stem in enumerate(stems):
+        make_study(tmp_path, stem=stem, seed=i, e_velocity=0.6 + 0.3 * i)
+    measured = tmp_path / "measured"
+    assert main(["analyze", str(tmp_path), "--out", str(measured), *analyze_flags]) == 0
+    truth_dir = tmp_path / "truth"
+    truth_dir.mkdir()
+    for f in tmp_path.glob("*.truth.csv"):
+        (truth_dir / f.name).write_bytes(f.read_bytes())
+    capsys.readouterr()
+    return main(["agree", str(measured), str(truth_dir), "--fields", "E"]), capsys.readouterr()
+
+
+def test_agree_over_dump_ecg_directory(tmp_path, capsys):
+    code, captured = agree_measured_vs_truth(tmp_path, capsys, ("study_0000", "study_0001"), "--dump-ecg")
+    assert code == 0
+    assert (tmp_path / "measured" / "study_0000.ecg.csv").exists()
+    assert "Traceback" not in captured.err
+    assert captured.out.splitlines()[1].split(",")[1] == "6"  # 3 beats from each study
+
+
+def test_agree_keeps_dotted_stems_apart(tmp_path, capsys):
+    code, captured = agree_measured_vs_truth(tmp_path, capsys, ("a.1", "a.2"))
+    assert code == 0
+    assert captured.out.splitlines()[1].split(",")[1] == "6"
+
+
+def test_agree_on_a_csv_without_beat_column_names_the_file(tmp_path, capsys):
+    make_study(tmp_path)
+    assert main(["analyze", str(tmp_path), "--dump-ecg"]) == 0
+    ecg_csv = tmp_path / "study_0000.ecg.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{ecg_csv}: no 'beat' column")):
+        read_measurement_csv(ecg_csv)
+    capsys.readouterr()
+    assert main(["agree", str(ecg_csv), str(tmp_path / "study_0000.truth.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {ecg_csv}: no 'beat' column")
 
 
 def test_agree_disjoint_keys_exits_one(tmp_path, capsys):

@@ -23,9 +23,16 @@ from midoppler.segmentation import (
     segment_envelope_threshold,
     smooth_trace,
 )
-from midoppler.synth import AliasBand, Dropout, SynthParams, corpus_params, generate_synthetic
+from midoppler.synth import (
+    BACKGROUND_INTENSITY,
+    AliasBand,
+    Dropout,
+    SynthParams,
+    corpus_params,
+    generate_synthetic,
+)
 
-from conftest import make_manifest, make_trace
+from conftest import alias_band_only, make_manifest, make_trace, picture_mask
 
 RAW_PARAMS = SegmentationParams(median_window=1, open_radius=0, min_component_area=0)
 
@@ -223,9 +230,9 @@ def mirrored(image, manifest):
     "seed, artifacts, gaps",
     [(21, (), False), (22, (AliasBand(),), False), (23, (Dropout(700.0, 40.0),), True)],
 )
-def test_below_baseline_flow_measures_as_its_mirror(seed, artifacts, gaps):
+def test_below_baseline_flow_measures_as_its_mirror(tmp_path, seed, artifacts, gaps):
     params = replace(corpus_params(SynthParams(noise_sigma=0.15), seed), artifacts=artifacts)
-    image, manifest, _ = generate_synthetic(params)
+    image, manifest, truth = generate_synthetic(params)
     flipped_image, flipped_manifest = mirrored(image, manifest)
     run = measure_study(image, manifest)
     flipped = measure_study(flipped_image, flipped_manifest)
@@ -235,12 +242,55 @@ def test_below_baseline_flow_measures_as_its_mirror(seed, artifacts, gaps):
     assert np.array_equal(flipped.trace.gap_flags, run.trace.gap_flags)
     assert study_csv_text(flipped.beats, flipped) == study_csv_text(run.beats, run)
     assert np.array_equal(flipped.mask.cells, run.mask.cells[::-1])
-    # the border the segmentation hands over equals a search of its cells
+    # the trace is a function of the mask's cells alone
     for study, study_manifest in ((run, manifest), (flipped, flipped_manifest)):
         searched = mask_to_trace(EnvelopeMask(study.mask.cells), study_manifest)
         assert np.array_equal(searched.velocities, study.trace.velocities)
         assert np.array_equal(searched.gap_flags, study.trace.gap_flags)
         assert np.array_equal(searched.times, study.trace.times)
+    # the imported route: the mirrored truth mask measures as the unmirrored one
+    export_mask(tmp_path / "up.pgm", EnvelopeMask(truth.mask))
+    export_mask(tmp_path / "down.pgm", EnvelopeMask(truth.mask[::-1]))
+    up = measure_study(image, manifest, mask_path=tmp_path / "up.pgm")
+    down = measure_study(flipped_image, flipped_manifest, mask_path=tmp_path / "down.pgm")
+    assert up.n_beats == 3
+    assert np.array_equal(down.trace.velocities, up.trace.velocities)
+    assert np.array_equal(down.trace.gap_flags, up.trace.gap_flags)
+    assert study_csv_text(down.beats, down) == study_csv_text(up.beats, up)
+
+
+@pytest.mark.parametrize("flow_above", [True, False])
+def test_far_side_only_columns_are_gaps_on_both_routes(tmp_path, flow_above):
+    image, manifest, _ = generate_synthetic(SynthParams(seed=24, noise_sigma=0.15))
+    x0, y0, _, _ = manifest.spectral_region
+    pixels = image.pixels.copy()
+    # columns 100-119 keep only the baseline band rows past the baseline
+    pixels[y0:manifest.baseline_row + 1, x0 + 100:x0 + 120] = BACKGROUND_INTENSITY
+    image = RasterImage(pixels)
+    if not flow_above:
+        image, manifest = mirrored(image, manifest)
+    mask_path = tmp_path / "picture.mask.pgm"
+    export_mask(mask_path, picture_mask(image, manifest))
+    classical = measure_study(image, manifest, seg_params=RAW_PARAMS)
+    imported = measure_study(image, manifest, mask_path=mask_path)
+    assert np.array_equal(imported.trace.velocities, classical.trace.velocities)
+    assert np.array_equal(imported.trace.gap_flags, classical.trace.gap_flags)
+    assert np.nonzero(classical.trace.gap_flags)[0].tolist() == list(range(100, 120))
+    assert np.array_equal(imported.mask.cells, classical.mask.cells)
+
+
+@pytest.mark.parametrize("flow_above", [True, False])
+def test_empty_flow_side_fails_at_trace_on_both_routes(tmp_path, flow_above):
+    image, manifest = alias_band_only()
+    if not flow_above:
+        image, manifest = mirrored(image, manifest)
+    mask_path = tmp_path / "band.mask.pgm"
+    export_mask(mask_path, picture_mask(image, manifest))
+    side = "above" if flow_above else "below"
+    for route in ({}, {"mask_path": mask_path}):
+        with pytest.raises(SegmentationError) as exc:
+            measure_study(image, manifest, **route)
+        assert str(exc.value) == f"trace: mask is empty on the flow side ({side} the baseline)"
 
 
 # smoothing -------------------------------------------------------------------
