@@ -28,7 +28,6 @@ from .ingestion import (
     validate_manifest,
 )
 from .measurement import (
-    BeatDetail,
     BeatMeasurement,
     DtParams,
     FlowPeak,
@@ -58,7 +57,6 @@ from .synth import (
     GroundTruth,
     Spike,
     SynthParams,
-    TrueBeat,
     generate_synthetic,
 )
 

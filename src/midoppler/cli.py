@@ -435,7 +435,11 @@ def cmd_synth(args) -> int:
 
 
 def _load_series(path_str):
-    """{(stem, beat): {column: value}} for a CSV file or directory of CSVs."""
+    """{(stem, beat): {column: value}} for a CSV file or directory of CSVs.
+
+    Two files of one directory that name the same study (say its
+    measurements and its truth) are a StatsError naming both.
+    """
     path = Path(path_str)
     if path.is_dir():
         files = sorted(f for f in path.glob("*.csv") if not f.name.endswith(".ecg.csv"))
@@ -443,9 +447,12 @@ def _load_series(path_str):
         files = [path]
     if not files:
         raise StatsError(f"{path}: no CSV files found")
-    series = {}
+    series, sources = {}, {}
     for f in files:
         stem = _study_stem(f.name)
+        if stem in sources:
+            raise StatsError(f"study {stem!r} is read from both {sources[stem]} and {f}")
+        sources[stem] = f
         for beat, fields in read_measurement_csv(f).items():
             series[(stem, beat)] = fields
     return series
@@ -537,10 +544,10 @@ def cmd_overlay(args) -> int:
             return 2
 
         run = measure_study(image, manifest, mask_path=args.mask, **_pipeline_params(args))
-        if not run.details:
+        if not run.beats:
             print(f"warning: {image_path}: no measurable beats, drawing border only", file=sys.stderr)
 
-        annotated = render_overlay(image, manifest, run.trace, run.details)
+        annotated = render_overlay(image, manifest, run.trace, run.beats)
         out_path = Path(args.out) if args.out else image_path.with_suffix(".overlay.ppm")
         save_image(out_path, annotated)
         print(out_path)

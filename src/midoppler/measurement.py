@@ -99,23 +99,19 @@ class DtResult:
 
 @dataclass(frozen=True)
 class BeatMeasurement:
+    """One beat: its CSV fields, its quality flags, and the DT geometry
+    (slope-change point, baseline crossing) that overlays draw."""
+
     e_velocity: float
     a_velocity: float | None
     ea_ratio: float | None
     dt_ms: float | None
     e_time: float
     a_time: float | None
-    quality: frozenset
-
-
-@dataclass(frozen=True)
-class BeatDetail:
-    """BeatMeasurement plus the DT geometry needed for overlays."""
-
-    measurement: BeatMeasurement
-    slope_change_time: float | None
-    slope_change_velocity: float | None
-    crossing_time: float | None
+    quality: frozenset = frozenset()
+    slope_change_time: float | None = None
+    slope_change_velocity: float | None = None
+    crossing_time: float | None = None
 
 
 @dataclass(frozen=True)
@@ -137,8 +133,7 @@ class StudyRun(StudyMeans):
     ecg: EcgSignal
     qrs: QrsMarks
     peaks: list              # FlowPeaks detected on the smoothed trace
-    details: list            # one BeatDetail per labeled beat
-    beats: list              # their BeatMeasurements
+    beats: list              # one BeatMeasurement per labeled beat
 
 
 def detect_flow_peaks(trace: EnvelopeTrace, params: PeakParams | None = None):
@@ -365,8 +360,9 @@ def measure_beats(
     """Per-beat E, A and DT from the flow peaks detected on the smoothed trace.
 
     Peak amplitudes are read back from the raw trace within half a smoothing
-    window (peak_params.smooth_window_ms). Returns a list of BeatDetail;
-    empty when fewer than two QRS marks or no peaks exist.
+    window (peak_params.smooth_window_ms). Returns a list of
+    BeatMeasurement, each with its DT geometry; empty when fewer than two
+    QRS marks or no peaks exist.
     """
     peak_params = peak_params or PeakParams()
     dt_params = dt_params or DtParams()
@@ -375,7 +371,7 @@ def measure_beats(
     labeled = label_beats(peaks, qrs)
     refine_radius = smoothing_columns(peak_params.smooth_window_ms, raw_trace.spacing()) // 2
 
-    details = []
+    beats = []
     for beat in labeled:
         e_ref = _refine_peak(raw_trace, beat.e_peak, refine_radius)
         a_ref = _refine_peak(raw_trace, beat.a_peak, refine_radius) if beat.a_peak else None
@@ -383,24 +379,21 @@ def measure_beats(
         flags = set(beat.flags) | set(dt_res.flags)
         if a_ref is None:
             flags.add(FLAG_MISSING_A)
-        measurement = BeatMeasurement(
-            e_velocity=e_ref.velocity,
-            a_velocity=a_ref.velocity if a_ref else None,
-            ea_ratio=e_ref.velocity / a_ref.velocity if a_ref else None,
-            dt_ms=dt_res.dt_ms,
-            e_time=e_ref.time,
-            a_time=a_ref.time if a_ref else None,
-            quality=frozenset(flags),
-        )
-        details.append(
-            BeatDetail(
-                measurement=measurement,
+        beats.append(
+            BeatMeasurement(
+                e_velocity=e_ref.velocity,
+                a_velocity=a_ref.velocity if a_ref else None,
+                ea_ratio=e_ref.velocity / a_ref.velocity if a_ref else None,
+                dt_ms=dt_res.dt_ms,
+                e_time=e_ref.time,
+                a_time=a_ref.time if a_ref else None,
+                quality=frozenset(flags),
                 slope_change_time=dt_res.slope_change_time,
                 slope_change_velocity=dt_res.slope_change_velocity,
                 crossing_time=dt_res.crossing_time,
             )
         )
-    return details
+    return beats
 
 
 def measure_study(
@@ -439,8 +432,7 @@ def measure_study(
     qrs = _stage("qrs", detect_qrs, ecg, qrs_params or QrsParams(), manifest)
     smoothed = smooth_trace(trace, peak_params.smooth_window_ms)
     peaks = detect_flow_peaks(smoothed, peak_params)
-    details = measure_beats(trace, smoothed, peaks, qrs, peak_params, dt_params)
-    beats = [d.measurement for d in details]
+    beats = measure_beats(trace, smoothed, peaks, qrs, peak_params, dt_params)
     return StudyRun(
         **asdict(summarize_beats(beats, drop_outliers=drop_outliers)),
         mask=mask,
@@ -449,7 +441,6 @@ def measure_study(
         ecg=ecg,
         qrs=qrs,
         peaks=peaks,
-        details=details,
         beats=beats,
     )
 
@@ -462,10 +453,16 @@ def _stage(name, fn, *args):
 
 
 def _mad_filter(values):
-    """Keep values within 2 median-absolute-deviations of the median."""
+    """Keep values within 2 median-absolute-deviations of the median.
+
+    With MAD = 0 (at least half the values equal the median) the band has
+    no width and would drop a value one pixel row away, so all are kept.
+    """
     arr = np.asarray(values, dtype=np.float64)
     med = np.median(arr)
     mad = np.median(np.abs(arr - med))
+    if mad == 0:
+        return values
     return [v for v in values if abs(v - med) <= 2.0 * mad]
 
 
@@ -473,7 +470,8 @@ def summarize_beats(beats, drop_outliers: bool = False) -> StudyMeans:
     """Per-field means over beats where the field is present.
 
     Beats flagged fused_ea contribute no A and no E/A. With drop_outliers,
-    values more than 2 MADs from the per-field median are excluded first.
+    values more than 2 MADs from the per-field median are excluded first;
+    a field whose MAD is 0 keeps all its values.
     """
     def collect(getter, exclude_fused=False):
         values = []

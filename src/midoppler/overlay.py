@@ -34,9 +34,10 @@ def render_overlay(
     image: RasterImage,
     manifest: CalibrationManifest,
     trace: EnvelopeTrace,
-    details,
+    beats,
 ) -> RasterImage:
-    """Return a copy of the image with border polyline and beat markers."""
+    """Return a copy of the image with the border polyline and, per
+    BeatMeasurement, its E, A, slope-change and crossing markers."""
     pixels = image.pixels.copy()
     h, w = pixels.shape[:2]
     x0 = manifest.spectral_region[0]
@@ -53,14 +54,13 @@ def render_overlay(
         row = int(round(velocity_to_row(velocity, manifest)))
         _draw_marker(pixels, row, col, color)
 
-    for d in details:
-        m = d.measurement
-        mark(m.e_time, m.e_velocity, E_COLOR)
-        if m.a_time is not None:
-            mark(m.a_time, m.a_velocity, A_COLOR)
-        if d.slope_change_time is not None and d.slope_change_velocity is not None:
-            mark(d.slope_change_time, d.slope_change_velocity, SLOPE_COLOR)
-        if d.crossing_time is not None:
-            mark(d.crossing_time, 0.0, CROSSING_COLOR)
+    for b in beats:
+        mark(b.e_time, b.e_velocity, E_COLOR)
+        if b.a_time is not None:
+            mark(b.a_time, b.a_velocity, A_COLOR)
+        if b.slope_change_time is not None and b.slope_change_velocity is not None:
+            mark(b.slope_change_time, b.slope_change_velocity, SLOPE_COLOR)
+        if b.crossing_time is not None:
+            mark(b.crossing_time, 0.0, CROSSING_COLOR)
 
     return RasterImage(pixels)

@@ -11,7 +11,7 @@ uniform noise; artifacts (bright spikes, dropouts, an aliasing band below
 the baseline) are drawn after the envelope.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,19 +71,9 @@ class SynthParams:
     e_peak_frac: float | None = None  # overrides systole_frac positioning
 
 
-@dataclass(frozen=True)
-class TrueBeat:
-    e_velocity: float
-    a_velocity: float | None
-    ea_ratio: float | None
-    dt_ms: float
-    e_time: float
-    a_time: float | None
-
-
 @dataclass
 class GroundTruth:
-    beats: list
+    beats: list             # BeatMeasurements: no flags, no DT geometry
     qrs_times: np.ndarray   # ms from the spectral left edge, n_beats + 1 marks
     envelope: np.ndarray    # analytic per-column velocity, m/s
     mask: np.ndarray        # analytic binary mask over the spectral region
@@ -328,7 +318,7 @@ def generate_synthetic(params: SynthParams):
 
     has_a = params.a_velocity > 0
     beats = [
-        TrueBeat(
+        BeatMeasurement(
             e_velocity=params.e_velocity,
             a_velocity=params.a_velocity if has_a else None,
             ea_ratio=params.e_velocity / params.a_velocity if has_a else None,
@@ -375,8 +365,7 @@ def _render_ecg(pixels, manifest: CalibrationManifest, qrs_times):
 
 def truth_csv_text(truth: GroundTruth) -> str:
     """Ground truth in the measurement CSV schema, one row per beat."""
-    beats = [BeatMeasurement(**asdict(b), quality=frozenset()) for b in truth.beats]
-    return study_csv_text(beats, summarize_beats(beats))
+    return study_csv_text(truth.beats, summarize_beats(truth.beats))
 
 
 def write_truth_csv(path, truth: GroundTruth) -> None:

@@ -209,13 +209,13 @@ def test_criterion_6_ea_ratio_scale_invariance():
             base = np.maximum(base, triangle(times, start + 740.0, a_half, a))
         qrs = QrsMarks(times=np.array([40.0, 940.0, 1840.0]))
         reference = [
-            d.measurement.ea_ratio
+            d.ea_ratio
             for d in measure_trace(make_trace(base, spacing_ms=spacing), qrs)
         ]
         assert len(reference) == 2 and all(r is not None for r in reference)
         for k in (0.5, 1.0, 2.0):
             scaled = [
-                d.measurement.ea_ratio
+                d.ea_ratio
                 for d in measure_trace(make_trace(base * k, spacing_ms=spacing), qrs)
             ]
             for r0, r1 in zip(reference, scaled):

@@ -29,7 +29,7 @@ from midoppler.overlay import (
 )
 from midoppler.segmentation import EnvelopeMask, export_mask
 from midoppler.stats import FIELD_COLUMNS
-from midoppler.synth import SynthParams, generate_synthetic, write_truth_csv
+from midoppler.synth import AliasBand, Dropout, Spike, SynthParams, generate_synthetic, write_truth_csv
 
 from conftest import alias_band_only, picture_mask
 
@@ -141,6 +141,32 @@ def test_synth_params_file_errors_are_one_line(tmp_path, capsys, text, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+    assert not out.exists()
+
+
+def test_synth_artifact_flags_render_those_artifacts(tmp_path):
+    flags = ["--spike", "300,1.2,8", "--spike", "1900,0.9,5", "--dropout", "1200,20", "--alias-band"]
+    assert main(["synth", "--out", str(tmp_path / "cli"), "--noise", "0.1", *flags]) == 0
+    artifacts = (Spike(300.0, 1.2, 8.0), Spike(1900.0, 0.9, 5.0), Dropout(1200.0, 20.0), AliasBand())
+    image, manifest, truth = generate_synthetic(SynthParams(noise_sigma=0.1, artifacts=artifacts))
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    save_image(direct / "study_0000.ppm", image)
+    save_manifest(direct / "study_0000.manifest", manifest)
+    write_truth_csv(direct / "study_0000.truth.csv", truth)
+    for suffix in (".ppm", ".manifest", ".truth.csv"):
+        name = f"study_0000{suffix}"
+        assert (tmp_path / "cli" / name).read_bytes() == (direct / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--spike", "300,1.2"), ("--dropout", "1200"), ("--spike", "3x0,1.2,8")])
+def test_synth_malformed_artifact_is_one_error_line(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad artifact or parameter syntax")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 
@@ -385,6 +411,19 @@ def test_analyze_shared_output_keeps_serial_order(tmp_path, capsys, monkeypatch)
     assert (out / "study_0000.measurements.csv").read_bytes() == expected
 
 
+@pytest.mark.parametrize("flag", ["--manifest", "--mask"])
+def test_analyze_single_input_flag_with_two_inputs_exits_one(tmp_path, capsys, flag):
+    make_study(tmp_path)
+    make_study(tmp_path, stem="study_0001", seed=1)
+    out = tmp_path / "out"
+    code = main(["analyze", str(tmp_path), flag, str(tmp_path / "study_0000.manifest"), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{flag} requires a single input image\n"
+    assert not out.exists()
+
+
 def test_analyze_no_inputs_is_nothing_to_do(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["analyze", str(tmp_path / "empty")]) == 2
@@ -520,6 +559,19 @@ def test_agree_on_a_csv_without_beat_column_names_the_file(tmp_path, capsys):
     assert err.startswith(f"error: {ecg_csv}: no 'beat' column")
 
 
+def test_agree_refuses_a_study_read_from_two_files(tmp_path, capsys):
+    # measurements written next to their truth: both name study_0000
+    make_study(tmp_path, noise_sigma=0.1)
+    assert main(["analyze", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["agree", str(tmp_path), str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    both = f"{tmp_path / 'study_0000.measurements.csv'} and {tmp_path / 'study_0000.truth.csv'}"
+    assert captured.err == f"error: study 'study_0000' is read from both {both}\n"
+
+
 def test_agree_disjoint_keys_exits_one(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -531,15 +583,16 @@ def test_agree_disjoint_keys_exits_one(tmp_path, capsys):
 
 def test_agree_per_patient_collapses_beats(tmp_path, capsys):
     make_study(tmp_path)
-    main(["analyze", str(tmp_path)])
+    measured = tmp_path / "measured"
+    main(["analyze", str(tmp_path), "--out", str(measured)])
     capsys.readouterr()
-    csv_path = tmp_path / "study_0000.measurements.csv"
+    csv_path = measured / "study_0000.measurements.csv"
     assert main(["agree", str(csv_path), str(csv_path), "--per-patient", "--fields", "E"]) == 1
     # a single patient cannot be correlated; two studies can
     make_study(tmp_path, stem="study_0001", e_velocity=1.1, seed=1)
-    main(["analyze", str(tmp_path)])
+    main(["analyze", str(tmp_path), "--out", str(measured)])
     capsys.readouterr()
-    assert main(["agree", str(tmp_path), str(tmp_path), "--per-patient", "--fields", "E"]) == 0
+    assert main(["agree", str(measured), str(measured), "--per-patient", "--fields", "E"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1].split(",")[1] == "2"  # n = 2 studies
 
@@ -636,7 +689,7 @@ def test_overlay_mask_draws_what_analyze_mask_measures(tmp_path):
     csv_text = (tmp_path / "study_0000.measurements.csv").read_text()
     assert csv_text == study_csv_text(run.beats, run)
     drawn = load_image(tmp_path / "m.ppm").pixels
-    assert np.array_equal(drawn, render_overlay(image, manifest, run.trace, run.details).pixels)
+    assert np.array_equal(drawn, render_overlay(image, manifest, run.trace, run.beats).pixels)
     assert not np.array_equal(drawn, load_image(tmp_path / "plain.ppm").pixels)
 
 
@@ -660,6 +713,17 @@ def test_rejected_pipeline_value_is_a_usage_error(tmp_path, capsys, command, fla
 
 
 # help ------------------------------------------------------------------------
+
+
+def test_module_entry_point_prints_help():
+    src = str(Path(midoppler.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "midoppler", "--help"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: midoppler")
+    assert "analyze" in result.stdout and "agree" in result.stdout
 
 
 def test_help_lists_defaults(capsys):

@@ -1,6 +1,6 @@
 """Flow peak detection, beat labeling, deceleration time, study means, StudyRun."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from midoppler.ecg import QrsMarks, QrsParams, detect_qrs
-from midoppler.errors import LabelingError
+from midoppler.errors import LabelingError, MidopplerError, RoutingRejection, UnknownLabelError
 from midoppler.measurement import (
     FLAG_FUSED_EA,
     FLAG_GAP_IN_DESCENT,
@@ -20,6 +20,7 @@ from midoppler.measurement import (
     deceleration_time,
     detect_flow_peaks,
     label_beats,
+    measure_beats,
     measure_study,
     _find_peaks,
     summarize_beats,
@@ -273,8 +274,7 @@ def test_measure_beats_labels_and_ratio():
     trace, qrs = ea_trace()
     details = measure_trace(trace, qrs)
     assert len(details) == 2
-    for d in details:
-        m = d.measurement
+    for m in details:
         assert m.e_velocity == pytest.approx(0.8, abs=0.02)
         assert m.a_velocity == pytest.approx(0.5, abs=0.02)
         assert m.ea_ratio == pytest.approx(1.6, abs=0.07)
@@ -282,10 +282,10 @@ def test_measure_beats_labels_and_ratio():
 
 def test_ea_ratio_scale_invariance():
     base_trace, qrs = ea_trace()
-    base = [d.measurement.ea_ratio for d in measure_trace(base_trace, qrs)]
+    base = [d.ea_ratio for d in measure_trace(base_trace, qrs)]
     for k in (0.5, 2.0):
         scaled_trace, _ = ea_trace(scale=k)
-        ratios = [d.measurement.ea_ratio for d in measure_trace(scaled_trace, qrs)]
+        ratios = [d.ea_ratio for d in measure_trace(scaled_trace, qrs)]
         for r0, r1 in zip(base, ratios):
             assert r1 == pytest.approx(r0, rel=1e-9)
 
@@ -299,10 +299,10 @@ def test_time_translation_shifts_times_only():
     shifted = measure_trace(shifted_trace, shifted_qrs)
     assert len(base) == len(shifted)
     for d0, d1 in zip(base, shifted):
-        assert d1.measurement.e_velocity == d0.measurement.e_velocity
-        assert d1.measurement.ea_ratio == d0.measurement.ea_ratio
-        assert d1.measurement.dt_ms == pytest.approx(d0.measurement.dt_ms, abs=1e-9)
-        assert d1.measurement.e_time == pytest.approx(d0.measurement.e_time + offset, abs=1e-9)
+        assert d1.e_velocity == d0.e_velocity
+        assert d1.ea_ratio == d0.ea_ratio
+        assert d1.dt_ms == pytest.approx(d0.dt_ms, abs=1e-9)
+        assert d1.e_time == pytest.approx(d0.e_time + offset, abs=1e-9)
 
 
 def test_measure_beats_without_marks_is_empty():
@@ -328,8 +328,8 @@ def test_peak_amplitude_read_within_refine_radius():
     assert [p.time for p in smoothed_peaks] == [times[peak_idx]]
 
     (detail,) = measure_trace(trace, QrsMarks(times=np.array([100.0, 550.0])))
-    assert detail.measurement.e_velocity == 1.0
-    assert detail.measurement.e_time == times[peak_idx + half]
+    assert detail.e_velocity == 1.0
+    assert detail.e_time == times[peak_idx + half]
 
 
 def test_aggregate_means():
@@ -360,6 +360,14 @@ def test_outlier_mode_drops_far_beats():
     assert filtered.mean_dt == pytest.approx(180.0, abs=2.0)
 
 
+def test_outlier_mode_keeps_every_value_when_mad_is_zero():
+    # two equal E values make the MAD 0; 0.803 is a one-pixel-row difference
+    beats = [beat(e=0.800), beat(e=0.800), beat(e=0.803)]
+    filtered = summarize_beats(beats, drop_outliers=True)
+    assert filtered == summarize_beats(beats)
+    assert filtered.mean_e == pytest.approx(0.801)
+
+
 # measure_study's run record --------------------------------------------------
 
 
@@ -367,7 +375,7 @@ def test_study_run_holds_each_stage_output():
     image, manifest, truth = generate_synthetic(corpus_params(SynthParams(noise_sigma=0.15), 3))
     run = measure_study(image, manifest)
     assert run.n_beats == len(truth.beats) == 3
-    assert run.beats == [d.measurement for d in run.details]
+    assert run.beats == measure_beats(run.trace, run.smoothed, run.peaks, run.qrs)
     assert run.peaks == detect_flow_peaks(run.smoothed)
     assert len(run.peaks) == 2 * run.n_beats
     assert np.array_equal(run.smoothed.velocities, smooth_trace(run.trace, 15.0).velocities)
@@ -375,3 +383,26 @@ def test_study_run_holds_each_stage_output():
     assert np.array_equal(run.qrs.times, detect_qrs(run.ecg, QrsParams(), manifest).times)
     means = summarize_beats(run.beats)
     assert {k: getattr(run, k) for k in asdict(means)} == asdict(means)
+
+
+def test_beats_carry_their_dt_geometry():
+    image, manifest, _ = generate_synthetic(SynthParams(dt_second_slope_fraction=0.3))
+    run = measure_study(image, manifest)
+    assert run.n_beats == 3
+    for b in run.beats:
+        dt = deceleration_time(run.smoothed, FlowPeak(b.e_time, b.e_velocity, 0.0, 0.0))
+        assert (b.dt_ms, b.slope_change_time, b.slope_change_velocity, b.crossing_time) == (
+            dt.dt_ms, dt.slope_change_time, dt.slope_change_velocity, dt.crossing_time
+        )
+        assert b.e_time < b.slope_change_time < b.crossing_time
+        assert b.crossing_time == pytest.approx(b.e_time + b.dt_ms)
+
+
+@pytest.mark.parametrize(
+    "label, error", [("LVOT", RoutingRejection), ("spectral_unknown", UnknownLabelError)]
+)
+def test_measure_study_routes_only_mitral_inflow(label, error):
+    image, manifest, _ = generate_synthetic(SynthParams())
+    with pytest.raises(error, match=label) as caught:
+        measure_study(image, replace(manifest, label=label))
+    assert isinstance(caught.value, MidopplerError)
