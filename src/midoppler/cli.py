@@ -221,10 +221,10 @@ def cmd_analyze(args) -> int:
         print("no input images found", file=sys.stderr)
         return 2
     if args.manifest and len(images) > 1:
-        print("--manifest requires a single input image", file=sys.stderr)
+        print("error: --manifest requires a single input image", file=sys.stderr)
         return 1
     if args.mask and len(images) > 1:
-        print("--mask requires a single input image", file=sys.stderr)
+        print("error: --mask requires a single input image", file=sys.stderr)
         return 1
 
     outcomes = Counter()
@@ -253,8 +253,8 @@ def _analyze_all(images, args, params):
         import multiprocessing  # imported here, so that `import midoppler.cli` stays lean
 
         if "fork" in multiprocessing.get_all_start_methods():
-            # fork, not spawn: workers inherit the imported numpy/scipy, which
-            # a fresh interpreter would take about 0.4 s to import again.
+            # fork, not spawn: workers inherit the imported package and numpy,
+            # which a fresh interpreter would take about 0.13 s to import again.
             yield from _pooled(analyze, images, workers, multiprocessing.get_context("fork"))
             return
     yield from map(analyze, images)

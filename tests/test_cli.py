@@ -184,23 +184,43 @@ def test_analyze_valid_study(tmp_path, capsys):
     assert rows[1]["e_mps"] == pytest.approx(0.8, abs=0.02)
 
 
-def test_analyze_cold_start_skips_scipy_signal(tmp_path):
-    # importing scipy.signal costs about 1 s, more than the rest of the
-    # package; a fresh single-study call must not pay it, even lazily
-    make_study(tmp_path)
-    script = (
-        "import sys, midoppler.cli\n"
-        f"status = midoppler.cli.main(['analyze', {str(tmp_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-        "print(status, 'scipy.signal' in sys.modules)\n"
-    )
+def run_fresh_interpreter(script):
+    """Run script in a new python process that imports this checkout's package."""
     src = str(Path(midoppler.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_analyze_cold_start_imports_no_scipy(tmp_path):
+    # scipy is a test oracle only: a fresh single-study call must not load
+    # any of it, even lazily
+    make_study(tmp_path)
+    result = run_fresh_interpreter(
+        "import sys, midoppler.cli\n"
+        f"status = midoppler.cli.main(['analyze', {str(tmp_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(status, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 False"
+    assert result.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "out" / "study_0000.measurements.csv").exists()
+
+
+def test_analyze_runs_with_scipy_uninstalled(tmp_path):
+    make_study(tmp_path, noise_sigma=0.15, seed=5)
+    assert main(["analyze", str(tmp_path), "--out", str(tmp_path / "expected")]) == 0
+    result = run_fresh_interpreter(
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} is not installed')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import midoppler.cli\n"
+        f"sys.exit(midoppler.cli.main(['analyze', {str(tmp_path)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    csv_name = "study_0000.measurements.csv"
+    assert (tmp_path / "out" / csv_name).read_bytes() == (tmp_path / "expected" / csv_name).read_bytes()
 
 
 def test_analyze_is_deterministic(tmp_path):
@@ -420,7 +440,7 @@ def test_analyze_single_input_flag_with_two_inputs_exits_one(tmp_path, capsys, f
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"{flag} requires a single input image\n"
+    assert captured.err == f"error: {flag} requires a single input image\n"
     assert not out.exists()
 
 

@@ -4,7 +4,10 @@ The oracles spell each operation out pixel by pixel (sort the clamped
 window, walk the vertical runs, flood-fill the 8-connected components).
 Fixed random inputs pin a few cases; hypothesis property tests cover
 shapes from 1x1 to 40x40, all-background and all-foreground masks, and
-images shorter than the median window.
+images shorter than the median window. The component filter is also held
+bit for bit to a filter built on ``scipy.ndimage.label`` on masks up to
+200x300, which the flood fill is too slow for, and on the shapes that are
+hardest for its run labelling.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from midoppler import kernels
 
@@ -171,3 +175,132 @@ def test_remove_small_components_property(mask, min_area):
     out = kernels.remove_small_components(mask, min_area)
     assert out.dtype == np.bool_ and out.shape == mask.shape
     assert np.array_equal(out, naive_remove_small(mask, min_area))
+
+
+# component filter against scipy.ndimage ------------------------------------
+
+def ndimage_remove_small(mask, min_area):
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3)))
+    small = np.bincount(labels.ravel()) < min_area
+    small[0] = False  # label 0 is the background
+    return mask & ~small[labels]
+
+
+@st.composite
+def large_masks(draw):
+    """Seeded noise up to 200x300, optionally opened as segmentation opens it."""
+    shape = (draw(st.integers(1, 200)), draw(st.integers(1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.uniform(size=shape) < draw(st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.95]))
+    return kernels.vertical_opening(mask, draw(st.integers(0, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_masks(), st.integers(0, 300))
+def test_remove_small_components_matches_ndimage(mask, min_area):
+    out = kernels.remove_small_components(mask, min_area)
+    assert out.dtype == np.bool_ and out.shape == mask.shape
+    assert np.array_equal(out, ndimage_remove_small(mask, min_area))
+
+
+def spiral(size):
+    """A one-pixel-wide square spiral whose turns are two pixels apart."""
+    mask = np.zeros((size, size), bool)
+    r = c = 0
+    dr, dc = 0, 1
+    mask[0, 0] = True
+    legs = [size - 1] + [length for length in range(size - 1, 0, -2) for _ in (0, 1)]
+    for length in legs:
+        for _ in range(length):
+            r, c = r + dr, c + dc
+            mask[r, c] = True
+        dr, dc = dc, -dr
+    return mask
+
+
+def maze(cells_h, cells_w, seed):
+    """A random depth-first spanning tree of a cell grid: one component of
+    one-pixel corridors that winds back on itself in every direction, so its
+    runs join up only after several hooking rounds."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((2 * cells_h - 1, 2 * cells_w - 1), bool)
+    mask[0, 0] = True
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        r, c = stack[-1]
+        free = [(r + dr, c + dc) for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0))
+                if 0 <= r + dr < cells_h and 0 <= c + dc < cells_w and (r + dr, c + dc) not in seen]
+        if not free:
+            stack.pop()
+            continue
+        nr, nc = free[rng.integers(len(free))]
+        seen.add((nr, nc))
+        mask[2 * nr, 2 * nc] = mask[r + nr, c + nc] = True
+        stack.append((nr, nc))
+    return mask
+
+
+def rake(teeth, length=20):
+    """Teeth rooted in column 0, joined by a bar whose first left neighbour is
+    a stub rooted after them: every tooth's root hooks to the bar's root in
+    the same round, one round per tooth unless the smallest root wins."""
+    mask = np.zeros((2 * teeth + 1, length + 2), bool)
+    mask[2::2, :length + 1] = True
+    mask[0, length] = True
+    mask[:, length + 1] = True
+    return mask
+
+
+def serpentine(height, width):
+    """Rows of bars joined alternately at the right and the left end."""
+    mask = np.zeros((height, width), bool)
+    mask[0::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+ONE_COMPONENT_SHAPES = {
+    "spiral": spiral(61),
+    "maze": maze(50, 80, seed=22),
+    "rake": rake(50),
+    "serpentine": serpentine(41, 60),
+    "staircase": np.eye(40, dtype=bool),
+    "antidiagonal staircase": np.eye(40, dtype=bool)[::-1],
+    "single row": np.ones((1, 37), bool),
+    "single column": np.ones((37, 1), bool),
+    "all foreground": np.ones((30, 45), bool),
+}
+
+
+@pytest.mark.parametrize("name", ONE_COMPONENT_SHAPES)
+@pytest.mark.parametrize("transform", ["as is", "transposed", "flipped"])
+def test_remove_small_components_joins_hard_shapes(name, transform):
+    mask = ONE_COMPONENT_SHAPES[name]
+    mask = {"as is": mask, "transposed": mask.T, "flipped": mask[::-1, ::-1]}[transform].copy()
+    assert ndimage.label(mask, structure=np.ones((3, 3)))[1] == 1
+    area = int(mask.sum())
+    # one component: kept whole at its own area, cleared whole one pixel above
+    assert kernels.remove_small_components(mask, area) is mask
+    assert not kernels.remove_small_components(mask, area + 1).any()
+
+
+@pytest.mark.parametrize("min_area", [0, 1])
+def test_remove_small_components_min_area_below_two_returns_input(min_area):
+    mask = np.random.default_rng(14).uniform(size=(30, 40)) < 0.3
+    assert kernels.remove_small_components(mask, min_area) is mask
+
+
+def test_remove_small_components_keeps_big_and_clears_small_in_one_mask():
+    # the hard shapes side by side with isolated pixels and short runs
+    mask = np.zeros((110, 400), bool)
+    mask[:61, :61] = spiral(61)
+    mask[:101, 70:92] = rake(50)
+    mask[:41, 100:160] = serpentine(41, 60)
+    mask[:99, 170:329] = maze(50, 80, seed=22)
+    mask[105, 0:400:3] = True
+    mask[104:107, 340:400:4] = True
+    out = kernels.remove_small_components(mask, 30)
+    assert np.array_equal(out, ndimage_remove_small(mask, 30))
+    assert not out[104:107].any() and np.array_equal(out[:101], mask[:101])
