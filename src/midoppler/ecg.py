@@ -120,7 +120,6 @@ def detect_qrs(
     for s, e in zip(starts, ends):
         span = amp[s:e + 1]  # diff run [s, e) covers columns s .. e
         candidates.append(s + int(np.argmax(span)))
-    candidates = sorted(set(candidates))
 
     ecg_x0 = manifest.ecg_region[0]
     kept_cols: list[int] = []

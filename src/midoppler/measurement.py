@@ -3,7 +3,7 @@
 Beats are bounded by consecutive QRS marks. Within a window the last flow
 peak is the A wave (atrial contraction immediately precedes the QRS) and
 the largest remaining peak is the E wave; a lone peak is treated as a fused
-E with a quality flag rather than a guessed A.
+E, flagged fused_ea and missing_a, rather than a guessed A.
 
 Deceleration time extends a line from the E peak to the first
 slope-change point on the descent (absolute second derivative of the
@@ -78,14 +78,6 @@ class DtParams:
     def __post_init__(self):
         if self.curvature_threshold <= 0 or self.skip_ms <= 0:
             raise ValueError("DT parameters must be positive")
-
-
-@dataclass(frozen=True)
-class LabeledBeat:
-    window: tuple          # (start_ms, end_ms), QRS to QRS
-    e_peak: FlowPeak
-    a_peak: FlowPeak | None
-    flags: frozenset
 
 
 @dataclass(frozen=True)
@@ -231,55 +223,41 @@ def _lowest_valleys(tops, valleys):
 
 
 def label_beats(peaks, qrs: QrsMarks):
-    """Assign E and A labels inside each QRS-to-QRS window.
+    """(E, A) flow peak pairs, one per QRS-to-QRS window holding a peak.
 
     The last peak before the closing QRS is the A wave; the largest earlier
-    peak is the E wave. A window holding a single peak yields an E with the
-    fused_ea flag and no A. Peakless windows are dropped.
+    peak is the E wave. A window holding a single peak yields (E, None): E
+    and A are fused and no A is guessed. Peakless windows are dropped.
     """
     if len(qrs) < 2:
         raise LabelingError("need at least two QRS marks to bound a beat window")
-    labeled = []
+    pairs = []
     times = qrs.times
     for q0, q1 in zip(times, times[1:]):
         in_window = [p for p in peaks if q0 <= p.time < q1]
-        if not in_window:
-            continue
         if len(in_window) == 1:
-            labeled.append(
-                LabeledBeat(
-                    window=(float(q0), float(q1)),
-                    e_peak=in_window[0],
-                    a_peak=None,
-                    flags=frozenset({FLAG_FUSED_EA}),
-                )
-            )
-            continue
-        a_peak = in_window[-1]
-        e_peak = max(in_window[:-1], key=lambda p: p.velocity)
-        labeled.append(
-            LabeledBeat(
-                window=(float(q0), float(q1)),
-                e_peak=e_peak,
-                a_peak=a_peak,
-                flags=frozenset(),
-            )
-        )
-    return labeled
+            pairs.append((in_window[0], None))
+        elif in_window:
+            pairs.append((max(in_window[:-1], key=lambda p: p.velocity), in_window[-1]))
+    return pairs
 
 
 def deceleration_time(
     trace: EnvelopeTrace,
-    e_peak: FlowPeak,
+    e_column: int,
+    e_velocity: float,
     params: DtParams | None = None,
 ) -> DtResult:
     """Slope-change extrapolation of the E-wave descent to the baseline.
 
-    Walks the descent from skip_ms past the peak. The first sample whose
-    absolute discrete second derivative exceeds curvature_threshold becomes
-    the slope-change point; if the trace reaches 5% of the E velocity first,
+    The line starts at (trace.times[e_column], e_velocity), the E apex
+    column and velocity read from the raw trace; the descent is walked on
+    this trace from skip_ms past the apex. The first sample whose absolute
+    discrete second derivative exceeds curvature_threshold becomes the
+    slope-change point; if the trace reaches 5% of the E velocity first,
     that crossing is used instead and the beat is flagged no_slope_change.
-    Running off the trace before either event yields an absent DT.
+    Running off the trace before either event yields an absent DT. An apex
+    column outside the trace is a ValueError.
     """
     params = params or DtParams()
     times, velocities = trace.times, trace.velocities
@@ -287,14 +265,13 @@ def deceleration_time(
     if n < 2:
         raise ValueError("trace too short for DT")
     spacing = trace.spacing()
-    peak_idx = int(round((e_peak.time - times[0]) / spacing))
-    if not (0 <= peak_idx < n):
+    if not (0 <= e_column < n):
         raise ValueError("E peak lies outside the trace")
 
-    v_peak = float(e_peak.velocity)
-    t_peak = float(e_peak.time)
+    v_peak = float(e_velocity)
+    t_peak = float(times[e_column])
     floor = 0.05 * v_peak
-    start = peak_idx + max(1, math.ceil(params.skip_ms / spacing))
+    start = e_column + max(1, math.ceil(params.skip_ms / spacing))
 
     flags = set()
     stop_idx = None
@@ -313,11 +290,11 @@ def deceleration_time(
 
     if stop_idx is None:
         flags.add(FLAG_NO_SLOPE_CHANGE)
-        if trace.gap_flags[peak_idx:].any():
+        if trace.gap_flags[e_column:].any():
             flags.add(FLAG_GAP_IN_DESCENT)
         return DtResult(None, None, None, None, frozenset(flags))
 
-    if trace.gap_flags[peak_idx:stop_idx + 1].any():
+    if trace.gap_flags[e_column:stop_idx + 1].any():
         flags.add(FLAG_GAP_IN_DESCENT)
     t_stop = float(times[stop_idx])
     v_stop = float(velocities[stop_idx])
@@ -330,8 +307,8 @@ def deceleration_time(
     return DtResult(crossing - t_peak, t_stop, v_stop, crossing, frozenset(flags))
 
 
-def _refine_peak(raw: EnvelopeTrace, peak: FlowPeak, radius: int) -> FlowPeak:
-    """Snap a smoothed-trace peak to the raw trace maximum nearby.
+def _refine_peak(raw: EnvelopeTrace, peak: FlowPeak, radius: int) -> int:
+    """Column of the raw trace maximum near a smoothed-trace peak.
 
     Smoothing clips sharp apexes, so amplitudes are read from the unsmoothed
     trace within half a smoothing window of the detected position.
@@ -339,14 +316,7 @@ def _refine_peak(raw: EnvelopeTrace, peak: FlowPeak, radius: int) -> FlowPeak:
     spacing = raw.spacing()
     idx = int(round((peak.time - raw.times[0]) / spacing))
     lo = max(0, idx - radius)
-    hi = min(len(raw.velocities), idx + radius + 1)
-    j = lo + int(np.argmax(raw.velocities[lo:hi]))
-    return FlowPeak(
-        time=float(raw.times[j]),
-        velocity=float(raw.velocities[j]),
-        prominence=peak.prominence,
-        width=peak.width,
-    )
+    return lo + int(np.argmax(raw.velocities[lo:idx + radius + 1]))
 
 
 def measure_beats(
@@ -359,38 +329,45 @@ def measure_beats(
 ):
     """Per-beat E, A and DT from the flow peaks detected on the smoothed trace.
 
-    Peak amplitudes are read back from the raw trace within half a smoothing
-    window (peak_params.smooth_window_ms). Returns a list of
-    BeatMeasurement, each with its DT geometry; empty when fewer than two
-    QRS marks or no peaks exist.
+    Peak amplitudes and times are read back from the raw trace within half a
+    smoothing window (peak_params.smooth_window_ms); DT walks the smoothed
+    descent from the raw E apex column. A window without an A peak is the
+    one place that sets both fused_ea and missing_a, with no A, E/A or A
+    time. Returns a list of BeatMeasurement, each with its DT geometry;
+    empty when fewer than two QRS marks or no peaks exist.
     """
     peak_params = peak_params or PeakParams()
     dt_params = dt_params or DtParams()
     if len(qrs) < 2 or not peaks:
         return []
-    labeled = label_beats(peaks, qrs)
-    refine_radius = smoothing_columns(peak_params.smooth_window_ms, raw_trace.spacing()) // 2
+    radius = smoothing_columns(peak_params.smooth_window_ms, raw_trace) // 2
+    times, velocities = raw_trace.times, raw_trace.velocities
 
     beats = []
-    for beat in labeled:
-        e_ref = _refine_peak(raw_trace, beat.e_peak, refine_radius)
-        a_ref = _refine_peak(raw_trace, beat.a_peak, refine_radius) if beat.a_peak else None
-        dt_res = deceleration_time(smoothed, e_ref, dt_params)
-        flags = set(beat.flags) | set(dt_res.flags)
-        if a_ref is None:
-            flags.add(FLAG_MISSING_A)
+    for e_peak, a_peak in label_beats(peaks, qrs):
+        e_col = _refine_peak(raw_trace, e_peak, radius)
+        e = float(velocities[e_col])
+        dt = deceleration_time(smoothed, e_col, e, dt_params)
+        if a_peak is None:
+            a = a_time = ea_ratio = None
+            flags = dt.flags | {FLAG_FUSED_EA, FLAG_MISSING_A}
+        else:
+            a_col = _refine_peak(raw_trace, a_peak, radius)
+            a, a_time = float(velocities[a_col]), float(times[a_col])
+            ea_ratio = e / a
+            flags = dt.flags
         beats.append(
             BeatMeasurement(
-                e_velocity=e_ref.velocity,
-                a_velocity=a_ref.velocity if a_ref else None,
-                ea_ratio=e_ref.velocity / a_ref.velocity if a_ref else None,
-                dt_ms=dt_res.dt_ms,
-                e_time=e_ref.time,
-                a_time=a_ref.time if a_ref else None,
-                quality=frozenset(flags),
-                slope_change_time=dt_res.slope_change_time,
-                slope_change_velocity=dt_res.slope_change_velocity,
-                crossing_time=dt_res.crossing_time,
+                e_velocity=e,
+                a_velocity=a,
+                ea_ratio=ea_ratio,
+                dt_ms=dt.dt_ms,
+                e_time=float(times[e_col]),
+                a_time=a_time,
+                quality=flags,
+                slope_change_time=dt.slope_change_time,
+                slope_change_velocity=dt.slope_change_velocity,
+                crossing_time=dt.crossing_time,
             )
         )
     return beats
@@ -469,26 +446,20 @@ def _mad_filter(values):
 def summarize_beats(beats, drop_outliers: bool = False) -> StudyMeans:
     """Per-field means over beats where the field is present.
 
-    Beats flagged fused_ea contribute no A and no E/A. With drop_outliers,
-    values more than 2 MADs from the per-field median are excluded first;
-    a field whose MAD is 0 keeps all its values.
+    A fused beat has no A and no E/A, so it adds to the E and DT means
+    only. With drop_outliers, values more than 2 MADs from the per-field
+    median are excluded first; a field whose MAD is 0 keeps all its values.
     """
-    def collect(getter, exclude_fused=False):
-        values = []
-        for b in beats:
-            if exclude_fused and FLAG_FUSED_EA in b.quality:
-                continue
-            v = getter(b)
-            if v is not None:
-                values.append(v)
+    def collect(getter):
+        values = [v for v in map(getter, beats) if v is not None]
         if drop_outliers and values:
             values = _mad_filter(values)
         return float(np.mean(values)) if values else None
 
     return StudyMeans(
         mean_e=collect(lambda b: b.e_velocity),
-        mean_a=collect(lambda b: b.a_velocity, exclude_fused=True),
-        mean_ea=collect(lambda b: b.ea_ratio, exclude_fused=True),
+        mean_a=collect(lambda b: b.a_velocity),
+        mean_ea=collect(lambda b: b.ea_ratio),
         mean_dt=collect(lambda b: b.dt_ms),
         n_beats=len(beats),
     )

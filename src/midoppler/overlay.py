@@ -58,7 +58,7 @@ def render_overlay(
         mark(b.e_time, b.e_velocity, E_COLOR)
         if b.a_time is not None:
             mark(b.a_time, b.a_velocity, A_COLOR)
-        if b.slope_change_time is not None and b.slope_change_velocity is not None:
+        if b.slope_change_time is not None:
             mark(b.slope_change_time, b.slope_change_velocity, SLOPE_COLOR)
         if b.crossing_time is not None:
             mark(b.crossing_time, 0.0, CROSSING_COLOR)

@@ -221,12 +221,10 @@ def smooth_trace(trace: EnvelopeTrace, window_ms: float) -> EnvelopeTrace:
     degrades to the global mean. Time stamps and gap flags pass through.
     """
     check_smoothing_window(window_ms)
-    n = len(trace.velocities)
-    if n < 2:
-        return EnvelopeTrace(trace.times.copy(), trace.velocities.copy(), trace.gap_flags.copy())
-    cols = smoothing_columns(window_ms, trace.spacing())
+    cols = smoothing_columns(window_ms, trace)
     if cols == 1:
         return EnvelopeTrace(trace.times.copy(), trace.velocities.copy(), trace.gap_flags.copy())
+    n = len(trace.velocities)
     half = cols // 2
     sums = np.concatenate(([0.0], np.cumsum(trace.velocities)))
     idx = np.arange(n)
@@ -242,7 +240,19 @@ def check_smoothing_window(window_ms: float) -> None:
         raise ValueError(f"window_ms must be positive, got {window_ms}")
 
 
-def smoothing_columns(window_ms: float, spacing_ms: float) -> int:
-    """Odd number of columns covering window_ms at the given spacing."""
-    cols = max(1, int(round(window_ms / spacing_ms)))
+def smoothing_columns(window_ms: float, trace: EnvelopeTrace) -> int:
+    """Odd number of the trace's columns covering window_ms.
+
+    At most 2n + 1 for a trace of n columns: a centred window that wide
+    already covers the whole trace from any column, and the cap keeps the
+    count finite when window_ms / spacing overflows. A trace of fewer than
+    two columns has no spacing and gets one column.
+    """
+    n = len(trace.velocities)
+    if n < 2:
+        return 1
+    ratio = window_ms / trace.spacing()
+    if ratio >= 2 * n + 1:
+        return 2 * n + 1
+    cols = max(1, int(round(ratio)))
     return cols if cols % 2 == 1 else cols + 1

@@ -2,9 +2,8 @@
 
 Bland-Altman bias and spread use the sample (n-1) standard deviation with
 limits at exactly +/-2 SD. Correlation is the standard product-moment
-coefficient; R squared comes from an ordinary least-squares fit of the
-second series on the first, which for simple regression equals the squared
-correlation (the test suite holds the two routes against each other).
+coefficient. R squared is the squared correlation, which for one predictor
+equals the coefficient of determination of the least-squares line.
 """
 
 from dataclasses import dataclass
@@ -67,20 +66,9 @@ def pearson(a, b) -> float:
 
 
 def r_squared(a, b) -> float:
-    """Coefficient of determination of the OLS fit of b on a."""
-    a, b = _paired(a, b)
-    da = a - a.mean()
-    sxx = float(np.sum(da * da))
-    if sxx == 0:
-        raise StatsError("regression undefined: predictor has zero variance")
-    beta = float(np.sum(da * (b - b.mean()))) / sxx
-    alpha = float(b.mean()) - beta * float(a.mean())
-    residuals = b - (alpha + beta * a)
-    ss_res = float(np.sum(residuals * residuals))
-    ss_tot = float(np.sum((b - b.mean()) ** 2))
-    if ss_tot == 0:
-        raise StatsError("regression undefined: response has zero variance")
-    return 1.0 - ss_res / ss_tot
+    """Coefficient of determination of the least-squares line through the
+    pairs: for one predictor, the squared correlation."""
+    return pearson(a, b) ** 2
 
 
 def compare(a_by_key, b_by_key):

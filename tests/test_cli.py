@@ -270,6 +270,22 @@ def test_analyze_continues_past_non_finite_manifest(tmp_path, capsys):
         assert sorted(read_measurement_csv(tmp_path / f"{stem}.measurements.csv")) == [1, 2, 3]
 
 
+def test_analyze_tiny_time_scale_is_one_line_without_traceback(tmp_path, capsys):
+    # window / spacing overflows int64 at 1e-20 ms per column and float at 1e-320
+    for stem, time_scale in (("a_good", None), ("b_1e20", "1e-20"), ("c_1e320", "1e-320")):
+        make_study(tmp_path, stem=stem)
+        if time_scale:
+            path = tmp_path / f"{stem}.manifest"
+            path.write_text(re.sub(r"(?m)^time_scale = .*$", f"time_scale = {time_scale}", path.read_text()))
+    main(["analyze", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    for stem in ("a_good", "b_1e20", "c_1e320"):
+        assert len(outcome_lines(captured, tmp_path / f"{stem}.ppm")) == 1
+    assert f"{tmp_path / 'a_good.ppm'}: 3 beats" in captured.out
+    assert sorted(read_measurement_csv(tmp_path / "a_good.measurements.csv")) == [1, 2, 3]
+
+
 def test_analyze_reports_non_utf8_manifest_without_traceback(tmp_path, capsys):
     make_study(tmp_path, stem="a_good")
     make_study(tmp_path, stem="b_bytes")

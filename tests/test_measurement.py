@@ -13,6 +13,7 @@ from midoppler.errors import LabelingError, MidopplerError, RoutingRejection, Un
 from midoppler.measurement import (
     FLAG_FUSED_EA,
     FLAG_GAP_IN_DESCENT,
+    FLAG_MISSING_A,
     FLAG_NO_SLOPE_CHANGE,
     BeatMeasurement,
     FlowPeak,
@@ -151,27 +152,24 @@ def test_find_peaks_matches_scipy(x, min_prominence, min_width):
 def test_label_two_peaks_e_then_a():
     qrs = QrsMarks(times=np.array([0.0, 800.0]))
     peaks = [peak(160.0, 0.8), peak(660.0, 0.6)]
-    labeled = label_beats(peaks, qrs)
-    assert len(labeled) == 1
-    assert labeled[0].e_peak.time == 160.0
-    assert labeled[0].a_peak.time == 660.0
-    assert not labeled[0].flags
+    ((e_peak, a_peak),) = label_beats(peaks, qrs)
+    assert e_peak.time == 160.0
+    assert a_peak.time == 660.0
 
 
 def test_label_single_peak_is_fused_e():
     qrs = QrsMarks(times=np.array([0.0, 800.0]))
-    labeled = label_beats([peak(300.0, 0.7)], qrs)
-    assert labeled[0].e_peak.time == 300.0
-    assert labeled[0].a_peak is None
-    assert FLAG_FUSED_EA in labeled[0].flags
+    ((e_peak, a_peak),) = label_beats([peak(300.0, 0.7)], qrs)
+    assert e_peak.time == 300.0
+    assert a_peak is None
 
 
 def test_label_three_peaks_largest_early_is_e():
     qrs = QrsMarks(times=np.array([0.0, 800.0]))
     peaks = [peak(160.0, 0.8), peak(400.0, 0.3), peak(660.0, 0.6)]
-    labeled = label_beats(peaks, qrs)
-    assert labeled[0].e_peak.time == 160.0
-    assert labeled[0].a_peak.time == 660.0
+    ((e_peak, a_peak),) = label_beats(peaks, qrs)
+    assert e_peak.time == 160.0
+    assert a_peak.time == 660.0
 
 
 def test_label_requires_two_marks():
@@ -182,11 +180,10 @@ def test_label_requires_two_marks():
 def test_label_drops_empty_windows_and_keeps_a_before_qrs():
     qrs = QrsMarks(times=np.array([0.0, 500.0, 1000.0, 1500.0]))
     peaks = [peak(100.0, 0.9), peak(450.0, 0.5), peak(1100.0, 0.8), peak(1400.0, 0.6)]
-    labeled = label_beats(peaks, qrs)
-    assert len(labeled) == 2  # middle window has no peaks
-    for lb in labeled:
-        if lb.a_peak is not None:
-            assert lb.a_peak.time < lb.window[1]
+    pairs = label_beats(peaks, qrs)
+    assert len(pairs) == 2  # middle window has no peaks
+    for (e_peak, a_peak), window_end in zip(pairs, (500.0, 1500.0)):
+        assert e_peak.time < a_peak.time < window_end
 
 
 # deceleration_time -----------------------------------------------------------
@@ -203,7 +200,7 @@ def straight_descent_trace():
 
 def test_dt_straight_line_descent():
     trace = straight_descent_trace()
-    result = deceleration_time(trace, peak(500.0, 1.0))
+    result = deceleration_time(trace, 200, 1.0)
     assert result.dt_ms == pytest.approx(200.0, abs=SPACING)
 
 
@@ -217,7 +214,7 @@ def test_dt_bilinear_slope_change():
     v[seg1] = 1.0 - 0.005 * (times[seg1] - 500.0)
     seg2 = times > 600.0
     v[seg2] = np.clip(0.5 - 0.001 * (times[seg2] - 600.0), 0.0, None)
-    result = deceleration_time(make_trace(v), peak(500.0, 1.0))
+    result = deceleration_time(make_trace(v), 200, 1.0)
     assert result.dt_ms == pytest.approx(200.0, abs=10.0)
     assert result.slope_change_time == pytest.approx(600.0, abs=15.0)
     assert FLAG_NO_SLOPE_CHANGE not in result.flags
@@ -227,7 +224,7 @@ def test_dt_truncated_descent_is_absent():
     # linear descent that leaves the trace at 0.4 m/s with no slope change
     times = grid(200)
     v = 1.0 - 0.0012 * times  # ends near 0.4, never reaches the 5% floor
-    result = deceleration_time(make_trace(v), peak(0.0, 1.0))
+    result = deceleration_time(make_trace(v), 0, 1.0)
     assert result.dt_ms is None
     assert FLAG_NO_SLOPE_CHANGE in result.flags
 
@@ -237,13 +234,14 @@ def test_dt_gap_in_descent_flagged():
     gaps = np.zeros(len(trace.velocities), bool)
     gaps[210:220] = True  # 525..550 ms, on the descent
     trace = make_trace(trace.velocities, gaps=gaps)
-    result = deceleration_time(trace, peak(500.0, 1.0))
+    result = deceleration_time(trace, 200, 1.0)
     assert FLAG_GAP_IN_DESCENT in result.flags
 
 
 def test_dt_peak_off_trace_rejected():
-    with pytest.raises(ValueError):
-        deceleration_time(make_trace(np.ones(50)), peak(1e5, 1.0))
+    for column in (-1, 50):
+        with pytest.raises(ValueError):
+            deceleration_time(make_trace(np.ones(50)), column, 1.0)
 
 
 @pytest.mark.parametrize("v_peak", [0.4, 0.8, 1.2])
@@ -253,7 +251,7 @@ def test_dt_exact_for_linear_descents(v_peak, dt_true):
     apex = 300.0
     slope = v_peak / dt_true
     v = np.clip(np.where(times <= apex, v_peak * times / apex, v_peak - slope * (times - apex)), 0.0, None)
-    result = deceleration_time(make_trace(v), peak(apex, v_peak))
+    result = deceleration_time(make_trace(v), int(apex / SPACING), v_peak)
     assert result.dt_ms == pytest.approx(dt_true, abs=SPACING)
 
 
@@ -317,7 +315,7 @@ def test_peak_amplitude_read_within_refine_radius():
     times = SPACING * np.arange(240)
     v = triangle(times, 300.0, 60.0, 0.9)
     peak_idx = 120
-    half = smoothing_columns(PeakParams().smooth_window_ms, SPACING) // 2
+    half = smoothing_columns(PeakParams().smooth_window_ms, make_trace(v)) // 2
     outside = half + 1
     v[peak_idx - 3] = v[peak_idx - 2] = 0.95
     v[peak_idx + half] = 1.0
@@ -345,7 +343,7 @@ def test_aggregate_uses_present_fields_only():
 
 
 def test_aggregate_excludes_fused_from_a_and_ratio():
-    beats = [beat(a=0.5), beat(a=0.4, flags={FLAG_FUSED_EA})]
+    beats = [beat(a=0.5), beat(a=None, flags={FLAG_FUSED_EA, FLAG_MISSING_A})]
     means = summarize_beats(beats)
     assert means.mean_a == pytest.approx(0.5)
     assert means.mean_ea == pytest.approx(1.6)
@@ -390,7 +388,8 @@ def test_beats_carry_their_dt_geometry():
     run = measure_study(image, manifest)
     assert run.n_beats == 3
     for b in run.beats:
-        dt = deceleration_time(run.smoothed, FlowPeak(b.e_time, b.e_velocity, 0.0, 0.0))
+        e_column = round((b.e_time - run.smoothed.times[0]) / run.smoothed.spacing())
+        dt = deceleration_time(run.smoothed, e_column, b.e_velocity)
         assert (b.dt_ms, b.slope_change_time, b.slope_change_velocity, b.crossing_time) == (
             dt.dt_ms, dt.slope_change_time, dt.slope_change_velocity, dt.crossing_time
         )

@@ -329,9 +329,11 @@ def test_smooth_preserves_length_times_and_gaps():
 
 
 def test_smooth_window_beyond_trace_degrades_to_global_mean():
-    trace = make_trace(np.arange(10, dtype=float))
-    out = smooth_trace(trace, 10 * 2 * 2.5 * 10)
-    assert np.allclose(out.velocities, trace.velocities.mean())
+    # 1e-20 and 1e-320 ms columns put window / spacing past int64 and past float
+    for spacing_ms in (2.5, 1e-20, 1e-320):
+        trace = make_trace(np.arange(10, dtype=float), spacing_ms=spacing_ms)
+        out = smooth_trace(trace, 10 * 2 * 2.5 * 10)
+        assert np.allclose(out.velocities, trace.velocities.mean())
 
 
 def test_smooth_rejects_nonpositive_window():

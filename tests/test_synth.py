@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from midoppler.errors import GenerationError
-from midoppler.measurement import FLAG_FUSED_EA, measure_study
+from midoppler.measurement import FLAG_FUSED_EA, FLAG_MISSING_A, measure_study
 from midoppler.segmentation import SegmentationParams, segment_envelope_threshold
 from midoppler.synth import (
     AliasBand,
@@ -106,8 +106,8 @@ def test_fused_pattern_when_a_velocity_zero():
     result = measure_study(image, manifest)
     assert result.n_beats == 3
     for beat in result.beats:
-        assert beat.a_velocity is None
-        assert FLAG_FUSED_EA in beat.quality
+        assert beat.a_velocity is beat.ea_ratio is beat.a_time is None
+        assert {FLAG_FUSED_EA, FLAG_MISSING_A} <= beat.quality
 
 
 def test_invalid_parameters_rejected():
