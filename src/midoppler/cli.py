@@ -33,7 +33,7 @@ from .measurement import (
     write_study_csv,
 )
 from .overlay import render_overlay
-from .segmentation import THRESHOLD_MODES, SegmentationParams
+from .segmentation import SegmentationParams
 from .stats import FIELD_COLUMNS, agreement_csv_text, compare
 from .synth import AliasBand, Dropout, Spike, SynthParams, generate_synthetic, write_truth_csv
 
@@ -44,8 +44,6 @@ from .synth import AliasBand, Dropout, Spike, SynthParams, generate_synthetic, w
 _PIPELINE_FLAGS = (
     ("seg_params", SegmentationParams, (
         ("--median-window", "median_window", "per-column median window (odd)"),
-        ("--threshold-mode", "threshold_mode", None),
-        ("--fixed-threshold", "fixed_threshold", "threshold for fixed mode"),
         ("--open-radius", "open_radius", "vertical opening radius"),
         ("--min-component-area", "min_component_area", "px^2; smaller components are dropped"),
     )),
@@ -106,13 +104,7 @@ def _add_flags(group, cls, flags):
     fields = {f.name: f for f in dataclass_fields(cls)}
     for flag, name, help_text in flags:
         field = fields[name]
-        group.add_argument(
-            flag,
-            type=_checked_type(cls, field),
-            default=field.default,
-            choices=THRESHOLD_MODES if name == "threshold_mode" else None,
-            help=help_text,
-        )
+        group.add_argument(flag, type=_checked_type(cls, field), default=field.default, help=help_text)
 
 
 def _flag_values(args, flags) -> dict:
@@ -500,7 +492,6 @@ def cmd_agree(args) -> int:
 
     field_names = [f.strip().upper() for f in args.fields.split(",") if f.strip()]
     rows = []
-    total_dropped = 0
     for name in field_names:
         if name not in FIELD_COLUMNS:
             print(f"error: unknown field {name!r} (choose from {_ALL_FIELDS})", file=sys.stderr)
@@ -509,12 +500,11 @@ def cmd_agree(args) -> int:
         a_map = {k: v[column] for k, v in series_a.items() if column in v}
         b_map = {k: v[column] for k, v in series_b.items() if column in v}
         try:
-            stats, dropped = compare(a_map, b_map)
+            stats, _ = compare(a_map, b_map)
         except StatsError as exc:
             print(f"warning: field {name}: {exc}", file=sys.stderr)
             continue
         rows.append((name, stats))
-        total_dropped += dropped
 
     if not rows:
         print("error: no field produced an agreement row", file=sys.stderr)
@@ -525,8 +515,9 @@ def cmd_agree(args) -> int:
         print(args.out)
     else:
         sys.stdout.write(text)
-    if total_dropped:
-        print(f"note: {total_dropped} unpaired keys dropped", file=sys.stderr)
+    unpaired = len(set(series_a) ^ set(series_b))
+    if unpaired:
+        print(f"note: {unpaired} unpaired keys dropped", file=sys.stderr)
     return 0
 
 

@@ -1,12 +1,12 @@
 """Envelope segmentation and trace extraction.
 
 The classical route converts the spectral region to grayscale, median
-filters, thresholds (fixed or automatic two-class variance maximization),
-opens, drops small connected components, and hands over the cleaned
-foreground as the mask. Externally produced masks (e.g. from a
-segmentation network) enter through ``import_mask``. Both routes meet in
-``mask_to_trace``, the one place the envelope border is defined: per
-column, the outermost foreground row on the flow side of the baseline.
+filters, thresholds at Otsu's two-class variance maximum, opens, drops
+small connected components, and hands over the cleaned foreground as the
+mask. Externally produced masks (e.g. from a segmentation network) enter
+through ``import_mask``. Both routes meet in ``mask_to_trace``, the one
+place the envelope border is defined: per column, the outermost foreground
+row on the flow side of the baseline.
 """
 
 from dataclasses import dataclass
@@ -19,24 +19,17 @@ from .ingestion import CalibrationManifest, RasterImage, load_gray_image, save_g
 
 PADDED_MASK_SIZE = 1024  # externally produced masks may arrive zero-padded
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float32)
-THRESHOLD_MODES = ("automatic", "fixed")
 
 
 @dataclass(frozen=True)
 class SegmentationParams:
     median_window: int = 3
-    threshold_mode: str = "automatic"  # one of THRESHOLD_MODES
-    fixed_threshold: int = 128
     open_radius: int = 1
-    min_component_area: float = 25.0
+    min_component_area: int = 25  # px
 
     def __post_init__(self):
         if self.median_window < 1 or self.median_window % 2 == 0:
             raise ValueError(f"median_window must be odd and >= 1, got {self.median_window}")
-        if self.threshold_mode not in THRESHOLD_MODES:
-            raise ValueError(f"threshold_mode must be automatic or fixed, got {self.threshold_mode!r}")
-        if not (0 <= self.fixed_threshold <= 255):
-            raise ValueError(f"fixed_threshold must be in [0, 255], got {self.fixed_threshold}")
         if self.open_radius < 0:
             raise ValueError(f"open_radius must be >= 0, got {self.open_radius}")
         if self.min_component_area < 0:
@@ -129,22 +122,13 @@ def segment_envelope_threshold(
     gray = region.astype(np.float32) @ _LUMA
     gray = kernels.column_median(gray, params.median_window)
 
-    if params.threshold_mode == "fixed":
-        threshold = float(params.fixed_threshold)
-        foreground = gray >= threshold
-    else:
-        threshold = float(otsu_threshold(gray))
-        foreground = gray > threshold
+    threshold = otsu_threshold(gray)
+    foreground = gray > threshold
     if not foreground.any():
-        raise SegmentationError(
-            f"threshold {threshold:.0f} produced zero foreground pixels "
-            f"(mode={params.threshold_mode})"
-        )
+        raise SegmentationError(f"threshold {threshold} produced zero foreground pixels")
 
     foreground = kernels.vertical_opening(foreground, params.open_radius)
-    foreground = kernels.remove_small_components(
-        foreground, int(round(params.min_component_area))
-    )
+    foreground = kernels.remove_small_components(foreground, params.min_component_area)
     if not foreground.any():
         raise SegmentationError("no foreground remains after cleanup")
     return EnvelopeMask(foreground)

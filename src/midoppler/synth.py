@@ -11,7 +11,8 @@ uniform noise; artifacts (bright spikes, dropouts, an aliasing band below
 the baseline) are drawn after the envelope.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -95,6 +96,11 @@ class _BeatGeometry:
 
 
 def _validate(params: SynthParams) -> None:
+    # NaN passes every comparison below, and inf breaks the pixel geometry
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise GenerationError(f"{field.name} must be finite, got {value}")
     if params.e_velocity <= 0:
         raise GenerationError(f"e_velocity must be positive, got {params.e_velocity}")
     if params.a_velocity < 0:

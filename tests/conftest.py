@@ -4,7 +4,13 @@ import pytest
 from midoppler.ingestion import CalibrationManifest, RasterImage
 from midoppler.measurement import PeakParams, detect_flow_peaks, measure_beats
 from midoppler.segmentation import EnvelopeMask, EnvelopeTrace, smooth_trace
-from midoppler.synth import BACKGROUND_INTENSITY, AliasBand, SynthParams, generate_synthetic
+from midoppler.synth import (
+    BACKGROUND_INTENSITY,
+    ENVELOPE_INTENSITY,
+    AliasBand,
+    SynthParams,
+    generate_synthetic,
+)
 
 
 def make_manifest(**overrides) -> CalibrationManifest:
@@ -57,6 +63,18 @@ def alias_band_only(seed=25):
     pixels = image.pixels.copy()
     # the flow side and the two baseline band rows just past the baseline
     pixels[y0:manifest.baseline_row + 3, x0:x1 + 1] = BACKGROUND_INTENSITY
+    return RasterImage(pixels), manifest
+
+
+def checkerboard_region():
+    """A small study whose spectral region is a checkerboard: one-row specks
+    in every column, which the median keeps and the vertical opening removes."""
+    image, manifest, _ = generate_synthetic(SynthParams(width=400, height=480, n_beats=2))
+    x0, y0, x1, y1 = manifest.spectral_region
+    rows, cols = np.mgrid[y0:y1 + 1, x0:x1 + 1]
+    bright = ((rows + cols) % 2 == 0)[..., None]
+    pixels = image.pixels.copy()
+    pixels[y0:y1 + 1, x0:x1 + 1] = np.where(bright, ENVELOPE_INTENSITY, BACKGROUND_INTENSITY)
     return RasterImage(pixels), manifest
 
 

@@ -5,9 +5,11 @@ benchmark's counting pass reads a few attributes of what they return. A
 refactor that renames, inlines or stops calling one of them breaks the
 benchmark, not the pipeline, so these tests run one classical and one
 mask-route study through the calls the benchmark makes, under tracing's
-own ``instrument``.
+own ``instrument``. A scan of the benchmark's source, which runs none of
+it, checks that every package name it reads exists.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -18,7 +20,8 @@ import pytest
 from midoppler import ingestion, measurement, stats, synth
 from midoppler.synth import SynthParams
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 PIPELINE_SPANS = {
     "ingestion.load_image",
     "ingestion.load_manifest",
@@ -113,3 +116,48 @@ def test_benchmark_spans_fire_and_counted_attributes_exist(tracing, tmp_path):
             assert args[0].size > 0
         if name in RESULT_ATTRIBUTES:
             getattr(result, RESULT_ATTRIBUTES[name])
+
+
+def package_names_read(source):
+    """Dotted names of the package that source reads: each module it imports,
+    each name of a ``from midoppler... import``, and each attribute read on a
+    name an import binds."""
+    tree = ast.parse(source)
+    bound, names = {}, set()  # name in the file -> dotted package name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "midoppler":
+                    names.add(alias.name)
+                    bound[alias.asname or "midoppler"] = alias.name if alias.asname else "midoppler"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "midoppler":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    names |= set(bound.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+            names.add(f"{bound[node.value.id]}.{node.attr}")
+    return names
+
+
+def resolve(dotted):
+    """What a dotted package name names, importing submodules on the way."""
+    parts = dotted.split(".")
+    found = importlib.import_module(parts[0])
+    for depth, part in enumerate(parts[1:], start=2):
+        if hasattr(found, part):
+            found = getattr(found, part)
+        else:
+            found = importlib.import_module(".".join(parts[:depth]))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_package_name_the_benchmark_reads_exists(path):
+    missing = []
+    for dotted in sorted(package_names_read(path.read_text())):
+        try:
+            resolve(dotted)
+        except ImportError:
+            missing.append(dotted)
+    assert not missing, f"perfbench/{path.name} reads {missing}, which the package lacks"

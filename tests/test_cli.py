@@ -31,7 +31,7 @@ from midoppler.segmentation import EnvelopeMask, export_mask
 from midoppler.stats import FIELD_COLUMNS
 from midoppler.synth import AliasBand, Dropout, Spike, SynthParams, generate_synthetic, write_truth_csv
 
-from conftest import alias_band_only, picture_mask
+from conftest import alias_band_only, checkerboard_region, picture_mask
 
 
 needs_fork = pytest.mark.skipif(
@@ -168,6 +168,32 @@ def test_synth_malformed_artifact_is_one_error_line(tmp_path, capsys, flag, valu
     assert captured.err.startswith("error: bad artifact or parameter syntax")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, params_text, name",
+    [
+        (["--e", "nan"], None, "e_velocity"),
+        (["--a", "nan"], None, "a_velocity"),
+        (["--dt", "inf"], None, "dt"),
+        ([], "e_rise_ms = nan\n", "e_rise_ms"),
+        ([], "a_half_ms = nan\n", "a_half_ms"),
+        ([], "lead_in_ms = inf\n", "lead_in_ms"),
+        ([], "e_peak_frac = nan\n", "e_peak_frac"),
+    ],
+    ids=["e-flag", "a-flag", "dt-flag", "e-rise-file", "a-half-file", "lead-in-file", "e-peak-frac-file"],
+)
+def test_synth_non_finite_parameter_is_one_error_line(tmp_path, capsys, flags, params_text, name):
+    if params_text is not None:
+        (tmp_path / "params.txt").write_text(params_text)
+        flags = ["--params", str(tmp_path / "params.txt")]
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be finite")
+    assert captured.err.count("\n") == 1
+    assert not list(out.glob("*.ppm"))
 
 
 # analyze ---------------------------------------------------------------------
@@ -501,6 +527,18 @@ def test_empty_flow_side_is_one_trace_error_and_the_batch_goes_on(tmp_path, caps
     assert not (tmp_path / "band_only.measurements.csv").exists()
 
 
+def test_specks_the_opening_removes_are_one_segmentation_error(tmp_path, capsys):
+    image, manifest = checkerboard_region()
+    specks = tmp_path / "specks.ppm"
+    save_image(specks, image)
+    save_manifest(tmp_path / "specks.manifest", manifest)
+    assert main(["analyze", str(specks)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{specks}: error: segmentation: no foreground remains after cleanup\n"
+    assert not (tmp_path / "specks.measurements.csv").exists()
+
+
 def test_analyze_dump_ecg(tmp_path):
     make_study(tmp_path)
     assert main(["analyze", str(tmp_path), "--dump-ecg"]) == 0
@@ -633,6 +671,46 @@ def test_agree_per_patient_collapses_beats(tmp_path, capsys):
     assert lines[1].split(",")[1] == "2"  # n = 2 studies
 
 
+MEASUREMENT_HEADER = "beat,e_mps,a_mps,ea_ratio,dt_ms,e_time_ms,a_time_ms,flags\n"
+
+
+def write_beats(directory, beats):
+    """directory/s.measurements.csv holding the given beat numbers."""
+    directory.mkdir()
+    rows = "".join(
+        f"{b},{0.5 + 0.1 * b:.1f},0.5,1.6,{170 + 5 * b}.0,{800 * b}.0,{800 * b + 400}.0,\n" for b in beats
+    )
+    (directory / "s.measurements.csv").write_text(MEASUREMENT_HEADER + rows)
+    return str(directory)
+
+
+def test_agree_counts_each_unpaired_key_once(tmp_path, capsys):
+    a = write_beats(tmp_path / "a", (1, 2, 3))
+    b = write_beats(tmp_path / "b", (1, 2))
+    assert main(["agree", a, b]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(",")[:2] for line in captured.out.splitlines()[1:]] == [["E", "2"], ["DT", "2"]]
+    assert "note: 1 unpaired keys dropped" in captured.err
+    # per patient, both sides are the one study s
+    main(["agree", a, b, "--per-patient"])
+    assert "unpaired" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "series_b, flags, message",
+    [("empty", [], "no CSV files found"), ("full", ["--fields", "E,X"], "unknown field 'X'")],
+    ids=["empty-directory", "unknown-field"],
+)
+def test_agree_usage_faults_are_one_error_line(tmp_path, capsys, series_b, flags, message):
+    full = write_beats(tmp_path / "full", (1, 2, 3))
+    (tmp_path / "empty").mkdir()
+    assert main(["agree", full, str(tmp_path / series_b), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 # overlay ---------------------------------------------------------------------
 
 
@@ -744,6 +822,18 @@ def test_rejected_pipeline_value_is_a_usage_error(tmp_path, capsys, command, fla
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.measurements.csv")) and not list(tmp_path.glob("*.overlay.ppm"))
+
+
+@pytest.mark.parametrize("command", ["analyze", "overlay"])
+def test_fractional_component_area_is_a_usage_error(tmp_path, capsys, command):
+    make_study(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "study_0000.ppm"), "--min-component-area", "24.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --min-component-area: invalid int value: '24.5'" in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.measurements.csv")) and not list(tmp_path.glob("*.overlay.ppm"))
 

@@ -193,6 +193,27 @@ def test_manifest_ecg_tolerance_range_ends():
             validate_manifest(replace(make_manifest(), ecg_color_tolerance=value))
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("time_scale = abc", "key 'time_scale': expected a number, got 'abc'"),
+        ("baseline_row = 5.5", "key 'baseline_row': expected an integer, got '5.5'"),
+        ("flow_above_baseline = yes", "key 'flow_above_baseline': expected true/false, got 'yes'"),
+        ("spectral_region = 500, 20, 10, 450", "spectral_region corners are not ordered: (500, 20, 10, 450)"),
+        ("ecg_region = -1, 470, 500, 520", "ecg_region has negative coordinates: (-1, 470, 500, 520)"),
+        ("ecg_color = 0, 256, 0", "ecg_color channel out of range: (0, 256, 0)"),
+    ],
+    ids=["non-numeric", "non-integer", "non-boolean", "unordered", "negative", "channel-256"],
+)
+def test_manifest_bad_value_names_the_key(tmp_path, line, message):
+    key = line.split(" = ")[0]
+    text = "\n".join(line if l.startswith(f"{key} =") else l for l in MANIFEST_TEXT.splitlines())
+    assert text != MANIFEST_TEXT.rstrip("\n")
+    with pytest.raises(ManifestError) as exc:
+        load_manifest(write_manifest(tmp_path, text))
+    assert str(exc.value) == message
+
+
 def test_manifest_unknown_key_rejected(tmp_path):
     with pytest.raises(ManifestError, match="unknown manifest key"):
         load_manifest(write_manifest(tmp_path, MANIFEST_TEXT + "gain = 3\n"))

@@ -32,7 +32,7 @@ from midoppler.synth import (
     generate_synthetic,
 )
 
-from conftest import alias_band_only, make_manifest, make_trace, picture_mask
+from conftest import alias_band_only, checkerboard_region, make_manifest, make_trace, picture_mask
 
 RAW_PARAMS = SegmentationParams(median_window=1, open_radius=0, min_component_area=0)
 
@@ -41,6 +41,16 @@ def test_all_black_region_is_zero_foreground_error(manifest):
     image = RasterImage(np.zeros((150, 200), np.uint8)[..., None].repeat(3, axis=2))
     with pytest.raises(SegmentationError, match="zero foreground"):
         segment_envelope_threshold(image, manifest)
+
+
+def test_specks_the_opening_removes_leave_no_foreground():
+    image, manifest = checkerboard_region()
+    # the threshold keeps the bright half of the specks, the opening none
+    kept = segment_envelope_threshold(image, manifest, SegmentationParams(open_radius=0))
+    assert kept.cells.sum() * 2 == kept.cells.size
+    with pytest.raises(SegmentationError) as exc:
+        measure_study(image, manifest)
+    assert str(exc.value) == "segmentation: no foreground remains after cleanup"
 
 
 def test_synthetic_segmentation_iou():

@@ -1,5 +1,8 @@
 """Synthetic study generator: determinism, ground-truth consistency, geometry."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -66,10 +69,7 @@ def test_analytic_mask_equals_thresholded_rendering():
     mask = segment_envelope_threshold(
         image,
         manifest,
-        SegmentationParams(
-            median_window=1, threshold_mode="fixed", fixed_threshold=128,
-            open_radius=0, min_component_area=0,
-        ),
+        SegmentationParams(median_window=1, open_radius=0, min_component_area=0),
     )
     b = manifest.baseline_row - manifest.spectral_region[1]
     # the flow side is the analytic mask; the far side holds only the
@@ -79,6 +79,16 @@ def test_analytic_mask_equals_thresholded_rendering():
     far = mask.cells[b + 1:]
     assert far[:2].all()
     assert not far[2:].any()
+
+
+FLOAT_FIELDS = [f.name for f in fields(SynthParams) if f.type in (float, float | None)]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_parameter_is_a_generation_error_naming_it(name):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GenerationError, match=f"^{name} must be finite, got {value}$"):
+            generate_synthetic(SynthParams(**{name: value}))
 
 
 def test_wave_overlap_raises_generation_error():
