@@ -1,0 +1,103 @@
+"""Golden bytes: `analyze` and `overlay` outputs on fixed synthetic studies.
+
+Each study renders the same bytes on any machine. The classical studies are
+noise-free, so no pixel sits at the Otsu threshold; the noisy studies are
+read through their truth masks, so the float32 luma never decides a pixel.
+The measurement CSVs are pinned verbatim in ``tests/golden/``, the ECG dumps
+and overlay images by sha256 in ``tests/golden/digests.txt``.
+
+A change meant to alter these outputs rewrites them with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from midoppler.cli import main
+from midoppler.ingestion import save_image, save_manifest
+from midoppler.segmentation import EnvelopeMask, export_mask
+from midoppler.synth import AliasBand, Dropout, Spike, SynthParams, corpus_params, generate_synthetic
+
+GOLDEN = Path(__file__).parent / "golden"
+DIGESTS = GOLDEN / "digests.txt"
+
+CLASSICAL = {
+    "plain": SynthParams(),
+    "fused": SynthParams(a_velocity=0.0),
+    "knee": SynthParams(dt_second_slope_fraction=0.4),
+    "hr100": SynthParams(heart_rate=100.0),
+    "artifacts": SynthParams(
+        artifacts=(Spike(650.0, 1.2, 5.0), Dropout(1500.0, 30.0), AliasBand())
+    ),
+}
+MASKED = {
+    f"noisy_{seed}": corpus_params(SynthParams(noise_sigma=0.15), seed) for seed in (1, 2, 3)
+}
+OVERLAID = ("plain", "noisy_1")
+
+
+def study_outputs(name, work: Path) -> dict:
+    """{golden file name: bytes} of one study's `analyze --dump-ecg` run,
+    plus its `overlay` image when the study is in OVERLAID."""
+    image, manifest, truth = generate_synthetic(CLASSICAL.get(name) or MASKED[name])
+    image_path = work / f"{name}.ppm"
+    save_image(image_path, image)
+    save_manifest(work / f"{name}.manifest", manifest)
+    mask_flags = []
+    if name in MASKED:
+        export_mask(work / f"{name}.mask.pgm", EnvelopeMask(truth.mask))
+        mask_flags = ["--mask", str(work / f"{name}.mask.pgm")]
+    out = work / "out"
+    assert main(["analyze", str(image_path), "--dump-ecg", "--out", str(out), *mask_flags]) == 0
+    names = [f"{name}.measurements.csv", f"{name}.ecg.csv"]
+    if name in OVERLAID:
+        overlay_args = ["overlay", str(image_path), "--out", str(out / f"{name}.overlay.ppm")]
+        assert main(overlay_args + mask_flags) == 0
+        names.append(f"{name}.overlay.ppm")
+    return {n: (out / n).read_bytes() for n in names}
+
+
+def pinned(file_name: str) -> bool:
+    """Measurement CSVs are pinned verbatim; everything else by digest."""
+    return file_name.endswith(".measurements.csv")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def read_digests() -> dict:
+    pairs = (line.split() for line in DIGESTS.read_text().splitlines() if line.strip())
+    return {file_name: digest for digest, file_name in pairs}
+
+
+@pytest.mark.parametrize("name", [*CLASSICAL, *MASKED])
+def test_outputs_match_the_golden_bytes(tmp_path, name):
+    digests = read_digests()
+    for file_name, data in study_outputs(name, tmp_path).items():
+        if pinned(file_name):
+            assert data.decode() == (GOLDEN / file_name).read_text(), file_name
+        else:
+            assert sha256(data) == digests[file_name], file_name
+
+
+def write_golden() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in [*CLASSICAL, *MASKED]:
+            work = Path(tmp) / name
+            work.mkdir()
+            for file_name, data in study_outputs(name, work).items():
+                if pinned(file_name):
+                    (GOLDEN / file_name).write_bytes(data)
+                else:
+                    lines.append(f"{sha256(data)}  {file_name}")
+    DIGESTS.write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()
