@@ -500,7 +500,7 @@ def cmd_agree(args) -> int:
         a_map = {k: v[column] for k, v in series_a.items() if column in v}
         b_map = {k: v[column] for k, v in series_b.items() if column in v}
         try:
-            stats, _ = compare(a_map, b_map)
+            stats = compare(a_map, b_map)
         except StatsError as exc:
             print(f"warning: field {name}: {exc}", file=sys.stderr)
             continue

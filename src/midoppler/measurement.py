@@ -52,7 +52,8 @@ CSV_HEADER = "beat,e_mps,a_mps,ea_ratio,dt_ms,e_time_ms,a_time_ms,flags"
 
 @dataclass(frozen=True)
 class FlowPeak:
-    time: float        # ms
+    column: int        # of the trace it was detected on
+    time: float        # ms, column * spacing
     velocity: float    # m/s
     prominence: float  # m/s above the higher flanking minimum
     width: float       # ms at half prominence
@@ -142,10 +143,11 @@ def detect_flow_peaks(trace: EnvelopeTrace, params: PeakParams | None = None):
         raise ValueError("trace is empty")
     if velocities.size < 3:
         return []
-    spacing = trace.spacing()
+    spacing = trace.spacing
     return [
         FlowPeak(
-            time=float(trace.times[i]),
+            column=i,
+            time=i * spacing,
             velocity=float(velocities[i]),
             prominence=prominence,
             width=width * spacing,
@@ -250,26 +252,23 @@ def deceleration_time(
 ) -> DtResult:
     """Slope-change extrapolation of the E-wave descent to the baseline.
 
-    The line starts at (trace.times[e_column], e_velocity), the E apex
-    column and velocity read from the raw trace; the descent is walked on
-    this trace from skip_ms past the apex. The first sample whose absolute
-    discrete second derivative exceeds curvature_threshold becomes the
-    slope-change point; if the trace reaches 5% of the E velocity first,
-    that crossing is used instead and the beat is flagged no_slope_change.
-    Running off the trace before either event yields an absent DT. An apex
-    column outside the trace is a ValueError.
+    The line starts at the E apex column and velocity read from the raw
+    trace; the descent is walked on this trace from skip_ms past the apex.
+    The first sample whose absolute discrete second derivative exceeds
+    curvature_threshold becomes the slope-change point; if the trace
+    reaches 5% of the E velocity first, that crossing is used instead and
+    the beat is flagged no_slope_change. Running off the trace before
+    either event, as a one-column trace does, yields an absent DT flagged
+    no_slope_change. Times are column * trace.spacing. An apex column
+    outside the trace is a ValueError.
     """
     params = params or DtParams()
-    times, velocities = trace.times, trace.velocities
-    n = len(times)
-    if n < 2:
-        raise ValueError("trace too short for DT")
-    spacing = trace.spacing()
+    velocities, spacing = trace.velocities, trace.spacing
+    n = len(velocities)
     if not (0 <= e_column < n):
         raise ValueError("E peak lies outside the trace")
 
     v_peak = float(e_velocity)
-    t_peak = float(times[e_column])
     floor = 0.05 * v_peak
     start = e_column + max(1, math.ceil(params.skip_ms / spacing))
 
@@ -296,27 +295,27 @@ def deceleration_time(
 
     if trace.gap_flags[e_column:stop_idx + 1].any():
         flags.add(FLAG_GAP_IN_DESCENT)
-    t_stop = float(times[stop_idx])
+    t_stop = stop_idx * spacing
     v_stop = float(velocities[stop_idx])
-    if v_stop >= v_peak or t_stop <= t_peak:
+    if v_stop >= v_peak:
         flags.add(FLAG_NO_SLOPE_CHANGE)
         return DtResult(None, t_stop, v_stop, None, frozenset(flags))
 
-    # line through (t_peak, v_peak) and (t_stop, v_stop), intersected with 0
+    # line through (t_peak, v_peak) and the later (t_stop, v_stop), intersected with 0
+    t_peak = e_column * spacing
     crossing = t_peak + v_peak * (t_stop - t_peak) / (v_peak - v_stop)
     return DtResult(crossing - t_peak, t_stop, v_stop, crossing, frozenset(flags))
 
 
 def _refine_peak(raw: EnvelopeTrace, peak: FlowPeak, radius: int) -> int:
-    """Column of the raw trace maximum near a smoothed-trace peak.
+    """Column of the raw trace maximum within radius columns of a
+    smoothed-trace peak's column.
 
     Smoothing clips sharp apexes, so amplitudes are read from the unsmoothed
-    trace within half a smoothing window of the detected position.
+    trace, which shares the smoothed trace's columns.
     """
-    spacing = raw.spacing()
-    idx = int(round((peak.time - raw.times[0]) / spacing))
-    lo = max(0, idx - radius)
-    return lo + int(np.argmax(raw.velocities[lo:idx + radius + 1]))
+    lo = max(0, peak.column - radius)
+    return lo + int(np.argmax(raw.velocities[lo:peak.column + radius + 1]))
 
 
 def measure_beats(
@@ -341,7 +340,7 @@ def measure_beats(
     if len(qrs) < 2 or not peaks:
         return []
     radius = smoothing_columns(peak_params.smooth_window_ms, raw_trace) // 2
-    times, velocities = raw_trace.times, raw_trace.velocities
+    velocities, spacing = raw_trace.velocities, raw_trace.spacing
 
     beats = []
     for e_peak, a_peak in label_beats(peaks, qrs):
@@ -353,7 +352,7 @@ def measure_beats(
             flags = dt.flags | {FLAG_FUSED_EA, FLAG_MISSING_A}
         else:
             a_col = _refine_peak(raw_trace, a_peak, radius)
-            a, a_time = float(velocities[a_col]), float(times[a_col])
+            a, a_time = float(velocities[a_col]), a_col * spacing
             ea_ratio = e / a
             flags = dt.flags
         beats.append(
@@ -362,7 +361,7 @@ def measure_beats(
                 a_velocity=a,
                 ea_ratio=ea_ratio,
                 dt_ms=dt.dt_ms,
-                e_time=float(times[e_col]),
+                e_time=e_col * spacing,
                 a_time=a_time,
                 quality=flags,
                 slope_change_time=dt.slope_change_time,

@@ -43,9 +43,7 @@ def render_overlay(
     x0 = manifest.spectral_region[0]
 
     cols = x0 + np.arange(len(trace.velocities))
-    rows = np.round(
-        [velocity_to_row(v, manifest) for v in trace.velocities]
-    ).astype(np.int64)
+    rows = np.round(velocity_to_row(trace.velocities, manifest)).astype(np.int64)
     keep = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
     pixels[rows[keep], cols[keep]] = BORDER_COLOR
 

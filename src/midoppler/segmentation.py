@@ -57,21 +57,16 @@ class EnvelopeMask:
 
 @dataclass
 class EnvelopeTrace:
-    """Per-column envelope velocity; gap_flags marks interpolated columns."""
+    """Envelope velocity per spectral column, column i lying i * spacing ms
+    from the spectral left edge; gap_flags marks interpolated columns."""
 
-    times: np.ndarray      # ms from spectral left edge, strictly increasing
     velocities: np.ndarray  # m/s, >= 0
     gap_flags: np.ndarray   # bool
+    spacing: float          # ms per column (the manifest's time_scale)
 
     def __post_init__(self):
-        if not (len(self.times) == len(self.velocities) == len(self.gap_flags)):
+        if len(self.velocities) != len(self.gap_flags):
             raise ValueError("trace arrays must have equal length")
-
-    def spacing(self) -> float:
-        """Column spacing in ms (traces are uniformly sampled)."""
-        if len(self.times) < 2:
-            raise ValueError("trace has fewer than two samples")
-        return float(self.times[1] - self.times[0])
 
 
 def _region_slice(manifest: CalibrationManifest):
@@ -88,7 +83,8 @@ def otsu_threshold(gray: np.ndarray) -> int:
     """Two-class between-class variance maximization on a 0..255 histogram.
 
     gray must lie in [0, 255], as the luma of uint8 RGB does. Returns the
-    lowest maximizing threshold t; foreground is gray > t.
+    lowest maximizing threshold t; foreground is gray > t. A single gray
+    level, which no threshold splits, is a SegmentationError naming it.
     """
     levels = np.rint(gray).astype(np.uint8)
     hist = np.bincount(levels.ravel(), minlength=256).astype(np.float64)
@@ -97,6 +93,10 @@ def otsu_threshold(gray: np.ndarray) -> int:
     moments = np.cumsum(hist * np.arange(256))
     w1 = total - w0
     valid = (w0 > 0) & (w1 > 0)
+    if not valid.any():
+        raise SegmentationError(
+            f"spectral region is one gray level ({int(np.argmax(hist))}); no threshold splits it"
+        )
     mu0 = np.divide(moments, w0, out=np.zeros(256), where=w0 > 0)
     mu1 = np.divide(moments[-1] - moments, w1, out=np.zeros(256), where=w1 > 0)
     between = np.where(valid, w0 * w1 * (mu0 - mu1) ** 2, -1.0)
@@ -122,11 +122,7 @@ def segment_envelope_threshold(
     gray = region.astype(np.float32) @ _LUMA
     gray = kernels.column_median(gray, params.median_window)
 
-    threshold = otsu_threshold(gray)
-    foreground = gray > threshold
-    if not foreground.any():
-        raise SegmentationError(f"threshold {threshold} produced zero foreground pixels")
-
+    foreground = gray > otsu_threshold(gray)
     foreground = kernels.vertical_opening(foreground, params.open_radius)
     foreground = kernels.remove_small_components(foreground, params.min_component_area)
     if not foreground.any():
@@ -194,20 +190,19 @@ def mask_to_trace(mask: EnvelopeMask, manifest: CalibrationManifest) -> Envelope
     measured = np.nonzero(has)[0]
     velocities = (flow_side.shape[0] - 1 - outer[measured]) * manifest.velocity_scale
     full = np.interp(cols, measured, velocities)
-    times = cols * manifest.time_scale
-    return EnvelopeTrace(times=times.astype(np.float64), velocities=full, gap_flags=~has)
+    return EnvelopeTrace(full, ~has, manifest.time_scale)
 
 
 def smooth_trace(trace: EnvelopeTrace, window_ms: float) -> EnvelopeTrace:
     """Centered moving average over window_ms rounded to an odd column count.
 
     Windows are clipped at the trace edges, so a window wider than the trace
-    degrades to the global mean. Time stamps and gap flags pass through.
+    degrades to the global mean. Gap flags and spacing pass through.
     """
     check_smoothing_window(window_ms)
     cols = smoothing_columns(window_ms, trace)
     if cols == 1:
-        return EnvelopeTrace(trace.times.copy(), trace.velocities.copy(), trace.gap_flags.copy())
+        return EnvelopeTrace(trace.velocities.copy(), trace.gap_flags.copy(), trace.spacing)
     n = len(trace.velocities)
     half = cols // 2
     sums = np.concatenate(([0.0], np.cumsum(trace.velocities)))
@@ -215,7 +210,7 @@ def smooth_trace(trace: EnvelopeTrace, window_ms: float) -> EnvelopeTrace:
     lo = np.clip(idx - half, 0, n)
     hi = np.clip(idx + half + 1, 0, n)
     smoothed = np.maximum((sums[hi] - sums[lo]) / (hi - lo), 0.0)
-    return EnvelopeTrace(trace.times.copy(), smoothed, trace.gap_flags.copy())
+    return EnvelopeTrace(smoothed, trace.gap_flags.copy(), trace.spacing)
 
 
 def check_smoothing_window(window_ms: float) -> None:
@@ -229,13 +224,10 @@ def smoothing_columns(window_ms: float, trace: EnvelopeTrace) -> int:
 
     At most 2n + 1 for a trace of n columns: a centred window that wide
     already covers the whole trace from any column, and the cap keeps the
-    count finite when window_ms / spacing overflows. A trace of fewer than
-    two columns has no spacing and gets one column.
+    count finite when window_ms / spacing overflows.
     """
     n = len(trace.velocities)
-    if n < 2:
-        return 1
-    ratio = window_ms / trace.spacing()
+    ratio = window_ms / trace.spacing
     if ratio >= 2 * n + 1:
         return 2 * n + 1
     cols = max(1, int(round(ratio)))

@@ -72,13 +72,11 @@ def r_squared(a, b) -> float:
 
 
 def compare(a_by_key, b_by_key):
-    """Pair two {key: value} series and compute all agreement statistics.
+    """AgreementStats of two {key: value} series, paired by key.
 
-    Keys missing on either side are dropped; the count of dropped keys is
-    returned alongside the stats.
+    Keys missing on either side are dropped.
     """
     common = sorted(set(a_by_key) & set(b_by_key))
-    dropped = (len(a_by_key) - len(common)) + (len(b_by_key) - len(common))
     if not common:
         raise StatsError("no overlapping keys between the two series")
     a = np.array([a_by_key[k] for k in common], dtype=np.float64)
@@ -86,16 +84,16 @@ def compare(a_by_key, b_by_key):
     if len(common) < 2:
         raise StatsError(f"need at least 2 overlapping keys, got {len(common)}")
     bias, sd, lo, hi = bland_altman(a, b)
-    stats = AgreementStats(
+    r = pearson(a, b)
+    return AgreementStats(
         n=len(common),
         bias=bias,
         sd=sd,
         loa_low=lo,
         loa_high=hi,
-        pearson_r=pearson(a, b),
-        r_squared=r_squared(a, b),
+        pearson_r=r,
+        r_squared=r ** 2,
     )
-    return stats, dropped
 
 
 def agreement_csv_text(rows) -> str:

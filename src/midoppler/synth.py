@@ -97,10 +97,14 @@ class _BeatGeometry:
 
 def _validate(params: SynthParams) -> None:
     # NaN passes every comparison below, and inf breaks the pixel geometry
-    for field in fields(params):
-        value = getattr(params, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise GenerationError(f"{field.name} must be finite, got {value}")
+    for owner in (params, *params.artifacts):
+        prefix = "" if owner is params else f"{type(owner).__name__} "
+        for field in fields(owner):
+            value = getattr(owner, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise GenerationError(f"{prefix}{field.name} must be finite, got {value}")
+        if isinstance(owner, (Spike, Dropout)) and owner.width_ms <= 0:
+            raise GenerationError(f"{prefix}width_ms must be positive, got {owner.width_ms}")
     if params.e_velocity <= 0:
         raise GenerationError(f"e_velocity must be positive, got {params.e_velocity}")
     if params.a_velocity < 0:

@@ -28,12 +28,11 @@ def make_manifest(**overrides) -> CalibrationManifest:
     return CalibrationManifest(**values)
 
 
-def make_trace(velocities, spacing_ms=2.5, t0=0.0, gaps=None) -> EnvelopeTrace:
+def make_trace(velocities, spacing_ms=2.5, gaps=None) -> EnvelopeTrace:
     velocities = np.asarray(velocities, dtype=np.float64)
-    times = t0 + spacing_ms * np.arange(len(velocities))
     if gaps is None:
         gaps = np.zeros(len(velocities), dtype=bool)
-    return EnvelopeTrace(times=times, velocities=velocities, gap_flags=np.asarray(gaps, bool))
+    return EnvelopeTrace(velocities=velocities, gap_flags=np.asarray(gaps, bool), spacing=spacing_ms)
 
 
 def measure_trace(trace, qrs):
@@ -63,6 +62,15 @@ def alias_band_only(seed=25):
     pixels = image.pixels.copy()
     # the flow side and the two baseline band rows just past the baseline
     pixels[y0:manifest.baseline_row + 3, x0:x1 + 1] = BACKGROUND_INTENSITY
+    return RasterImage(pixels), manifest
+
+
+def one_level_region(level):
+    """A small study whose spectral region is filled with one gray level."""
+    image, manifest, _ = generate_synthetic(SynthParams(width=400, height=480, n_beats=2))
+    x0, y0, x1, y1 = manifest.spectral_region
+    pixels = image.pixels.copy()
+    pixels[y0:y1 + 1, x0:x1 + 1] = level
     return RasterImage(pixels), manifest
 
 

@@ -31,7 +31,7 @@ from midoppler.segmentation import EnvelopeMask, export_mask
 from midoppler.stats import FIELD_COLUMNS
 from midoppler.synth import AliasBand, Dropout, Spike, SynthParams, generate_synthetic, write_truth_csv
 
-from conftest import alias_band_only, checkerboard_region, picture_mask
+from conftest import alias_band_only, checkerboard_region, one_level_region, picture_mask
 
 
 needs_fork = pytest.mark.skipif(
@@ -194,6 +194,23 @@ def test_synth_non_finite_parameter_is_one_error_line(tmp_path, capsys, flags, p
     assert captured.err.startswith(f"error: {name} must be finite")
     assert captured.err.count("\n") == 1
     assert not list(out.glob("*.ppm"))
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--dropout", "500,inf", "Dropout width_ms must be finite, got inf"),
+        ("--spike", "nan,1.2,5", "Spike time_ms must be finite, got nan"),
+        ("--spike", "500,1.0,-5", "Spike width_ms must be positive, got -5.0"),
+    ],
+)
+def test_synth_invalid_artifact_is_one_error_line(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not list(out.glob("*"))
 
 
 # analyze ---------------------------------------------------------------------
@@ -537,6 +554,22 @@ def test_specks_the_opening_removes_are_one_segmentation_error(tmp_path, capsys)
     assert captured.out == ""
     assert captured.err == f"{specks}: error: segmentation: no foreground remains after cleanup\n"
     assert not (tmp_path / "specks.measurements.csv").exists()
+
+
+@pytest.mark.parametrize("level", [12, 205])
+def test_one_gray_level_region_is_one_segmentation_error(tmp_path, capsys, level):
+    image, manifest = one_level_region(level)
+    flat = tmp_path / "flat.ppm"
+    save_image(flat, image)
+    save_manifest(tmp_path / "flat.manifest", manifest)
+    assert main(["analyze", str(flat)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{flat}: error: segmentation: spectral region is one gray level ({level}); "
+        "no threshold splits it\n"
+    )
+    assert not (tmp_path / "flat.measurements.csv").exists()
 
 
 def test_analyze_dump_ecg(tmp_path):

@@ -16,6 +16,7 @@ from midoppler.measurement import (
     FLAG_MISSING_A,
     FLAG_NO_SLOPE_CHANGE,
     BeatMeasurement,
+    DtResult,
     FlowPeak,
     PeakParams,
     deceleration_time,
@@ -39,7 +40,13 @@ def grid(n):
 
 
 def peak(time, velocity, prominence=None, width=60.0):
-    return FlowPeak(time=time, velocity=velocity, prominence=prominence or velocity, width=width)
+    return FlowPeak(
+        column=round(time / SPACING),
+        time=time,
+        velocity=velocity,
+        prominence=prominence or velocity,
+        width=width,
+    )
 
 
 def beat(e=0.8, a=0.5, dt=180.0, flags=()):
@@ -98,6 +105,17 @@ def test_peaks_invariant_under_narrow_spikes():
         v = np.maximum(base, triangle(times, center, float(rng.uniform(2.0, 10.0)), 1.4))
         got = [(p.time, round(p.velocity, 6)) for p in detect_flow_peaks(make_trace(v))]
         assert got == reference
+
+
+def test_peaks_carry_their_column():
+    spacing = 3.7
+    times = spacing * np.arange(300)
+    v = triangle(times, 250.0, 80.0, 0.8) + triangle(times, 700.0, 70.0, 0.6)
+    peaks = detect_flow_peaks(make_trace(v, spacing_ms=spacing))
+    assert len(peaks) == 2
+    for p in peaks:
+        assert p.time == p.column * spacing
+        assert p.velocity == v[p.column]
 
 
 def test_empty_trace_rejected():
@@ -238,6 +256,11 @@ def test_dt_gap_in_descent_flagged():
     assert FLAG_GAP_IN_DESCENT in result.flags
 
 
+def test_dt_on_a_one_column_trace_is_absent():
+    result = deceleration_time(make_trace([0.8]), 0, 0.8)
+    assert result == DtResult(None, None, None, None, frozenset({FLAG_NO_SLOPE_CHANGE}))
+
+
 def test_dt_peak_off_trace_rejected():
     for column in (-1, 50):
         with pytest.raises(ValueError):
@@ -289,18 +312,23 @@ def test_ea_ratio_scale_invariance():
 
 
 def test_time_translation_shifts_times_only():
+    # k zero-velocity columns ahead of the flow move every beat k columns later
     trace, qrs = ea_trace()
     base = measure_trace(trace, qrs)
-    offset = 500.0
-    shifted_trace = make_trace(trace.velocities, t0=offset)
+    k = 200
+    offset = k * SPACING
+    shifted_trace = make_trace(np.concatenate([np.zeros(k), trace.velocities]))
     shifted_qrs = QrsMarks(times=qrs.times + offset)
     shifted = measure_trace(shifted_trace, shifted_qrs)
-    assert len(base) == len(shifted)
+    assert len(base) == len(shifted) == 2
     for d0, d1 in zip(base, shifted):
-        assert d1.e_velocity == d0.e_velocity
-        assert d1.ea_ratio == d0.ea_ratio
+        assert (d1.e_velocity, d1.a_velocity, d1.ea_ratio) == (d0.e_velocity, d0.a_velocity, d0.ea_ratio)
         assert d1.dt_ms == pytest.approx(d0.dt_ms, abs=1e-9)
-        assert d1.e_time == pytest.approx(d0.e_time + offset, abs=1e-9)
+        assert d1.slope_change_velocity == d0.slope_change_velocity
+        assert d1.e_time == d0.e_time + offset
+        assert d1.a_time == d0.a_time + offset
+        assert d1.slope_change_time == d0.slope_change_time + offset
+        assert d1.crossing_time == pytest.approx(d0.crossing_time + offset, abs=1e-9)
 
 
 def test_measure_beats_without_marks_is_empty():
@@ -388,7 +416,7 @@ def test_beats_carry_their_dt_geometry():
     run = measure_study(image, manifest)
     assert run.n_beats == 3
     for b in run.beats:
-        e_column = round((b.e_time - run.smoothed.times[0]) / run.smoothed.spacing())
+        e_column = round(b.e_time / run.smoothed.spacing)
         dt = deceleration_time(run.smoothed, e_column, b.e_velocity)
         assert (b.dt_ms, b.slope_change_time, b.slope_change_velocity, b.crossing_time) == (
             dt.dt_ms, dt.slope_change_time, dt.slope_change_velocity, dt.crossing_time

@@ -25,6 +25,7 @@ from midoppler.segmentation import (
 )
 from midoppler.synth import (
     BACKGROUND_INTENSITY,
+    ENVELOPE_INTENSITY,
     AliasBand,
     Dropout,
     SynthParams,
@@ -32,14 +33,29 @@ from midoppler.synth import (
     generate_synthetic,
 )
 
-from conftest import alias_band_only, checkerboard_region, make_manifest, make_trace, picture_mask
+from conftest import (
+    alias_band_only,
+    checkerboard_region,
+    make_manifest,
+    make_trace,
+    one_level_region,
+    picture_mask,
+)
 
 RAW_PARAMS = SegmentationParams(median_window=1, open_radius=0, min_component_area=0)
 
 
 def test_all_black_region_is_zero_foreground_error(manifest):
     image = RasterImage(np.zeros((150, 200), np.uint8)[..., None].repeat(3, axis=2))
-    with pytest.raises(SegmentationError, match="zero foreground"):
+    with pytest.raises(SegmentationError, match=r"one gray level \(0\)"):
+        segment_envelope_threshold(image, manifest)
+
+
+@pytest.mark.parametrize("level", [BACKGROUND_INTENSITY, ENVELOPE_INTENSITY])
+def test_one_gray_level_region_is_a_segmentation_error(level):
+    image, manifest = one_level_region(level)
+    message = rf"^spectral region is one gray level \({level}\); no threshold splits it$"
+    with pytest.raises(SegmentationError, match=message):
         segment_envelope_threshold(image, manifest)
 
 
@@ -146,7 +162,12 @@ def gray_frames(draw):
 @settings(max_examples=300, deadline=None)
 @given(gray_frames())
 def test_otsu_threshold_matches_clipped_rounding(gray):
-    assert otsu_threshold(gray) == clipped_otsu(gray)
+    levels = np.unique(np.clip(np.round(gray), 0, 255).astype(np.uint8))
+    if len(levels) == 1:  # no threshold leaves pixels on both sides
+        with pytest.raises(SegmentationError, match=rf"one gray level \({levels[0]}\)"):
+            otsu_threshold(gray)
+    else:
+        assert otsu_threshold(gray) == clipped_otsu(gray)
 
 
 def test_luma_of_uint8_rgb_stays_in_byte_range():
@@ -257,7 +278,7 @@ def test_below_baseline_flow_measures_as_its_mirror(tmp_path, seed, artifacts, g
         searched = mask_to_trace(EnvelopeMask(study.mask.cells), study_manifest)
         assert np.array_equal(searched.velocities, study.trace.velocities)
         assert np.array_equal(searched.gap_flags, study.trace.gap_flags)
-        assert np.array_equal(searched.times, study.trace.times)
+        assert searched.spacing == study.trace.spacing == study_manifest.time_scale
     # the imported route: the mirrored truth mask measures as the unmirrored one
     export_mask(tmp_path / "up.pgm", EnvelopeMask(truth.mask))
     export_mask(tmp_path / "down.pgm", EnvelopeMask(truth.mask[::-1]))
@@ -310,7 +331,7 @@ def test_smooth_constant_trace_is_identity():
     trace = make_trace(np.full(80, 0.42))
     out = smooth_trace(trace, 15.0)
     assert np.allclose(out.velocities, 0.42)
-    assert np.array_equal(out.times, trace.times)
+    assert out.spacing == trace.spacing
 
 
 def test_smooth_impulse_spreads_to_thirds():
@@ -334,7 +355,7 @@ def test_smooth_preserves_length_times_and_gaps():
     trace = make_trace(np.linspace(0, 1, 60), gaps=gaps)
     out = smooth_trace(trace, 50.0)
     assert len(out.velocities) == 60
-    assert np.array_equal(out.times, trace.times)
+    assert out.spacing == trace.spacing
     assert np.array_equal(out.gap_flags, gaps)
 
 

@@ -82,8 +82,7 @@ def test_pearson_invariant_under_positive_affine_maps():
 
 def test_compare_self_is_perfect_agreement():
     series = {("s", i): float(v) for i, v in enumerate([0.5, 0.8, 1.1, 0.9])}
-    stats, dropped = compare(series, dict(series))
-    assert dropped == 0
+    stats = compare(series, dict(series))
     assert stats.n == 4
     assert stats.bias == 0.0
     assert stats.pearson_r == pytest.approx(1.0)
@@ -93,7 +92,7 @@ def test_compare_self_is_perfect_agreement():
 def test_compare_constant_shift_mirrors_systematic_bias():
     base = {i: float(v) for i, v in enumerate([0.4, 0.8, 1.2, 0.6, 1.0])}
     shifted = {k: v + 0.06 for k, v in base.items()}
-    stats, _ = compare(shifted, base)
+    stats = compare(shifted, base)
     assert stats.bias == pytest.approx(0.06)
     assert stats.sd == pytest.approx(0.0, abs=1e-12)
     assert stats.pearson_r == pytest.approx(1.0)
@@ -102,9 +101,8 @@ def test_compare_constant_shift_mirrors_systematic_bias():
 def test_compare_counts_dropped_keys():
     a = {1: 0.5, 2: 0.7, 3: 0.9, 4: 1.0}
     b = {2: 0.6, 3: 0.8, 5: 1.1}
-    stats, dropped = compare(a, b)
-    assert stats.n == 2
-    assert dropped == 3  # keys 1, 4 from a and 5 from b
+    stats = compare(a, b)
+    assert stats.n == 2  # keys 1, 4 from a and 5 from b are dropped
 
 
 def test_compare_disjoint_keys_rejected():
@@ -114,7 +112,7 @@ def test_compare_disjoint_keys_rejected():
 
 def test_agreement_csv_layout():
     series = {i: float(i) * 0.3 for i in range(5)}
-    stats, _ = compare(series, series)
+    stats = compare(series, series)
     text = agreement_csv_text([("E", stats)])
     lines = text.strip().splitlines()
     assert lines[0] == "field,n,bias,sd,loa_low,loa_high,pearson_r,r_squared"

@@ -1,6 +1,7 @@
 """Synthetic study generator: determinism, ground-truth consistency, geometry."""
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -89,6 +90,24 @@ def test_non_finite_parameter_is_a_generation_error_naming_it(name):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(GenerationError, match=f"^{name} must be finite, got {value}$"):
             generate_synthetic(SynthParams(**{name: value}))
+
+
+@pytest.mark.parametrize(
+    "artifact, message",
+    [
+        (Spike(math.nan, 1.2, 5.0), "Spike time_ms must be finite, got nan"),
+        (Spike(500.0, math.inf, 5.0), "Spike velocity must be finite, got inf"),
+        (Spike(500.0, 1.0, -math.inf), "Spike width_ms must be finite, got -inf"),
+        (Spike(500.0, 1.0, -5.0), "Spike width_ms must be positive, got -5.0"),
+        (Dropout(-math.inf, 30.0), "Dropout time_ms must be finite, got -inf"),
+        (Dropout(500.0, math.nan), "Dropout width_ms must be finite, got nan"),
+        (Dropout(500.0, 0.0), "Dropout width_ms must be positive, got 0.0"),
+    ],
+)
+def test_invalid_artifact_is_a_generation_error_naming_it(artifact, message):
+    params = SynthParams(artifacts=(AliasBand(), artifact))
+    with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
+        generate_synthetic(params)
 
 
 def test_wave_overlap_raises_generation_error():
