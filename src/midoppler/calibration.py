@@ -9,7 +9,8 @@ from .ingestion import CalibrationManifest
 
 
 def velocity_to_row(velocity: float, manifest: CalibrationManifest) -> float:
-    """Float pixel row of a velocity in m/s (positive on the flow side)."""
+    """Float pixel row of a velocity in m/s (positive on the flow side);
+    elementwise on an array of velocities."""
     if not manifest.flow_above_baseline:
         velocity = -velocity
     return manifest.baseline_row - velocity / manifest.velocity_scale

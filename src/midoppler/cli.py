@@ -403,9 +403,9 @@ def cmd_synth(args) -> int:
             values.update(_params_from_file(args.params))
         params = SynthParams(artifacts=_parse_artifacts(args), **values)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for seed in range(params.seed, params.seed + args.n):
             image, manifest, truth = generate_synthetic(replace(params, seed=seed))
+            out_dir.mkdir(parents=True, exist_ok=True)
             image_path, manifest_path, truth_path = (
                 out_dir / f"study_{seed:04d}{suffix}" for suffix in (".ppm", ".manifest", ".truth.csv")
             )

@@ -210,7 +210,7 @@ def test_synth_invalid_artifact_is_one_error_line(tmp_path, capsys, flag, value,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 # analyze ---------------------------------------------------------------------
