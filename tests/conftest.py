@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,17 @@ def alias_band_only(seed=25):
     # the flow side and the two baseline band rows just past the baseline
     pixels[y0:manifest.baseline_row + 3, x0:x1 + 1] = BACKGROUND_INTENSITY
     return RasterImage(pixels), manifest
+
+
+def mirrored(image, manifest):
+    """The study with its spectral rows flipped, so the flow lies below the baseline."""
+    x0, y0, x1, y1 = manifest.spectral_region
+    pixels = image.pixels.copy()
+    pixels[y0:y1 + 1, x0:x1 + 1] = pixels[y0:y1 + 1, x0:x1 + 1][::-1]
+    flipped = replace(
+        manifest, flow_above_baseline=False, baseline_row=y0 + y1 - manifest.baseline_row
+    )
+    return RasterImage(pixels), flipped
 
 
 def one_level_region(level):

@@ -3,8 +3,10 @@
 Each study renders the same bytes on any machine. The classical studies are
 noise-free, so no pixel sits at the Otsu threshold; the noisy studies are
 read through their truth masks, so the float32 luma never decides a pixel.
-The measurement CSVs are pinned verbatim in ``tests/golden/``, the ECG dumps
-and overlay images by sha256 in ``tests/golden/digests.txt``.
+Two classical studies run at a wider median window with no opening, and one
+is row-mirrored so its flow lies below the baseline. The measurement CSVs are
+pinned verbatim in ``tests/golden/``, the ECG dumps and overlay images by
+sha256 in ``tests/golden/digests.txt``.
 
 A change meant to alter these outputs rewrites them with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -21,28 +23,37 @@ from midoppler.ingestion import save_image, save_manifest
 from midoppler.segmentation import EnvelopeMask, export_mask
 from midoppler.synth import AliasBand, Dropout, Spike, SynthParams, corpus_params, generate_synthetic
 
+from conftest import mirrored
+
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "digests.txt"
 
+ARTIFACTS = (Spike(650.0, 1.2, 5.0), Dropout(1500.0, 30.0), AliasBand())
 CLASSICAL = {
     "plain": SynthParams(),
     "fused": SynthParams(a_velocity=0.0),
     "knee": SynthParams(dt_second_slope_fraction=0.4),
     "hr100": SynthParams(heart_rate=100.0),
-    "artifacts": SynthParams(
-        artifacts=(Spike(650.0, 1.2, 5.0), Dropout(1500.0, 30.0), AliasBand())
-    ),
+    "artifacts": SynthParams(artifacts=ARTIFACTS),
+    "window5_hr100": SynthParams(heart_rate=100.0),
+    "window5_artifacts": SynthParams(artifacts=ARTIFACTS),
+    "below_artifacts": SynthParams(artifacts=ARTIFACTS),
 }
+WINDOW5 = ["--median-window", "5", "--open-radius", "0", "--min-component-area", "60"]
+ANALYZE_FLAGS = {"window5_hr100": WINDOW5, "window5_artifacts": WINDOW5}
+MIRRORED = ("below_artifacts",)
 MASKED = {
     f"noisy_{seed}": corpus_params(SynthParams(noise_sigma=0.15), seed) for seed in (1, 2, 3)
 }
-OVERLAID = ("plain", "noisy_1")
+OVERLAID = ("plain", "noisy_1", "below_artifacts")
 
 
 def study_outputs(name, work: Path) -> dict:
     """{golden file name: bytes} of one study's `analyze --dump-ecg` run,
     plus its `overlay` image when the study is in OVERLAID."""
     image, manifest, truth = generate_synthetic(CLASSICAL.get(name) or MASKED[name])
+    if name in MIRRORED:
+        image, manifest = mirrored(image, manifest)
     image_path = work / f"{name}.ppm"
     save_image(image_path, image)
     save_manifest(work / f"{name}.manifest", manifest)
@@ -51,7 +62,8 @@ def study_outputs(name, work: Path) -> dict:
         export_mask(work / f"{name}.mask.pgm", EnvelopeMask(truth.mask))
         mask_flags = ["--mask", str(work / f"{name}.mask.pgm")]
     out = work / "out"
-    assert main(["analyze", str(image_path), "--dump-ecg", "--out", str(out), *mask_flags]) == 0
+    analyze_args = ["analyze", str(image_path), "--dump-ecg", "--out", str(out)]
+    assert main(analyze_args + ANALYZE_FLAGS.get(name, []) + mask_flags) == 0
     names = [f"{name}.measurements.csv", f"{name}.ecg.csv"]
     if name in OVERLAID:
         overlay_args = ["overlay", str(image_path), "--out", str(out / f"{name}.overlay.ppm")]

@@ -38,6 +38,7 @@ from conftest import (
     checkerboard_region,
     make_manifest,
     make_trace,
+    mirrored,
     one_level_region,
     picture_mask,
 )
@@ -244,17 +245,6 @@ def test_segmented_columns_are_single_runs_touching_baseline():
         edges = np.diff(np.concatenate(([0], column.view(np.int8), [0])))
         assert (edges == 1).sum() == 1  # exactly one vertical run
         assert column[baseline_local]  # touching the baseline row
-
-
-def mirrored(image, manifest):
-    """The study with its spectral rows flipped, so the flow lies below the baseline."""
-    x0, y0, x1, y1 = manifest.spectral_region
-    pixels = image.pixels.copy()
-    pixels[y0:y1 + 1, x0:x1 + 1] = pixels[y0:y1 + 1, x0:x1 + 1][::-1]
-    flipped = replace(
-        manifest, flow_above_baseline=False, baseline_row=y0 + y1 - manifest.baseline_row
-    )
-    return RasterImage(pixels), flipped
 
 
 @pytest.mark.parametrize(
