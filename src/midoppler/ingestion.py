@@ -129,7 +129,7 @@ def _parse_pnm_header(data: bytes, path, magic: bytes):
     if data[:2] != magic:
         raise ImageFormatError(
             f"{path}: corrupt header, expected {magic.decode()} magic, "
-            f"got {data[:2]!r}"
+            f"got {bytes(data[:2])!r}"
         )
     pos = 2
     fields = []
@@ -143,7 +143,7 @@ def _parse_pnm_header(data: bytes, path, magic: bytes):
         start = pos
         while pos < len(data) and data[pos] not in _WHITESPACE:
             pos += 1
-        token = data[start:pos]
+        token = bytes(data[start:pos])
         if not token:
             raise ImageFormatError(f"{path}: corrupt header, truncated before size fields")
         try:
@@ -176,14 +176,22 @@ def _load_pnm(path, magic: bytes, channels: tuple) -> np.ndarray:
         raise ImageFormatError(
             f"{path}: truncated pixel data, expected {need} bytes, found {found}"
         )
-    return np.frombuffer(data, np.uint8, count=need, offset=offset).reshape(shape).copy()
+    return np.frombuffer(data, np.uint8, count=need, offset=offset).reshape(shape)
 
 
-def _read_file(path) -> bytes:
+def _read_file(path) -> bytearray:
+    """The file's bytes, read once into a buffer of the size fstat reports.
+
+    The buffer is cut to the bytes actually read, so a file that shrank
+    after fstat reads as truncated, not as zero-filled.
+    """
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            del data[fh.readinto(data):]
     except OSError as exc:
         raise ImageFormatError(f"{path}: cannot read file: {exc}") from exc
+    return data
 
 
 def load_image(path) -> RasterImage:

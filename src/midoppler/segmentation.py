@@ -3,7 +3,14 @@
 The classical route converts the spectral region to grayscale, median
 filters, thresholds at Otsu's two-class variance maximum, opens, drops
 small connected components, and hands over the cleaned foreground as the
-mask. Externally produced masks (e.g. from a segmentation network) enter
+mask. The median and the threshold run on 8-bit levels and on booleans
+rather than on the float luma. That is exact, because a median picks one
+of its inputs by rank, so it commutes with any non-decreasing map: the
+rounded median of the luma is the median of the rounded luma (the levels
+Otsu's histogram counts), and the median of the luma lies above t exactly
+where the median of ``luma > t``, a majority vote, is true.
+
+Externally produced masks (e.g. from a segmentation network) enter
 through ``import_mask``. Both routes meet in ``mask_to_trace``, the one
 place the envelope border is defined: per column, the outermost foreground
 row on the flow side of the baseline.
@@ -79,15 +86,25 @@ def _region_shape(manifest: CalibrationManifest):
     return y1 - y0 + 1, x1 - x0 + 1
 
 
-def otsu_threshold(gray: np.ndarray) -> int:
+def otsu_threshold(levels: np.ndarray) -> int:
     """Two-class between-class variance maximization on a 0..255 histogram.
 
-    gray must lie in [0, 255], as the luma of uint8 RGB does. Returns the
-    lowest maximizing threshold t; foreground is gray > t. A single gray
-    level, which no threshold splits, is a SegmentationError naming it.
+    levels is a uint8 array of gray levels. Returns the lowest maximizing
+    threshold t; foreground is level > t. A single gray level, which no
+    threshold splits, is a SegmentationError naming it.
     """
-    levels = np.rint(gray).astype(np.uint8)
-    hist = np.bincount(levels.ravel(), minlength=256).astype(np.float64)
+    if levels.dtype != np.uint8:
+        raise TypeError(f"otsu_threshold takes uint8 levels, got {levels.dtype}")
+    flat = np.ascontiguousarray(levels).reshape(-1)
+    even = flat.size - flat.size % 2
+    # Counting the levels two at a time, as uint16 pairs, halves the work of
+    # the counting loop. Summing the 256x256 pair counts over either axis
+    # counts one byte of each pair, so both sums together count every level,
+    # whatever the byte order.
+    pairs = np.bincount(flat[:even].view(np.uint16), minlength=2**16).reshape(256, 256)
+    hist = (pairs.sum(axis=0) + pairs.sum(axis=1)).astype(np.float64)
+    if even < flat.size:
+        hist[flat[-1]] += 1
     w0 = np.cumsum(hist)
     total = w0[-1]
     moments = np.cumsum(hist * np.arange(256))
@@ -119,10 +136,12 @@ def segment_envelope_threshold(
     if region.size == 0:
         raise SegmentationError("spectral region is empty")
 
+    # the median of the luma, rounded or thresholded, is the median of the
+    # rounded or thresholded luma (see the module docstring)
     gray = region.astype(np.float32) @ _LUMA
-    gray = kernels.column_median(gray, params.median_window)
-
-    foreground = gray > otsu_threshold(gray)
+    levels = np.rint(gray).astype(np.uint8)
+    threshold = otsu_threshold(kernels.column_median(levels, params.median_window))
+    foreground = kernels.column_median(gray > threshold, params.median_window)
     foreground = kernels.vertical_opening(foreground, params.open_radius)
     foreground = kernels.remove_small_components(foreground, params.min_component_area)
     if not foreground.any():
@@ -180,16 +199,21 @@ def mask_to_trace(mask: EnvelopeMask, manifest: CalibrationManifest) -> Envelope
         flow_side = mask.cells[:baseline + 1]
     else:
         flow_side = mask.cells[baseline:][::-1]
-    cols = np.arange(width)
-    outer = np.argmax(flow_side, axis=0)
-    has = flow_side[outer, cols]
+    # Row i of the flow side weighs n - i, so a column's largest weighted
+    # cell is 1 + its outermost foreground row's distance from the baseline,
+    # and 0 when it has none. A row reduction avoids the axis-last copy an
+    # axis-0 argmax makes of the mask.
+    n = flow_side.shape[0]
+    weights = np.arange(n, 0, -1, dtype=np.uint16 if n < 2**16 else np.intp)
+    reach = (flow_side * weights[:, None]).max(axis=0)
+    has = reach > 0
     if not has.any():
         side = "above" if manifest.flow_above_baseline else "below"
         raise SegmentationError(f"mask is empty on the flow side ({side} the baseline)")
 
     measured = np.nonzero(has)[0]
-    velocities = (flow_side.shape[0] - 1 - outer[measured]) * manifest.velocity_scale
-    full = np.interp(cols, measured, velocities)
+    velocities = (reach[measured] - 1) * manifest.velocity_scale
+    full = np.interp(np.arange(width), measured, velocities)
     return EnvelopeTrace(full, ~has, manifest.time_scale)
 
 

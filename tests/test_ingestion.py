@@ -2,12 +2,14 @@
 
 import math
 from dataclasses import MISSING, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from midoppler import ingestion
 from midoppler.errors import (
     GenerationError,
     ImageFormatError,
@@ -87,6 +89,26 @@ def test_truncated_pixel_data_message(tmp_path, magic, load, channels, found):
     assert str(info.value) == (
         f"{path}: truncated pixel data, expected {100 * channels} bytes, found {found}"
     )
+
+
+def test_file_that_shrinks_after_fstat_reads_as_truncated(tmp_path, monkeypatch):
+    # fstat reports the full file, the read finds only half the raster
+    path = tmp_path / "shrunk.ppm"
+    header = b"P6\n10 10\n255\n"
+    path.write_bytes(header + b"\x07" * 150)
+    full = len(header) + 300
+    monkeypatch.setattr(ingestion.os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+    with pytest.raises(ImageFormatError) as info:
+        load_image(path)
+    assert str(info.value) == f"{path}: truncated pixel data, expected 300 bytes, found 150"
+
+
+def test_loaded_pixels_are_writable(tmp_path):
+    path = tmp_path / "study.ppm"
+    save_image(path, RasterImage(np.full((2, 3, 3), 9, np.uint8)))
+    pixels = load_image(path).pixels
+    pixels[0, 0] = 1
+    assert pixels.sum() == 9 * 18 - 24
 
 
 def test_wrong_magic_is_corrupt_header(tmp_path):

@@ -124,14 +124,22 @@ WINDOWS = st.sampled_from([1, 3, 5, 7, 9])
 KERNEL_SETTINGS = settings(max_examples=150, deadline=None)
 
 
+# what segmentation filters: float32 luma, its uint8 levels, a thresholded mask
+ELEMENTS = {
+    np.float32: st.one_of(st.integers(0, 255).map(float), st.floats(0, 255, width=32)),
+    np.uint8: st.integers(0, 255),
+    np.bool_: st.booleans(),
+}
+
+
 @st.composite
 def images(draw):
     """(image, window); about half the images are shorter than the window."""
     window = draw(WINDOWS)
     height = draw(st.one_of(st.integers(1, window), SIDE))
-    # integer luma levels; arrays() repeats a fill value, so ties are common
-    levels = st.integers(0, 255).map(float)
-    img = draw(arrays(np.float32, (height, draw(SIDE)), elements=levels))
+    dtype = draw(st.sampled_from(list(ELEMENTS)))
+    # arrays() repeats a fill value, so ties are common
+    img = draw(arrays(dtype, (height, draw(SIDE)), elements=ELEMENTS[dtype]))
     return img, window
 
 
@@ -157,7 +165,7 @@ def masks(draw):
 def test_column_median_property(case):
     img, window = case
     out = kernels.column_median(img, window)
-    assert out.dtype == np.float32 and out.shape == img.shape
+    assert out.dtype == img.dtype and out.shape == img.shape
     assert np.array_equal(out, naive_column_median(img, window))
 
 

@@ -1,5 +1,6 @@
 """Threshold segmentation, mask import/export, trace reduction, smoothing."""
 
+import functools
 import itertools
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from midoppler import kernels
 from midoppler.errors import SegmentationError
 from midoppler.ingestion import RasterImage, save_gray_image
 from midoppler.measurement import measure_study, study_csv_text
@@ -166,9 +168,9 @@ def test_otsu_threshold_matches_clipped_rounding(gray):
     levels = np.unique(np.clip(np.round(gray), 0, 255).astype(np.uint8))
     if len(levels) == 1:  # no threshold leaves pixels on both sides
         with pytest.raises(SegmentationError, match=rf"one gray level \({levels[0]}\)"):
-            otsu_threshold(gray)
+            otsu_threshold(np.rint(gray).astype(np.uint8))
     else:
-        assert otsu_threshold(gray) == clipped_otsu(gray)
+        assert otsu_threshold(np.rint(gray).astype(np.uint8)) == clipped_otsu(gray)
 
 
 def test_luma_of_uint8_rgb_stays_in_byte_range():
@@ -178,6 +180,70 @@ def test_luma_of_uint8_rgb_stays_in_byte_range():
     gray = rgb.astype(np.float32) @ _LUMA  # as segment_envelope_threshold computes it
     assert gray.min() == 0.0 and gray.max() == 255.0
     assert np.array([255, 255, 255], np.float32) @ _LUMA == np.float32(255.0)
+
+
+@functools.cache
+def half_luma_triples():
+    """Every RGB triple whose float32 luma is a whole number and a half, a tie
+    for rounding."""
+    green, blue = np.divmod(np.arange(2**16), 256)
+    found = []
+    for red in range(256):
+        rgb = np.stack([np.full(green.size, red), green, blue], axis=1).astype(np.float32)
+        found.append(rgb[(rgb @ _LUMA) % 1 == 0.5])
+    return np.concatenate(found).astype(np.uint8)
+
+
+@st.composite
+def rgb_regions(draw):
+    """uint8 RGB regions: random, a gray ramp, two colours, or luma ties."""
+    shape = (draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    kind = draw(st.sampled_from(["random", "ramp", "two-level", "ties"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return rng.integers(0, 256, (*shape, 3), dtype=np.uint8)
+    if kind == "ramp":
+        rows, cols = np.indices(shape)
+        level = draw(st.integers(0, 255)) + draw(st.integers(-40, 40)) * rows + draw(st.integers(-3, 3)) * cols
+        return np.clip(level, 0, 255).astype(np.uint8)[..., None].repeat(3, axis=2)
+    if kind == "two-level":
+        colours = draw(arrays(np.uint8, (2, 3)))
+        return colours[draw(arrays(np.bool_, shape)).view(np.uint8)]
+    ties = half_luma_triples()
+    palette = ties[rng.choice(len(ties), draw(st.integers(1, 6)))]
+    return palette[rng.integers(0, len(palette), shape)]
+
+
+def float_front_end(region, params):
+    """Classical segmentation as it read on the float luma: the float median
+    (a sort of each clamped window), Otsu on its rounded levels, gray > t,
+    then the opening and the component filter. None for one gray level."""
+    gray = region.astype(np.float32) @ _LUMA
+    half = params.median_window // 2
+    height = gray.shape[0]
+    rows = np.clip(np.arange(height)[:, None] + np.arange(-half, half + 1), 0, height - 1)
+    median = np.sort(gray[rows], axis=1)[:, half]
+    if len(np.unique(np.clip(np.round(median), 0, 255))) == 1:
+        return None
+    foreground = median > clipped_otsu(median)
+    foreground = kernels.vertical_opening(foreground, params.open_radius)
+    return kernels.remove_small_components(foreground, params.min_component_area)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rgb_regions(), st.sampled_from([1, 3, 5, 7, 9]), st.integers(0, 2), st.integers(0, 30))
+def test_segmentation_on_levels_matches_the_float_reference(region, window, radius, min_area):
+    height, width, _ = region.shape
+    manifest = make_manifest(spectral_region=(0, 0, width - 1, height - 1), baseline_row=height - 1)
+    params = SegmentationParams(window, radius, min_area)
+    expected = float_front_end(region, params)
+    if expected is None or not expected.any():
+        message = "one gray level" if expected is None else "no foreground remains after cleanup"
+        with pytest.raises(SegmentationError, match=message):
+            segment_envelope_threshold(RasterImage(region), manifest, params)
+    else:
+        mask = segment_envelope_threshold(RasterImage(region), manifest, params)
+        assert np.array_equal(mask.cells, expected)
 
 
 # mask_to_trace ---------------------------------------------------------------
@@ -312,6 +378,77 @@ def test_empty_flow_side_fails_at_trace_on_both_routes(tmp_path, flow_above):
         with pytest.raises(SegmentationError) as exc:
             measure_study(image, manifest, **route)
         assert str(exc.value) == f"trace: mask is empty on the flow side ({side} the baseline)"
+
+
+def argmax_trace(cells, manifest):
+    """(velocities, gap flags) of mask_to_trace as it read with an axis-0
+    argmax border search; velocities is None when every column is a gap."""
+    baseline = manifest.baseline_row - manifest.spectral_region[1]
+    flow_side = cells[:baseline + 1] if manifest.flow_above_baseline else cells[baseline:][::-1]
+    cols = np.arange(cells.shape[1])
+    outer = np.argmax(flow_side, axis=0)
+    has = flow_side[outer, cols]
+    if not has.any():
+        return None, ~has
+    measured = np.nonzero(has)[0]
+    velocities = (flow_side.shape[0] - 1 - outer[measured]) * manifest.velocity_scale
+    return np.interp(cols, measured, velocities), ~has
+
+
+@st.composite
+def flow_masks(draw):
+    """(cells, manifest): a seeded-noise mask with flow above or below the
+    baseline, some columns empty on the flow side and some holding only the
+    baseline row there."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    baseline = draw(st.integers(0, height - 1))
+    above = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.uniform(size=(height, width)) < draw(st.sampled_from([0.02, 0.1, 0.5, 0.9]))
+    flow = slice(0, baseline + 1) if above else slice(baseline, height)
+    kind = rng.integers(0, 3, width)  # 0 as drawn, 1 empty flow side, 2 baseline row only
+    cells[flow, kind > 0] = False
+    cells[baseline, kind == 2] = True
+    manifest = make_manifest(
+        spectral_region=(0, 0, width - 1, height - 1),
+        baseline_row=baseline,
+        flow_above_baseline=above,
+    )
+    return cells, manifest
+
+
+def assert_trace_matches_argmax(cells, manifest):
+    velocities, gaps = argmax_trace(cells, manifest)
+    if velocities is None:
+        with pytest.raises(SegmentationError, match="empty on the flow side"):
+            mask_to_trace(EnvelopeMask(cells), manifest)
+        return
+    trace = mask_to_trace(EnvelopeMask(cells), manifest)
+    assert np.array_equal(trace.velocities, velocities)
+    assert np.array_equal(trace.gap_flags, gaps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_masks())
+def test_border_reduction_matches_the_argmax_search(case):
+    assert_trace_matches_argmax(*case)
+
+
+@pytest.mark.parametrize("flow_above", [True, False])
+@pytest.mark.parametrize("rows", [2**16 - 1, 2**16])
+def test_border_reduction_past_uint16_row_weights(flow_above, rows):
+    # a flow side of 2**16 rows weighs its outermost row 2**16, past uint16
+    cells = np.zeros((rows, 2), bool)
+    cells[[0, rows // 2, rows - 1], 0] = True
+    cells[rows - 1 if flow_above else 0, 1] = True  # the baseline row alone
+    manifest = make_manifest(
+        spectral_region=(0, 0, 1, rows - 1),
+        baseline_row=rows - 1 if flow_above else 0,
+        flow_above_baseline=flow_above,
+    )
+    assert_trace_matches_argmax(cells, manifest)
+    trace = mask_to_trace(EnvelopeMask(cells), manifest)
+    assert trace.velocities.tolist() == [(rows - 1) * manifest.velocity_scale, 0.0]
 
 
 # smoothing -------------------------------------------------------------------
