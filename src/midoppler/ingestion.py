@@ -125,7 +125,7 @@ def atomic_write_text(path, text: str) -> None:
 # PNM decode / encode
 
 
-def _parse_pnm_header(data: bytes, path, magic: bytes):
+def _parse_pnm_header(data: bytearray, path, magic: bytes):
     if data[:2] != magic:
         raise ImageFormatError(
             f"{path}: corrupt header, expected {magic.decode()} magic, "

@@ -173,6 +173,12 @@ def test_otsu_threshold_matches_clipped_rounding(gray):
         assert otsu_threshold(np.rint(gray).astype(np.uint8)) == clipped_otsu(gray)
 
 
+def test_otsu_threshold_refuses_float_gray():
+    # a float frame viewed as uint16 pairs would count its bytes, not its levels
+    with pytest.raises(TypeError, match="uint8 levels, got float32"):
+        otsu_threshold(np.array([[12.0, 205.0]], np.float32))
+
+
 def test_luma_of_uint8_rgb_stays_in_byte_range():
     corners = np.array(list(itertools.product((0, 255), repeat=3)), np.uint8)
     ramp = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1)
