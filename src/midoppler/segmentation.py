@@ -1,14 +1,22 @@
 """Envelope segmentation and trace extraction.
 
-The classical route converts the spectral region to grayscale, median
-filters, thresholds at Otsu's two-class variance maximum, opens, drops
-small connected components, and hands over the cleaned foreground as the
-mask. The median and the threshold run on 8-bit levels and on booleans
-rather than on the float luma. That is exact, because a median picks one
-of its inputs by rank, so it commutes with any non-decreasing map: the
-rounded median of the luma is the median of the rounded luma (the levels
-Otsu's histogram counts), and the median of the luma lies above t exactly
-where the median of ``luma > t``, a majority vote, is true.
+The classical route converts the spectral region to 8-bit gray levels,
+median filters, thresholds at Otsu's two-class variance maximum, opens,
+drops small connected components, and hands over the cleaned foreground as
+the mask. The gray level of a pixel is the ceiling of its BT.601 luma
+0.299 R + 0.587 G + 0.114 B, computed exactly: K = 299 R + 587 G + 114 B
+is 1000 times the luma, and every product and partial sum of it stays
+below 2**24, so float32 arithmetic gives K exactly in any summation order,
+with or without a fused multiply-add. ``(K + 999) * float32(0.001)`` then
+truncates to ``ceil(K / 1000)``: (K + 999) / 1000 is that ceiling plus a
+fraction of at most 0.999; float32(0.001) is high by under 5e-8 of itself,
+and rounding the product to float32 moves it by under 1e-5 but never below
+a whole number it reaches, so the product stays in [ceiling, ceiling + 1).
+Ceil levels let one median serve both Otsu and the threshold: a median
+picks one of its inputs by rank, so it commutes with the non-decreasing
+ceil, and for an integer t, ``ceil(x) > t`` holds exactly where ``x > t``.
+So the median of the levels, Otsu's input, is the ceil of the median of
+the luma, and ``level > t`` on it is the threshold of that median luma at t.
 
 Externally produced masks (e.g. from a segmentation network) enter
 through ``import_mask``. Both routes meet in ``mask_to_trace``, the one
@@ -25,7 +33,10 @@ from .errors import SegmentationError
 from .ingestion import CalibrationManifest, RasterImage, load_gray_image, save_gray_image
 
 PADDED_MASK_SIZE = 1024  # externally produced masks may arrive zero-padded
-_LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float32)
+# 1000 times the BT.601 luma weights; see the module docstring for why the
+# weighted sum is exact in float32
+_LUMA_WEIGHTS = np.array([299, 587, 114], dtype=np.float32)
+_LEVEL_BLOCK_ROWS = 32  # a float32 block of K stays in cache
 
 
 @dataclass(frozen=True)
@@ -127,8 +138,13 @@ def segment_envelope_threshold(
 ) -> EnvelopeMask:
     """Classical threshold segmentation of the flow envelope.
 
-    Returns the cleaned foreground over the whole spectral region, on both
-    sides of the baseline; ``mask_to_trace`` finds the border.
+    The gray levels are the ceiling of the exact luma (see the module
+    docstring). Otsu picks t on the column median of those levels, and the
+    foreground is that median's ``level > t``: the median luma above t,
+    since ceil commutes with the median and ``ceil(x) > t`` is ``x > t``
+    for an integer t. Returns the cleaned foreground over the whole
+    spectral region, on both sides of the baseline; ``mask_to_trace``
+    finds the border.
     """
     params = params or SegmentationParams()
     rows, cols = _region_slice(manifest)
@@ -136,17 +152,32 @@ def segment_envelope_threshold(
     if region.size == 0:
         raise SegmentationError("spectral region is empty")
 
-    # the median of the luma, rounded or thresholded, is the median of the
-    # rounded or thresholded luma (see the module docstring)
-    gray = region.astype(np.float32) @ _LUMA
-    levels = np.rint(gray).astype(np.uint8)
-    threshold = otsu_threshold(kernels.column_median(levels, params.median_window))
-    foreground = kernels.column_median(gray > threshold, params.median_window)
+    median = kernels.column_median(_luma_levels(region), params.median_window)
+    foreground = median > otsu_threshold(median)
     foreground = kernels.vertical_opening(foreground, params.open_radius)
     foreground = kernels.remove_small_components(foreground, params.min_component_area)
     if not foreground.any():
         raise SegmentationError("no foreground remains after cleanup")
     return EnvelopeMask(foreground)
+
+
+def _luma_levels(region: np.ndarray) -> np.ndarray:
+    """uint8 ceil(luma) of an (h, w, 3) uint8 RGB region.
+
+    Works through blocks of rows, so that the float32 K = 1000 x luma of a
+    block stays in cache and no float copy of the whole region is made.
+    """
+    height, width, _ = region.shape
+    levels = np.empty((height, width), np.uint8)
+    k = np.empty((min(height, _LEVEL_BLOCK_ROWS), width), np.float32)
+    for top in range(0, height, _LEVEL_BLOCK_ROWS):
+        block = region[top:top + _LEVEL_BLOCK_ROWS]
+        k_block = k[:len(block)]
+        np.matmul(block, _LUMA_WEIGHTS, out=k_block, dtype=np.float32)
+        k_block += 999
+        k_block *= np.float32(0.001)
+        levels[top:top + len(block)] = k_block  # truncates: ceil(K / 1000)
+    return levels
 
 
 def import_mask(path, manifest: CalibrationManifest) -> EnvelopeMask:

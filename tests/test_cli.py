@@ -894,6 +894,38 @@ def test_help_lists_defaults(capsys):
     assert "default: 0.15" in text       # --min-prominence
     assert "default: 200.0" in text      # --refractory-ms
 
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not (on_glibc() and hasattr(os, "sched_setaffinity")), reason="glibc heap only")
+def test_repeated_analyze_batches_keep_their_heap_pages(tmp_path):
+    # A study frees arrays of a few MB; unless cli.main keeps glibc's heap,
+    # the freed heap top goes back to the OS and every study of the next
+    # batch faults about 1,400 pages back in.
+    studies = 5
+    for seed in range(studies):
+        make_study(tmp_path, stem=f"study_{seed:04d}", seed=seed, noise_sigma=0.15)
+    result = run_fresh_interpreter(
+        "import contextlib, io, os, resource, midoppler.cli\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # one CPU: batches run in-process\n"
+        "faults = []\n"
+        "for batch in range(2):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert midoppler.cli.main(['analyze', {str(tmp_path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(faults[1])\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(list((tmp_path / "out").glob("*.measurements.csv"))) == studies
+    assert int(result.stdout.split()[-1]) / studies < 100
+
+
 def test_flag_defaults_are_the_dataclass_defaults():
     # every flag of analyze, overlay and synth either sets a dataclass field,
     # and then defaults to that field's default, or sets no field

@@ -124,7 +124,7 @@ WINDOWS = st.sampled_from([1, 3, 5, 7, 9])
 KERNEL_SETTINGS = settings(max_examples=150, deadline=None)
 
 
-# what segmentation filters: float32 luma, its uint8 levels, a thresholded mask
+# what the median keeps exact: float32, the uint8 levels segmentation filters, masks
 ELEMENTS = {
     np.float32: st.one_of(st.integers(0, 255).map(float), st.floats(0, 255, width=32)),
     np.uint8: st.integers(0, 255),

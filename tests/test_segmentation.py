@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from midoppler.errors import SegmentationError
 from midoppler.ingestion import RasterImage, save_gray_image
 from midoppler.measurement import measure_study, study_csv_text
 from midoppler.segmentation import (
-    _LUMA,
+    _LUMA_WEIGHTS,
     EnvelopeMask,
     SegmentationParams,
     export_mask,
@@ -24,6 +25,7 @@ from midoppler.segmentation import (
     otsu_threshold,
     segment_envelope_threshold,
     smooth_trace,
+    _luma_levels,
 )
 from midoppler.synth import (
     BACKGROUND_INTENSITY,
@@ -179,32 +181,63 @@ def test_otsu_threshold_refuses_float_gray():
         otsu_threshold(np.array([[12.0, 205.0]], np.float32))
 
 
+def rgb_triples(reds):
+    """Every RGB triple with its red in reds, as a (len(reds), 65536, 3) uint8
+    region: one row per red, green and blue varying along the row."""
+    green, blue = np.divmod(np.arange(2**16), 256)
+    region = np.empty((len(reds), 2**16, 3), np.uint8)
+    region[..., 0] = np.asarray(reds)[:, None]
+    region[..., 1] = green
+    region[..., 2] = blue
+    return region
+
+
+def exact_k(region):
+    """1000 x the BT.601 luma of uint8 RGB, in int64."""
+    return region.astype(np.int64) @ np.array([299, 587, 114])
+
+
 def test_luma_of_uint8_rgb_stays_in_byte_range():
+    # 1000 x the BT.601 weights: a gray pixel's luma is its own level, white's 255
+    assert _LUMA_WEIGHTS.tolist() == [299, 587, 114] and _LUMA_WEIGHTS.sum() == 1000
     corners = np.array(list(itertools.product((0, 255), repeat=3)), np.uint8)
     ramp = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1)
     rgb = np.concatenate([corners, ramp])[None].repeat(5, axis=0)
-    gray = rgb.astype(np.float32) @ _LUMA  # as segment_envelope_threshold computes it
-    assert gray.min() == 0.0 and gray.max() == 255.0
-    assert np.array([255, 255, 255], np.float32) @ _LUMA == np.float32(255.0)
+    levels = _luma_levels(rgb)  # as segment_envelope_threshold computes them
+    assert levels.dtype == np.uint8
+    assert levels.min() == 0 and levels.max() == 255
+    assert np.array_equal(levels[:, len(corners):], np.broadcast_to(np.arange(256), (5, 256)))
+
+
+def test_luma_levels_are_exact_over_every_rgb_triple():
+    # K = 299 R + 587 G + 114 B stays below 2**24 in every partial sum, so the
+    # float32 matmul segmentation runs gives it exactly, and the levels are
+    # its ceiling over 1000; checked for all 2**24 triples, 16 reds at a time
+    for first_red in range(0, 256, 16):
+        region = rgb_triples(np.arange(first_red, first_red + 16))
+        k = exact_k(region)
+        float_k = np.matmul(region, _LUMA_WEIGHTS, dtype=np.float32)
+        assert np.array_equal(float_k.astype(np.int64), k)
+        assert np.array_equal(_luma_levels(region), -(-k // 1000))
 
 
 @functools.cache
-def half_luma_triples():
-    """Every RGB triple whose float32 luma is a whole number and a half, a tie
-    for rounding."""
-    green, blue = np.divmod(np.arange(2**16), 256)
+def boundary_triples():
+    """Every RGB triple whose K = 1000 x luma is a multiple of 1000 or one
+    off it: the luma levels either side of a ceiling step."""
     found = []
-    for red in range(256):
-        rgb = np.stack([np.full(green.size, red), green, blue], axis=1).astype(np.float32)
-        found.append(rgb[(rgb @ _LUMA) % 1 == 0.5])
-    return np.concatenate(found).astype(np.uint8)
+    for first_red in range(0, 256, 16):
+        region = rgb_triples(np.arange(first_red, first_red + 16)).reshape(-1, 3)
+        found.append(region[np.isin(exact_k(region) % 1000, (0, 1, 999))])
+    return np.concatenate(found)
 
 
 @st.composite
 def rgb_regions(draw):
-    """uint8 RGB regions: random, a gray ramp, two colours, or luma ties."""
+    """uint8 RGB regions: random, a gray ramp, two colours, or luma on a
+    ceiling step."""
     shape = (draw(st.integers(1, 30)), draw(st.integers(1, 30)))
-    kind = draw(st.sampled_from(["random", "ramp", "two-level", "ties"]))
+    kind = draw(st.sampled_from(["random", "ramp", "two-level", "steps"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
         return rng.integers(0, 256, (*shape, 3), dtype=np.uint8)
@@ -215,21 +248,22 @@ def rgb_regions(draw):
     if kind == "two-level":
         colours = draw(arrays(np.uint8, (2, 3)))
         return colours[draw(arrays(np.bool_, shape)).view(np.uint8)]
-    ties = half_luma_triples()
-    palette = ties[rng.choice(len(ties), draw(st.integers(1, 6)))]
+    steps = boundary_triples()
+    palette = steps[rng.choice(len(steps), draw(st.integers(1, 6)))]
     return palette[rng.integers(0, len(palette), shape)]
 
 
-def float_front_end(region, params):
-    """Classical segmentation as it read on the float luma: the float median
-    (a sort of each clamped window), Otsu on its rounded levels, gray > t,
-    then the opening and the component filter. None for one gray level."""
-    gray = region.astype(np.float32) @ _LUMA
+def integer_front_end(region, params):
+    """Classical segmentation in exact integer arithmetic: K = 1000 x luma in
+    int64, ceil(K / 1000) levels, the median of each clamped window by a
+    sort, Otsu on that median's histogram, median > t, then the opening and
+    the component filter. None for one gray level."""
+    levels = -(-exact_k(region) // 1000)
     half = params.median_window // 2
-    height = gray.shape[0]
+    height = levels.shape[0]
     rows = np.clip(np.arange(height)[:, None] + np.arange(-half, half + 1), 0, height - 1)
-    median = np.sort(gray[rows], axis=1)[:, half]
-    if len(np.unique(np.clip(np.round(median), 0, 255))) == 1:
+    median = np.sort(levels[rows], axis=1)[:, half]
+    if len(np.unique(median)) == 1:
         return None
     foreground = median > clipped_otsu(median)
     foreground = kernels.vertical_opening(foreground, params.open_radius)
@@ -238,11 +272,11 @@ def float_front_end(region, params):
 
 @settings(max_examples=300, deadline=None)
 @given(rgb_regions(), st.sampled_from([1, 3, 5, 7, 9]), st.integers(0, 2), st.integers(0, 30))
-def test_segmentation_on_levels_matches_the_float_reference(region, window, radius, min_area):
+def test_segmentation_on_levels_matches_the_integer_reference(region, window, radius, min_area):
     height, width, _ = region.shape
     manifest = make_manifest(spectral_region=(0, 0, width - 1, height - 1), baseline_row=height - 1)
     params = SegmentationParams(window, radius, min_area)
-    expected = float_front_end(region, params)
+    expected = integer_front_end(region, params)
     if expected is None or not expected.any():
         message = "one gray level" if expected is None else "no foreground remains after cleanup"
         with pytest.raises(SegmentationError, match=message):
@@ -250,6 +284,39 @@ def test_segmentation_on_levels_matches_the_float_reference(region, window, radi
     else:
         mask = segment_envelope_threshold(RasterImage(region), manifest, params)
         assert np.array_equal(mask.cells, expected)
+
+
+def test_tinted_spectral_region_measures_within_tolerance():
+    # a colour-mapped spectrum: no pixel is gray, so no luma is a whole level
+    params = corpus_params(SynthParams(noise_sigma=0.15), 0)
+    image, manifest, truth = generate_synthetic(params)
+    x0, y0, x1, y1 = manifest.spectral_region
+    pixels = image.pixels.copy()
+    region = pixels[y0:y1 + 1, x0:x1 + 1]
+    region[...] = np.rint(region * np.array([1.0, 0.8, 0.45]))
+    assert (exact_k(region) % 1000 != 0).all()
+    run = measure_study(RasterImage(pixels), manifest)
+    assert run.n_beats == len(truth.beats)
+    for beat, true in zip(run.beats, truth.beats):
+        assert abs(beat.e_velocity - true.e_velocity) <= 0.05
+        assert abs(beat.a_velocity - true.a_velocity) <= 0.05
+        assert abs(beat.dt_ms - true.dt_ms) <= 25.0
+
+
+def test_segmentation_peak_memory_per_region_pixel():
+    # uint8 levels, one uint8 median and boolean masks; a float32 copy of
+    # the RGB region alone would be 12 bytes a pixel
+    image, manifest, _ = generate_synthetic(corpus_params(SynthParams(noise_sigma=0.15), 0))
+    x0, y0, x1, y1 = manifest.spectral_region
+    assert (y1 - y0 + 1, x1 - x0 + 1) == (561, 896)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        segment_envelope_threshold(image, manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / (561 * 896) < 12
 
 
 # mask_to_trace ---------------------------------------------------------------
