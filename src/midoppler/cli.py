@@ -102,6 +102,17 @@ def _checked_type(cls, field):
     return convert
 
 
+def _study_count(text) -> int:
+    """argparse type of synth's --n: a whole number of studies, at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+_study_count.__name__ = "int"  # argparse's "invalid int value" names it
+
+
 def _add_flags(group, cls, flags):
     fields = {f.name: f for f in dataclass_fields(cls)}
     for flag, name, help_text in flags:
@@ -153,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument("--out", default=".", help="output directory")
     _add_flags(ps, SynthParams, _SYNTH_FLAGS[:1])
-    ps.add_argument("--n", type=int, default=1, help="number of studies (seeds seed..seed+n-1)")
+    ps.add_argument("--n", type=_study_count, default=1, help="number of studies (seeds seed..seed+n-1)")
     _add_flags(ps, SynthParams, _SYNTH_FLAGS[1:])
     ps.add_argument("--spike", action="append", default=[], metavar="T,V,W", help="bright spike artifact time_ms,velocity,width_ms (repeatable)")
     ps.add_argument("--dropout", action="append", default=[], metavar="T,W", help="signal dropout time_ms,width_ms (repeatable)")
@@ -188,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# analyze
+# analyze and overlay: one per-input path, a writer per command
 
 
 def _expand_inputs(inputs):
@@ -202,27 +213,28 @@ def _expand_inputs(inputs):
     return images
 
 
-def _load_study(image_path, manifest_arg):
-    """The image and its manifest (by default <image-stem>.manifest)."""
-    manifest_path = Path(manifest_arg) if manifest_arg else image_path.with_suffix(".manifest")
-    image = load_image(image_path)
-    return image, load_manifest(manifest_path, image_size=(image.width, image.height))
-
-
 def cmd_analyze(args) -> int:
     images = _expand_inputs(args.inputs)
     if not images:
         print("no input images found", file=sys.stderr)
         return 2
-    if args.manifest and len(images) > 1:
-        print("error: --manifest requires a single input image", file=sys.stderr)
-        return 1
-    if args.mask and len(images) > 1:
-        print("error: --mask requires a single input image", file=sys.stderr)
-        return 1
+    for flag, value in (("--manifest", args.manifest), ("--mask", args.mask)):
+        if value and len(images) > 1:
+            print(f"error: {flag} requires a single input image", file=sys.stderr)
+            return 1
+    params = {**_pipeline_params(args), "drop_outliers": args.drop_outliers}
+    return _run(images, args, params, _write_measurements)
 
+
+def cmd_overlay(args) -> int:
+    # the one named image, never a directory's studies: a directory is an error
+    return _run([Path(args.image)], args, _pipeline_params(args), _write_overlay)
+
+
+def _run(images, args, params, write) -> int:
+    """Print each input's lines and return the exit code of the module docstring."""
     outcomes = Counter()
-    for outcome, out_text, err_text in _analyze_all(images, args, _pipeline_params(args)):
+    for outcome, out_text, err_text in _analyze_all(images, args, params, write):
         sys.stdout.write(out_text)
         sys.stderr.write(err_text)
         outcomes[outcome] += 1
@@ -231,7 +243,7 @@ def cmd_analyze(args) -> int:
     return 0 if outcomes["measured"] else 2
 
 
-def _analyze_all(images, args, params):
+def _analyze_all(images, args, params, write):
     """(outcome, stdout text, stderr text) of each input, in input order.
 
     Two or more inputs run on one process per usable CPU, at most one per
@@ -239,7 +251,7 @@ def _analyze_all(images, args, params):
     a platform without fork or sched_getaffinity, or inputs that would
     write the same output files run in-process only.
     """
-    analyze = partial(_analyze_one, args=args, params=params)
+    analyze = partial(_analyze_one, args=args, params=params, write=write)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(images))
     distinct_outputs = len({_out_dir(p, args) / p.stem for p in images}) == len(images)
@@ -323,35 +335,48 @@ def _out_dir(image_path, args) -> Path:
     return Path(args.out) if args.out else image_path.parent
 
 
-def _analyze_one(image_path, args, params):
-    """One input of `analyze`: (outcome, stdout text, stderr text).
+def _analyze_one(image_path, args, params, write):
+    """One input: (outcome, stdout text, stderr text).
 
-    The outcome is "measured", "rejected" or "error". Writes the output
-    files and prints nothing, so that a worker process can run it.
+    Loads the image and its manifest (by default <image-stem>.manifest),
+    routes the study and measures it with measure_study(**params); then
+    write(image_path, args, image, manifest, run) writes the command's
+    files and returns the measured input's triple. The outcome is
+    "measured", "rejected" or "error". Prints nothing, so that a worker
+    process can run it.
     """
     try:
-        image, manifest = _load_study(image_path, args.manifest)
+        image = load_image(image_path)
+        manifest_path = Path(args.manifest) if args.manifest else image_path.with_suffix(".manifest")
+        manifest = load_manifest(manifest_path, image_size=(image.width, image.height))
         decision = route_image(manifest)
         if not decision.accepted:
             return "rejected", f"{image_path}: rejected (label={decision.label})\n", ""
-        run = measure_study(
-            image,
-            manifest,
-            mask_path=args.mask,
-            drop_outliers=args.drop_outliers,
-            **params,
-        )
-        out_dir = _out_dir(image_path, args)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / f"{image_path.stem}.measurements.csv"
-        write_study_csv(csv_path, run)
-        if args.dump_ecg:
-            _dump_ecg(out_dir / f"{image_path.stem}.ecg.csv", run.ecg, manifest)
-        return "measured", f"{image_path}: {_summary_line(run)} -> {csv_path}\n", ""
+        run = measure_study(image, manifest, mask_path=args.mask, **params)
+        return write(image_path, args, image, manifest, run)
     except (MidopplerError, OSError) as exc:
         return "error", "", f"{image_path}: error: {exc}\n"
     except Exception as exc:  # one faulty study must not abort the batch
         return "error", "", f"{traceback.format_exc()}{image_path}: error: {type(exc).__name__}: {exc}\n"
+
+
+def _write_measurements(image_path, args, image, manifest, run):
+    """analyze's writer: the CSV, the --dump-ecg signal and the summary line."""
+    out_dir = _out_dir(image_path, args)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{image_path.stem}.measurements.csv"
+    write_study_csv(csv_path, run)
+    if args.dump_ecg:
+        _dump_ecg(out_dir / f"{image_path.stem}.ecg.csv", run.ecg, manifest)
+    return "measured", f"{image_path}: {_summary_line(run)} -> {csv_path}\n", ""
+
+
+def _write_overlay(image_path, args, image, manifest, run):
+    """overlay's writer: the annotated image and its path."""
+    out_path = Path(args.out) if args.out else image_path.with_suffix(".overlay.ppm")
+    save_image(out_path, render_overlay(image, manifest, run.trace, run.beats))
+    warning = "" if run.beats else f"warning: {image_path}: no measurable beats, drawing border only\n"
+    return "measured", f"{out_path}\n", warning
 
 
 def _summary_line(means: StudyMeans) -> str:
@@ -521,33 +546,6 @@ def cmd_agree(args) -> int:
     if unpaired:
         print(f"note: {unpaired} unpaired keys dropped", file=sys.stderr)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# overlay
-
-
-def cmd_overlay(args) -> int:
-    image_path = Path(args.image)
-    try:
-        image, manifest = _load_study(image_path, args.manifest)
-        decision = route_image(manifest)
-        if not decision.accepted:
-            print(f"{image_path}: rejected (label={decision.label})")
-            return 2
-
-        run = measure_study(image, manifest, mask_path=args.mask, **_pipeline_params(args))
-        if not run.beats:
-            print(f"warning: {image_path}: no measurable beats, drawing border only", file=sys.stderr)
-
-        annotated = render_overlay(image, manifest, run.trace, run.beats)
-        out_path = Path(args.out) if args.out else image_path.with_suffix(".overlay.ppm")
-        save_image(out_path, annotated)
-        print(out_path)
-        return 0
-    except (MidopplerError, OSError) as exc:
-        print(f"{image_path}: error: {exc}", file=sys.stderr)
-        return 1
 
 
 @functools.cache

@@ -19,7 +19,7 @@ from midoppler.ecg import EcgSignal, QrsParams, detect_qrs, extract_ecg
 from midoppler.ingestion import save_image, save_manifest
 from midoppler.measurement import measure_study, read_measurement_csv
 from midoppler.ecg import QrsMarks
-from midoppler.stats import bland_altman, pearson, r_squared
+from midoppler.stats import bland_altman, r_squared
 from midoppler.synth import Spike, SynthParams, corpus_params, generate_synthetic, write_truth_csv
 
 from conftest import make_manifest, make_trace, measure_trace, triangle
@@ -189,8 +189,12 @@ def test_criterion_5_agreement_methodology(corpus, capsys):
         b = rng.uniform(-2, 2) * a + rng.normal(scale=rng.uniform(0.05, 3.0), size=n)
         if np.ptp(a) == 0 or np.ptp(b) == 0:
             continue
-        assert abs(r_squared(a, b) - pearson(a, b) ** 2) < 1e-12
-    print("PASS criterion 5: Table-shaped agree report; hand stats at 1e-9; R^2 = r^2 at 1e-12")
+        # the least-squares fit's own 1 - SS_res / SS_tot, not the r^2 that r_squared computes
+        slope, intercept = np.polyfit(a, b, 1)
+        ss_res = np.sum((b - (slope * a + intercept)) ** 2)
+        ss_tot = np.sum((b - b.mean()) ** 2)
+        assert abs(r_squared(a, b) - (1.0 - ss_res / ss_tot)) < 1e-12
+    print("PASS criterion 5: Table-shaped agree report; hand stats at 1e-9; R^2 = 1 - SS_res/SS_tot of the fit at 1e-12")
 
 
 def test_criterion_6_ea_ratio_scale_invariance():

@@ -17,7 +17,7 @@ import pytest
 import midoppler
 from midoppler import cli
 from midoppler.cli import main
-from midoppler.ingestion import load_image, save_image, save_manifest
+from midoppler.ingestion import MITRAL_INFLOW_LABEL, load_image, save_image, save_manifest
 from midoppler.measurement import measure_study, read_measurement_csv, study_csv_text
 from midoppler.overlay import (
     A_COLOR,
@@ -210,6 +210,18 @@ def test_synth_invalid_artifact_is_one_error_line(tmp_path, capsys, flag, value,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_synth_fewer_than_one_study_is_a_usage_error(tmp_path, capsys, count):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(out), f"--n={count}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --n: must be at least 1, got {count}" in captured.err
     assert not out.exists()
 
 
@@ -816,6 +828,57 @@ def test_overlay_missing_ecg_key_names_the_stage(tmp_path, capsys):
     assert code == 1
     assert "study_0000.ppm: error: ecg: no pixel within tolerance" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overlay_isolates_unexpected_exception(tmp_path, capsys, monkeypatch):
+    make_study(tmp_path)
+
+    def failing_measure_study(image, manifest, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "measure_study", failing_measure_study)
+    assert main(["overlay", str(tmp_path / "study_0000.ppm")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.splitlines()[-1] == f"{tmp_path / 'study_0000.ppm'}: error: RuntimeError: injected fault"
+    assert not list(tmp_path.glob("*.overlay.ppm"))
+
+
+@pytest.mark.parametrize("name", ["studies", "."])
+def test_overlay_of_a_directory_is_one_error(tmp_path, capsys, monkeypatch, name):
+    studies = tmp_path / "studies"
+    studies.mkdir()
+    make_study(studies)
+    monkeypatch.chdir(studies)
+    directory = str(studies) if name == "studies" else name  # "." has no stem to add a suffix to
+    assert main(["overlay", directory]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"{directory}: error: ")
+    assert not list(tmp_path.rglob("*.overlay.ppm"))
+
+
+@pytest.mark.parametrize("fault", ["rejected-label", "unknown-label", "truncated-ppm", "missing-manifest"])
+def test_overlay_reports_an_input_as_single_input_analyze_does(tmp_path, capsys, fault):
+    label = {"rejected-label": "LVOT", "unknown-label": "spectral_unknown"}.get(fault, MITRAL_INFLOW_LABEL)
+    make_study(tmp_path, label=label)
+    image_path = tmp_path / "study_0000.ppm"
+    if fault == "truncated-ppm":
+        image_path.write_bytes(image_path.read_bytes()[:1000])
+    if fault == "missing-manifest":
+        (tmp_path / "study_0000.manifest").unlink()
+
+    def run(command):
+        code = main([command, str(image_path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    analyze = run("analyze")
+    assert analyze[0] == (2 if fault == "rejected-label" else 1)
+    assert "Traceback" not in analyze[2]
+    assert run("overlay") == analyze
+    assert not list(tmp_path.glob("*.measurements.csv")) and not list(tmp_path.glob("*.overlay.ppm"))
 
 
 def test_overlay_mask_draws_what_analyze_mask_measures(tmp_path):
