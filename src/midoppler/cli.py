@@ -21,6 +21,7 @@ from .ingestion import (
     atomic_write_text,
     load_image,
     load_manifest,
+    read_image_size,
     read_key_values,
     route_image,
     save_image,
@@ -266,69 +267,89 @@ def _analyze_all(images, args, params, write):
     yield from map(analyze, images)
 
 
+_HERE = -1  # the claims mark of an input this process takes
+
+
 def _pooled(analyze, images, workers, context):
     """Run the batch on workers - 1 forked workers and on this process.
 
-    The workers take inputs from the front of the batch and this process
-    takes them from the back, each input claimed first in a shared array so
-    that it runs once; finished inputs are yielded in input order between
-    this process's own. Fork write-protects every page of this process, and
-    an idle wait lets the workers evict its caches: staying busy until the
-    two ends meet takes those costs inside the batch, instead of in the
-    caller's next study.
+    Each worker drains the batch from the front and sends each result back
+    over its own pipe; this process takes inputs from the back, and between
+    two of them yields the finished inputs in input order. Every input is
+    claimed first in a shared array, which records the claimant, so that it
+    runs once; an input claimed by a worker that dies before returning it
+    ends in an error line naming the worker's exit code. Fork write-protects
+    every page of this process, and an idle wait lets the workers evict its
+    caches: staying busy until the two ends meet takes those costs inside
+    the batch, instead of in the caller's next study.
     """
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.connection import wait
 
-    def collect(index):
-        try:
-            return futures[index].result()
-        except Exception as exc:  # e.g. BrokenProcessPool: a worker died
-            return "error", "", f"{images[index]}: error: {type(exc).__name__}: {exc}\n"
+    claims = context.Array("i", len(images))
+    live = {}  # a worker's receiving end of its pipe: (worker mark, process)
+    results = {}  # finished inputs not yet yielded, by index
 
-    claims = context.Array("b", len(images))
-    pool = ProcessPoolExecutor(
-        workers - 1, mp_context=context, initializer=_hold_claims, initargs=(claims,)
-    )
+    def collect(conn):
+        """Take every result conn has ready; at its end, settle what its worker left."""
+        while conn.poll():
+            try:
+                index, result = conn.recv()
+            except EOFError:
+                mark, process = live.pop(conn)
+                conn.close()
+                process.join()
+                lost = f"error: worker process exited with code {process.exitcode}"
+                for index in range(done, len(images)):
+                    if claims[index] == mark and index not in results:
+                        results[index] = "error", "", f"{images[index]}: {lost}\n"
+                return
+            results[index] = result
+
+    done, back = 0, len(images)  # inputs yielded; the lowest index this process took
     try:
-        futures = [
-            pool.submit(_analyze_claimed, index, analyze, image_path)
-            for index, image_path in enumerate(images)
-        ]
-        here, done, back = {}, 0, len(images)
-        while done < back:
-            if futures[done].done():
-                yield collect(done)
+        for mark in range(1, workers):
+            receiving, sending = context.Pipe(duplex=False)
+            process = context.Process(target=_drain, args=(analyze, images, claims, mark, sending), daemon=True)
+            process.start()
+            sending.close()  # so that the worker's exit ends the pipe
+            live[receiving] = mark, process
+        while done < len(images):
+            if done not in results:
+                for conn in wait(live, timeout=0):
+                    collect(conn)
+            if done in results:
+                yield results.pop(done)
                 done += 1
-            elif _claim(claims, back - 1):
+            elif back > done and _claim(claims, back - 1, _HERE):
                 back -= 1
-                here[back] = analyze(images[back])
+                results[back] = analyze(images[back])
             else:  # a worker has it, and the workers have all before it
-                break
-        for index in range(done, len(images)):
-            yield here[index] if index in here else collect(index)
+                for conn in wait(live):
+                    collect(conn)
     finally:
-        pool.shutdown(cancel_futures=True)
+        # after an early stop, so that the workers stop after their current input
+        for index in range(done, len(images)):
+            _claim(claims, index, _HERE)
+        while live:
+            for conn in wait(live):
+                collect(conn)
 
 
-_worker_claims = None  # in a forked worker: the claims of its batch
+def _drain(analyze, images, claims, mark, sending):
+    """A worker's loop: run each input it can claim, front first, and send back (index, result)."""
+    for index, image_path in enumerate(images):
+        if _claim(claims, index, mark):
+            sending.send((index, analyze(image_path)))
+    sending.close()
 
 
-def _hold_claims(claims):
-    global _worker_claims
-    _worker_claims = claims
-
-
-def _analyze_claimed(index, analyze, image_path):
-    """A worker's run of one input; None when another process claimed it."""
-    return analyze(image_path) if _claim(_worker_claims, index) else None
-
-
-def _claim(claims, index) -> bool:
-    """Claim input index for the calling process; False if it was taken."""
+def _claim(claims, index, mark) -> bool:
+    """Claim input index for the process of mark; False if it was taken."""
     with claims.get_lock():
-        taken = claims[index]
-        claims[index] = 1
-    return not taken
+        if claims[index]:
+            return False
+        claims[index] = mark
+    return True
 
 
 def _out_dir(image_path, args) -> Path:
@@ -338,20 +359,22 @@ def _out_dir(image_path, args) -> Path:
 def _analyze_one(image_path, args, params, write):
     """One input: (outcome, stdout text, stderr text).
 
-    Loads the image and its manifest (by default <image-stem>.manifest),
-    routes the study and measures it with measure_study(**params); then
-    write(image_path, args, image, manifest, run) writes the command's
-    files and returns the measured input's triple. The outcome is
-    "measured", "rejected" or "error". Prints nothing, so that a worker
-    process can run it.
+    Reads the image's size from its header, loads its manifest (by default
+    <image-stem>.manifest) against that size and routes the study; only a
+    mitral-inflow study's pixels are read and measured with
+    measure_study(**params). Then write(image_path, args, image, manifest,
+    run) writes the command's files and returns the measured input's
+    triple. The outcome is "measured", "rejected" or "error". Prints
+    nothing, so that a worker process can run it.
     """
     try:
-        image = load_image(image_path)
+        image_size = read_image_size(image_path)
         manifest_path = Path(args.manifest) if args.manifest else image_path.with_suffix(".manifest")
-        manifest = load_manifest(manifest_path, image_size=(image.width, image.height))
+        manifest = load_manifest(manifest_path, image_size=image_size)
         decision = route_image(manifest)
         if not decision.accepted:
             return "rejected", f"{image_path}: rejected (label={decision.label})\n", ""
+        image = load_image(image_path)
         run = measure_study(image, manifest, mask_path=args.mask, **params)
         return write(image_path, args, image, manifest, run)
     except (MidopplerError, OSError) as exc:
@@ -538,7 +561,11 @@ def cmd_agree(args) -> int:
         return 1
     text = agreement_csv_text(rows)
     if args.out:
-        atomic_write_text(args.out, text)
+        try:
+            atomic_write_text(args.out, text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(args.out)
     else:
         sys.stdout.write(text)

@@ -48,6 +48,10 @@ KNOWN_LABELS = (
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
+# bytes of the first header read of read_image_size; a longer header takes
+# more reads
+_HEADER_READ = 64
+
 
 @dataclass
 class RasterImage:
@@ -103,18 +107,26 @@ class RouteDecision:
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Write data to a temporary file beside path, then rename it to path.
+
+    An OSError names path as given, never the temporary file, whose random
+    name would make the message differ on every run.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -165,17 +177,22 @@ def _parse_pnm_header(data: bytearray, path, magic: bytes):
     return width, height, pos
 
 
+def _check_pixel_bytes(path, shape, found: int) -> int:
+    """The byte count of a raster of shape; found, fewer than that, is an error."""
+    need = math.prod(shape)
+    if found < need:
+        raise ImageFormatError(
+            f"{path}: truncated pixel data, expected {need} bytes, found {found}"
+        )
+    return need
+
+
 def _load_pnm(path, magic: bytes, channels: tuple) -> np.ndarray:
     """Decode a binary PNM file to a (height, width, *channels) uint8 array."""
     data = _read_file(path)
     width, height, offset = _parse_pnm_header(data, path, magic)
     shape = (height, width, *channels)
-    need = math.prod(shape)
-    found = len(data) - offset
-    if found < need:
-        raise ImageFormatError(
-            f"{path}: truncated pixel data, expected {need} bytes, found {found}"
-        )
+    need = _check_pixel_bytes(path, shape, len(data) - offset)
     return np.frombuffer(data, np.uint8, count=need, offset=offset).reshape(shape)
 
 
@@ -197,6 +214,34 @@ def _read_file(path) -> bytearray:
 def load_image(path) -> RasterImage:
     """Decode a binary PPM (P6) file; no color transform is applied."""
     return RasterImage(_load_pnm(path, b"P6", (3,)))
+
+
+def read_image_size(path) -> tuple:
+    """(width, height) of a binary PPM (P6) file, from its header and size alone.
+
+    The header is read in chunks that double, from _HEADER_READ bytes, until
+    it parses or the file ends, and the pixel data is checked against the
+    size fstat reports: the pixels are never read. A file load_image fails
+    on raises the same ImageFormatError here, as long as the file does not
+    change between the two reads.
+    """
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            data = bytearray()
+            while True:
+                more = fh.read(len(data) or _HEADER_READ)
+                data += more
+                try:
+                    width, height, offset = _parse_pnm_header(data, path, b"P6")
+                    break
+                except ImageFormatError:
+                    if not more:  # the whole file failed to parse, as in load_image
+                        raise
+    except OSError as exc:
+        raise ImageFormatError(f"{path}: cannot read file: {exc}") from exc
+    _check_pixel_bytes(path, (height, width, 3), size - offset)
+    return width, height
 
 
 def save_image(path, image: RasterImage) -> None:

@@ -17,6 +17,7 @@ import pytest
 import midoppler
 from midoppler import cli
 from midoppler.cli import main
+from midoppler.errors import ImageFormatError
 from midoppler.ingestion import MITRAL_INFLOW_LABEL, load_image, save_image, save_manifest
 from midoppler.measurement import measure_study, read_measurement_csv, study_csv_text
 from midoppler.overlay import (
@@ -248,12 +249,12 @@ def run_fresh_interpreter(script):
 
 def test_analyze_cold_start_imports_no_scipy(tmp_path):
     # scipy is a test oracle only: a fresh single-study call must not load
-    # any of it, even lazily
+    # any of it, even lazily; nor, running in-process, the batch's process tools
     make_study(tmp_path)
     result = run_fresh_interpreter(
         "import sys, midoppler.cli\n"
         f"status = midoppler.cli.main(['analyze', {str(tmp_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-        "print(status, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(status, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))\n"
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 []"
@@ -446,12 +447,13 @@ def test_analyze_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert codes == [1]
     (dead,) = outcome_lines(captured, tmp_path / "a_dies.ppm")
-    assert ": error: BrokenProcessPool: " in dead
+    assert dead == f"{tmp_path / 'a_dies.ppm'}: error: worker process exited with code 3"
     for stem in ("b", "c"):
         (line,) = outcome_lines(captured, tmp_path / f"{stem}.ppm")
         assert ": 3 beats" in line or ": error: " in line
     (last,) = outcome_lines(captured, tmp_path / "d.ppm")  # taken by this process first
     assert ": 3 beats" in last
+    assert multiprocessing.active_children() == []
 
 
 @needs_fork
@@ -478,6 +480,59 @@ def test_analyze_batch_runs_its_last_inputs_in_this_process(tmp_path, capsys, mo
     assert here and here == [3, 2, 1, 0][: len(here)]  # from the back, one at a time
     printed = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()]
     assert printed == [str(tmp_path / f"s{k}.ppm") for k in range(4)]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_analyze_batch_closed_early_leaves_no_worker(tmp_path, monkeypatch):
+    pictures = [make_study(tmp_path, stem=f"s{k}", heart_rate=60.0 + 5.0 * k)[0] for k in range(6)]
+    real_measure_study = cli.measure_study
+
+    def measure_study(image, manifest, **kwargs):
+        if np.array_equal(image.pixels, pictures[1].pixels):
+            time.sleep(0.5)  # a worker is still on s1 when the batch is closed
+        return real_measure_study(image, manifest, **kwargs)
+
+    monkeypatch.setattr(cli, "measure_study", measure_study)
+    report_cpus(monkeypatch, 3)
+    args = cli.build_parser().parse_args(["analyze", str(tmp_path)])
+    images = cli._expand_inputs(args.inputs)
+    batch = cli._analyze_all(images, args, cli._pipeline_params(args), cli._write_measurements)
+    outcome, out, _ = next(batch)
+    assert outcome == "measured" and out.startswith(f"{images[0]}: 3 beats")
+    batch.close()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+def test_analyze_reads_the_pixels_of_mitral_inflow_studies_only(tmp_path, capsys, monkeypatch, cpus):
+    labels = {"a_lvot": "LVOT", "b_mitral": MITRAL_INFLOW_LABEL, "c_pulm_vein": "pulm_vein",
+              "d_mitral": MITRAL_INFLOW_LABEL, "e_truncated": "LVOT"}
+    for k, (stem, label) in enumerate(labels.items()):
+        make_study(tmp_path, stem=stem, label=label, seed=k)
+    truncated = tmp_path / "e_truncated.ppm"
+    truncated.write_bytes(truncated.read_bytes()[:1_000_000])
+    with pytest.raises(ImageFormatError) as truncation:
+        load_image(truncated)
+    reads = tmp_path / "reads.txt"  # appended to by every process
+    real_load_image = cli.load_image
+
+    def spy_load_image(path):
+        with open(reads, "a") as log:
+            log.write(f"{Path(path).name}\n")
+        return real_load_image(path)
+
+    monkeypatch.setattr(cli, "load_image", spy_load_image)
+    report_cpus(monkeypatch, cpus)
+    assert main(["analyze", str(tmp_path)]) == 1
+    assert sorted(reads.read_text().split()) == ["b_mitral.ppm", "d_mitral.ppm"]
+    captured = capsys.readouterr()
+    for stem in ("a_lvot", "c_pulm_vein"):
+        assert outcome_lines(captured, tmp_path / f"{stem}.ppm") == [
+            f"{tmp_path / stem}.ppm: rejected (label={labels[stem]})"
+        ]
+    assert "truncated pixel data, expected " in str(truncation.value)
+    assert outcome_lines(captured, truncated) == [f"{truncated}: error: {truncation.value}"]
 
 
 @needs_fork
@@ -691,6 +746,20 @@ def test_agree_refuses_a_study_read_from_two_files(tmp_path, capsys):
     assert captured.err == f"error: study 'study_0000' is read from both {both}\n"
 
 
+def test_agree_missing_output_directory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    make_study(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    errors = []
+    for _ in range(2):
+        assert main(["agree", "study_0000.truth.csv", "study_0000.truth.csv", "--out", "no-dir/x.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].splitlines()[-1] == "error: [Errno 2] No such file or directory: 'no-dir/x.csv'"
+    assert "Traceback" not in errors[0]
+
+
 def test_agree_disjoint_keys_exits_one(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -803,13 +872,15 @@ def test_overlay_zero_beats_draws_border_only(tmp_path, capsys):
     assert not colors_present(pixels, E_COLOR)
 
 
-def test_overlay_unwritable_output_exits_one(tmp_path, capsys):
+def test_overlay_unwritable_output_exits_one(tmp_path, capsys, monkeypatch):
+    # the line names the path given, not a random temporary file beside it
     make_study(tmp_path)
-    code = main([
-        "overlay", str(tmp_path / "study_0000.ppm"),
-        "--out", str(tmp_path / "missing-dir" / "x.ppm"),
-    ])
-    assert code == 1
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert main(["overlay", "study_0000.ppm", "--out", "no-dir/x.ppm"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "study_0000.ppm: error: [Errno 2] No such file or directory: 'no-dir/x.ppm'\n"
 
 
 def test_overlay_rejected_label_exits_two(tmp_path):

@@ -24,6 +24,7 @@ from midoppler.ingestion import (
     load_gray_image,
     load_image,
     load_manifest,
+    read_image_size,
     read_key_values,
     route_image,
     save_gray_image,
@@ -413,3 +414,75 @@ def test_fuzzed_pnm_raises_only_image_format_error(tmp_path, case):
         load(path)
     except ImageFormatError:
         pass
+
+
+# the header reader: read_image_size agrees with load_image ---------------------
+
+PNM_WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+# comment text without its newline, some longer than the header reader's first read
+COMMENT_TEXT = st.one_of(
+    st.binary(max_size=20),
+    st.binary(min_size=ingestion._HEADER_READ + 1, max_size=4 * ingestion._HEADER_READ),
+).map(lambda text: text.replace(b"\n", b""))
+
+
+# whitespace and comments between two header fields, after the one whitespace
+# byte that ends a field: a comment right after a field is part of it
+PNM_SEPARATOR = st.lists(
+    st.one_of(PNM_WHITESPACE, COMMENT_TEXT.map(lambda text: b"#" + text + b"\n")), max_size=2
+).map(b"".join)
+
+
+@st.composite
+def ppm_files(draw):
+    """A header of random whitespace, comments, fields and maxval, mostly a
+    valid P6 one, then pixel data; cut inside the header, at its end, inside
+    the pixels or not at all."""
+    header = draw(st.sampled_from([b"P6"] * 8 + [b"P5", b"P3"]))
+    fields = [draw(st.sampled_from([3, 1, 2, 5, 0, -1])) for _ in range(2)]
+    fields.append(draw(st.sampled_from([255, 255, 255, 65535, 0])))
+    tokens = [str(value).encode() for value in fields]
+    if draw(st.integers(0, 9)) == 0:
+        tokens[draw(st.integers(0, 2))] = draw(st.sampled_from([b"x", b"2x", b"-", b"1.5"]))
+    for token in tokens:
+        header += draw(PNM_WHITESPACE) + draw(PNM_SEPARATOR) + token
+    header += draw(PNM_WHITESPACE)
+    pixels = max(fields[0], 0) * max(fields[1], 0) * 3 + draw(st.integers(0, 2))
+    data = header + bytes(range(pixels))
+    cut = draw(st.one_of(
+        st.just(len(data)),
+        st.sampled_from([len(header) - 1, len(header), len(header) + 1]),
+        st.integers(0, len(data)),
+    ))
+    return data[:cut]
+
+
+def size_or_error(read, path):
+    try:
+        return read(path)
+    except ImageFormatError as exc:
+        return str(exc)
+
+
+def decoded_size(path):
+    image = load_image(path)
+    return image.width, image.height
+
+
+@fuzz
+@given(ppm_files())
+def test_header_reader_agrees_with_load_image(tmp_path, data):
+    path = tmp_path / "study.ppm"
+    path.write_bytes(data)
+    assert size_or_error(read_image_size, path) == size_or_error(decoded_size, path)
+
+
+def test_header_reader_reads_past_a_long_comment(tmp_path):
+    path = tmp_path / "study.ppm"
+    comment = b"#" + b"c" * (5 * ingestion._HEADER_READ) + b"\n"
+    path.write_bytes(b"P6\n" + comment + b"2 1\n" + comment + b"255\n" + bytes(6))
+    assert read_image_size(path) == (2, 1)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ImageFormatError) as info:
+        read_image_size(path)
+    assert str(info.value) == f"{path}: truncated pixel data, expected 6 bytes, found 5"
