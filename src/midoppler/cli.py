@@ -27,6 +27,7 @@ from .ingestion import (
     save_image,
     save_manifest,
 )
+from .kernels import MAX_MEDIAN_WINDOW
 from .measurement import (
     DtParams,
     PeakParams,
@@ -46,7 +47,7 @@ from .synth import AliasBand, Dropout, Spike, SynthParams, generate_synthetic, w
 # (measure_study keyword, param dataclass, flag rows)
 _PIPELINE_FLAGS = (
     ("seg_params", SegmentationParams, (
-        ("--median-window", "median_window", "per-column median window (odd)"),
+        ("--median-window", "median_window", f"per-column median window (odd, at most {MAX_MEDIAN_WINDOW})"),
         ("--open-radius", "open_radius", "vertical opening radius"),
         ("--min-component-area", "min_component_area", "px^2; smaller components are dropped"),
     )),
@@ -541,11 +542,12 @@ def cmd_agree(args) -> int:
         return 1
 
     field_names = [f.strip().upper() for f in args.fields.split(",") if f.strip()]
-    rows = []
     for name in field_names:
         if name not in FIELD_COLUMNS:
             print(f"error: unknown field {name!r} (choose from {_ALL_FIELDS})", file=sys.stderr)
             return 1
+    rows = []
+    for name in field_names:
         column = FIELD_COLUMNS[name]
         a_map = {k: v[column] for k, v in series_a.items() if column in v}
         b_map = {k: v[column] for k, v in series_b.items() if column in v}

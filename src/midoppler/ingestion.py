@@ -48,8 +48,8 @@ KNOWN_LABELS = (
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
-# bytes of the first header read of read_image_size; a longer header takes
-# more reads
+# bytes the PNM reader buffers per read, so a size-only read reads at most
+# this many bytes past the header
 _HEADER_READ = 64
 
 
@@ -137,36 +137,38 @@ def atomic_write_text(path, text: str) -> None:
 # PNM decode / encode
 
 
-def _parse_pnm_header(data: bytearray, path, magic: bytes):
-    if data[:2] != magic:
+def _read_pnm_header(fh, path, magic: bytes) -> tuple:
+    """(width, height) of the PNM header fh starts with; fh is left at the raster.
+
+    Whitespace and ``#`` comments to the end of their line separate the
+    fields, each of which runs to the next whitespace byte; exactly one
+    whitespace byte follows maxval.
+    """
+    got = fh.read(2)
+    if got != magic:
         raise ImageFormatError(
-            f"{path}: corrupt header, expected {magic.decode()} magic, "
-            f"got {bytes(data[:2])!r}"
+            f"{path}: corrupt header, expected {magic.decode()} magic, got {got!r}"
         )
-    pos = 2
     fields = []
     while len(fields) < 3:
-        while pos < len(data) and (data[pos] in _WHITESPACE or data[pos] == ord("#")):
-            if data[pos] == ord("#"):
-                nl = data.find(b"\n", pos)
-                pos = len(data) if nl < 0 else nl + 1
-            else:
-                pos += 1
-        start = pos
-        while pos < len(data) and data[pos] not in _WHITESPACE:
-            pos += 1
-        token = bytes(data[start:pos])
+        token = bytearray()
+        while byte := fh.read(1):
+            if byte == b"#" and not token:
+                fh.readline()
+            elif byte not in _WHITESPACE:
+                token += byte
+            elif token:
+                break
         if not token:
             raise ImageFormatError(f"{path}: corrupt header, truncated before size fields")
         try:
             fields.append(int(token))
         except ValueError:
             raise ImageFormatError(
-                f"{path}: corrupt header, non-numeric field {token!r}"
+                f"{path}: corrupt header, non-numeric field {bytes(token)!r}"
             ) from None
-    if pos >= len(data):
+    if not byte:
         raise ImageFormatError(f"{path}: corrupt header, missing pixel data")
-    pos += 1  # single whitespace byte separates header from raster
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ImageFormatError(f"{path}: corrupt header, invalid size {width}x{height}")
@@ -174,7 +176,7 @@ def _parse_pnm_header(data: bytearray, path, magic: bytes):
         raise ImageFormatError(
             f"{path}: unsupported bit depth (maxval {maxval}, only 8-bit supported)"
         )
-    return width, height, pos
+    return width, height
 
 
 def _check_pixel_bytes(path, shape, found: int) -> int:
@@ -187,60 +189,40 @@ def _check_pixel_bytes(path, shape, found: int) -> int:
     return need
 
 
-def _load_pnm(path, magic: bytes, channels: tuple) -> np.ndarray:
-    """Decode a binary PNM file to a (height, width, *channels) uint8 array."""
-    data = _read_file(path)
-    width, height, offset = _parse_pnm_header(data, path, magic)
-    shape = (height, width, *channels)
-    need = _check_pixel_bytes(path, shape, len(data) - offset)
-    return np.frombuffer(data, np.uint8, count=need, offset=offset).reshape(shape)
+def _read_pnm(path, magic: bytes, channels: tuple, pixels: bool = True):
+    """The (height, width, *channels) uint8 raster of a binary PNM file.
 
-
-def _read_file(path) -> bytearray:
-    """The file's bytes, read once into a buffer of the size fstat reports.
-
-    The buffer is cut to the bytes actually read, so a file that shrank
-    after fstat reads as truncated, not as zero-filled.
+    The header is parsed from the open file, and the pixel data is checked
+    against the size fstat reports. With pixels false only the raster's
+    shape is returned, and no pixel is read. A raster read that comes up
+    short, as from a file that shrank after fstat, is still a truncation.
     """
     try:
-        with open(path, "rb") as fh:
-            data = bytearray(os.fstat(fh.fileno()).st_size)
-            del data[fh.readinto(data):]
+        with open(path, "rb", buffering=_HEADER_READ) as fh:
+            width, height = _read_pnm_header(fh, path, magic)
+            shape = (height, width, *channels)
+            need = _check_pixel_bytes(path, shape, os.fstat(fh.fileno()).st_size - fh.tell())
+            if not pixels:
+                return shape
+            data = bytearray(need)
+            _check_pixel_bytes(path, shape, fh.readinto(data))
     except OSError as exc:
         raise ImageFormatError(f"{path}: cannot read file: {exc}") from exc
-    return data
+    return np.frombuffer(data, np.uint8).reshape(shape)
 
 
 def load_image(path) -> RasterImage:
     """Decode a binary PPM (P6) file; no color transform is applied."""
-    return RasterImage(_load_pnm(path, b"P6", (3,)))
+    return RasterImage(_read_pnm(path, b"P6", (3,)))
 
 
 def read_image_size(path) -> tuple:
     """(width, height) of a binary PPM (P6) file, from its header and size alone.
 
-    The header is read in chunks that double, from _HEADER_READ bytes, until
-    it parses or the file ends, and the pixel data is checked against the
-    size fstat reports: the pixels are never read. A file load_image fails
-    on raises the same ImageFormatError here, as long as the file does not
-    change between the two reads.
+    A file load_image fails on raises the same ImageFormatError here, as
+    long as the file does not change between the two reads.
     """
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            size = os.fstat(fh.fileno()).st_size
-            data = bytearray()
-            while True:
-                more = fh.read(len(data) or _HEADER_READ)
-                data += more
-                try:
-                    width, height, offset = _parse_pnm_header(data, path, b"P6")
-                    break
-                except ImageFormatError:
-                    if not more:  # the whole file failed to parse, as in load_image
-                        raise
-    except OSError as exc:
-        raise ImageFormatError(f"{path}: cannot read file: {exc}") from exc
-    _check_pixel_bytes(path, (height, width, 3), size - offset)
+    height, width, _ = _read_pnm(path, b"P6", (3,), pixels=False)
     return width, height
 
 
@@ -251,7 +233,7 @@ def save_image(path, image: RasterImage) -> None:
 
 def load_gray_image(path) -> np.ndarray:
     """Decode a binary PGM (P5) file to a (height, width) uint8 array."""
-    return _load_pnm(path, b"P5", ())
+    return _read_pnm(path, b"P5", ())
 
 
 def save_gray_image(path, gray: np.ndarray) -> None:

@@ -46,8 +46,11 @@ class SegmentationParams:
     min_component_area: int = 25  # px
 
     def __post_init__(self):
-        if self.median_window < 1 or self.median_window % 2 == 0:
-            raise ValueError(f"median_window must be odd and >= 1, got {self.median_window}")
+        if not 1 <= self.median_window <= kernels.MAX_MEDIAN_WINDOW or self.median_window % 2 == 0:
+            raise ValueError(
+                f"median_window must be odd and in [1, {kernels.MAX_MEDIAN_WINDOW}], "
+                f"got {self.median_window}"
+            )
         if self.open_radius < 0:
             raise ValueError(f"open_radius must be >= 0, got {self.open_radius}")
         if self.min_component_area < 0:

@@ -19,6 +19,7 @@ from midoppler import cli
 from midoppler.cli import main
 from midoppler.errors import ImageFormatError
 from midoppler.ingestion import MITRAL_INFLOW_LABEL, load_image, save_image, save_manifest
+from midoppler.kernels import MAX_MEDIAN_WINDOW
 from midoppler.measurement import measure_study, read_measurement_csv, study_csv_text
 from midoppler.overlay import (
     A_COLOR,
@@ -245,6 +246,28 @@ def run_fresh_interpreter(script):
     src = str(Path(midoppler.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+
+
+def readme_library_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs_after_a_lean_package_import():
+    # the package namespace holds only __version__: importing it loads no
+    # submodule and no numpy, and the example imports what it uses
+    result = run_fresh_interpreter(
+        "import sys\n"
+        "import midoppler\n"
+        "print(midoppler.__version__, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('midoppler.')))\n"
+        + readme_library_block()
+    )
+    assert result.returncode == 0, result.stderr
+    first, second = result.stdout.splitlines()
+    assert first == f"{midoppler.__version__} []"
+    n_beats, *means = second.split()
+    assert int(n_beats) > 0 and len(means) == 4 and all(float(m) > 0 for m in means)
 
 
 def test_analyze_cold_start_imports_no_scipy(tmp_path):
@@ -812,8 +835,13 @@ def test_agree_counts_each_unpaired_key_once(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "series_b, flags, message",
-    [("empty", [], "no CSV files found"), ("full", ["--fields", "E,X"], "unknown field 'X'")],
-    ids=["empty-directory", "unknown-field"],
+    [
+        ("empty", [], "no CSV files found"),
+        ("full", ["--fields", "E,X"], "unknown field 'X'"),
+        # A is constant in write_beats: its comparison would warn first
+        ("full", ["--fields", "A,X"], "unknown field 'X'"),
+    ],
+    ids=["empty-directory", "unknown-field", "unknown-field-after-an-undefined-one"],
 )
 def test_agree_usage_faults_are_one_error_line(tmp_path, capsys, series_b, flags, message):
     full = write_beats(tmp_path / "full", (1, 2, 3))
@@ -980,7 +1008,12 @@ def test_overlay_mask_draws_what_analyze_mask_measures(tmp_path):
 @pytest.mark.parametrize("command", ["analyze", "overlay"])
 @pytest.mark.parametrize(
     "flag, value",
-    [("--median-window", "2"), ("--qrs-threshold-fraction", "1.5"), ("--smooth-ms", "0")],
+    [
+        ("--median-window", "2"),
+        ("--median-window", str(MAX_MEDIAN_WINDOW + 2)),
+        ("--qrs-threshold-fraction", "1.5"),
+        ("--smooth-ms", "0"),
+    ],
 )
 def test_rejected_pipeline_value_is_a_usage_error(tmp_path, capsys, command, flag, value):
     make_study(tmp_path)

@@ -1,5 +1,6 @@
 """Image decode/encode, manifest parsing, and label routing."""
 
+import io
 import math
 from dataclasses import MISSING, fields, replace
 from types import SimpleNamespace
@@ -33,6 +34,7 @@ from midoppler.ingestion import (
     validate_manifest,
 )
 from midoppler.measurement import measure_study
+from midoppler.segmentation import import_mask
 from midoppler.synth import SynthParams, generate_synthetic
 
 from conftest import make_manifest
@@ -137,6 +139,34 @@ def test_header_comments_are_skipped(tmp_path):
     image = load_image(path)
     assert image.width == 2 and image.height == 1
     assert image.pixels[0, 1, 2] == 6
+
+
+@pytest.mark.parametrize("data, expected", [
+    # a comment may follow the magic directly
+    (b"P6#c\n2 1\n255\n" + bytes(range(6)), bytes(range(6))),
+    # all six whitespace bytes separate fields
+    (b"P6 1\t1\r\x0b255\x0c\x01\x02\x03", b"\x01\x02\x03"),
+    # exactly one whitespace byte follows maxval, so what comes next is pixel data
+    (b"P6 1 1 255\n\n\x01\x02", b"\n\x01\x02"),
+    (b"P6 1 1 255 #c\n", b"#c\n"),
+    # a field runs to the next whitespace byte, through a #
+    (b"P6 2#3 1 255\n" + bytes(18), "corrupt header, non-numeric field b'2#3'"),
+    (b"P6 1 1 255", "corrupt header, missing pixel data"),
+    (b"P6 1 1 #c 255\n", "corrupt header, truncated before size fields"),
+], ids=[
+    "comment-after-magic", "six-whitespace-bytes", "one-byte-after-maxval",
+    "comment-after-maxval-is-pixels", "hash-inside-field", "nothing-after-maxval",
+    "comment-hides-maxval",
+])
+def test_header_grammar(tmp_path, data, expected):
+    path = tmp_path / "grammar.ppm"
+    path.write_bytes(data)
+    if isinstance(expected, bytes):
+        assert load_image(path).pixels.tobytes() == expected
+    else:
+        with pytest.raises(ImageFormatError) as info:
+            load_image(path)
+        assert str(info.value) == f"{path}: {expected}"
 
 
 def test_gray_roundtrip(tmp_path):
@@ -486,3 +516,112 @@ def test_header_reader_reads_past_a_long_comment(tmp_path):
     with pytest.raises(ImageFormatError) as info:
         read_image_size(path)
     assert str(info.value) == f"{path}: truncated pixel data, expected 6 bytes, found 5"
+
+
+# the one PNM reader: bytes read, long headers of both kinds ----------------
+
+
+def count_raw_reads(monkeypatch) -> list:
+    """Open ingestion's files through a raw file that logs the byte count of
+    each read it makes; returns the log."""
+    log = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            log.append(n or 0)
+            return n
+
+        def read(self, size=-1):
+            data = super().read(size)
+            log.append(len(data or b""))
+            return data
+
+        def readall(self):
+            data = super().readall()
+            log.append(len(data))
+            return data
+
+    def counting_open(path, mode="r", buffering=-1):
+        raw = CountingFile(path, mode)
+        if buffering == 0:
+            return raw
+        return io.BufferedReader(raw, buffering if buffering > 0 else io.DEFAULT_BUFFER_SIZE)
+
+    monkeypatch.setattr(ingestion, "open", counting_open, raising=False)
+    return log
+
+
+def test_size_read_of_a_bad_magic_reads_one_buffer(tmp_path, monkeypatch):
+    path = tmp_path / "study.ppm"
+    path.write_bytes(b"P3\n1000 1000\n255\n" + bytes(2_000_000))
+    log = count_raw_reads(monkeypatch)
+    with pytest.raises(ImageFormatError) as info:
+        read_image_size(path)
+    assert str(info.value) == f"{path}: corrupt header, expected P6 magic, got b'P3'"
+    assert 0 < sum(log) <= ingestion._HEADER_READ
+
+
+LONG_COMMENT = b"#" + b"c" * (5 * ingestion._HEADER_READ) + b"\n"
+
+
+def long_comment_header(magic, width, height) -> bytes:
+    return magic + b"\n" + LONG_COMMENT + f"{width} {height}\n".encode() + LONG_COMMENT + b"255\n"
+
+
+def test_size_read_past_long_comments_reads_one_buffer_past_the_header(tmp_path, monkeypatch):
+    path = tmp_path / "study.ppm"
+    header = long_comment_header(b"P6", 1000, 1)
+    path.write_bytes(header + bytes(3000))
+    log = count_raw_reads(monkeypatch)
+    assert read_image_size(path) == (1000, 1)
+    assert len(header) < sum(log) <= len(header) + ingestion._HEADER_READ
+    log.clear()
+    assert load_image(path).pixels.shape == (1, 1000, 3)
+    assert sum(log) == len(header) + 3000
+
+
+def pnm_error(load, path):
+    try:
+        load(path)
+    except ImageFormatError as exc:
+        return str(exc)
+    return None
+
+
+def import_test_mask(path):
+    return import_mask(path, make_manifest())  # a 180x90 spectral region
+
+
+# header cuts: inside the first comment, inside the second, and before the
+# whitespace byte after maxval
+HEADER_CUTS = [10, len(long_comment_header(b"P5", 180, 90)) - 10, -1]
+
+
+@pytest.mark.parametrize("cut", HEADER_CUTS)
+def test_long_comment_pgm_cut_in_its_header_reads_as_the_ppm(tmp_path, cut):
+    path = tmp_path / "mask.pgm"
+    path.write_bytes(long_comment_header(b"P6", 180, 90)[:cut])
+    expected = pnm_error(load_image, path)
+    assert expected is not None
+    path.write_bytes(long_comment_header(b"P5", 180, 90)[:cut])
+    assert pnm_error(load_gray_image, path) == expected
+    assert pnm_error(import_test_mask, path) == expected
+
+
+@pytest.mark.parametrize("found", [0, 100])
+def test_long_comment_pgm_cut_in_its_pixels(tmp_path, found):
+    path = tmp_path / "mask.pgm"
+    path.write_bytes(long_comment_header(b"P5", 180, 90) + bytes(found))
+    message = f"{path}: truncated pixel data, expected {180 * 90} bytes, found {found}"
+    assert pnm_error(load_gray_image, path) == message
+    assert pnm_error(import_test_mask, path) == message
+
+
+def test_long_comment_pgm_mask_imports(tmp_path):
+    gray = np.zeros((90, 180), np.uint8)
+    gray[40:60, 20:160] = 255
+    path = tmp_path / "mask.pgm"
+    path.write_bytes(long_comment_header(b"P5", 180, 90) + gray.tobytes())
+    assert np.array_equal(load_gray_image(path), gray)
+    assert np.array_equal(import_test_mask(path).cells, gray == 255)

@@ -104,6 +104,15 @@ def test_median_rejects_even_window():
         kernels.column_median(np.zeros((4, 4), np.float32), 2)
 
 
+def test_median_window_bound():
+    # the widest window runs, and matches the naive median; the next odd one is refused
+    img = np.random.default_rng(14).uniform(0, 255, (40, 6)).astype(np.float32)
+    window = kernels.MAX_MEDIAN_WINDOW
+    assert np.array_equal(kernels.column_median(img, window), naive_column_median(img, window))
+    with pytest.raises(ValueError, match=f"got {window + 2}"):
+        kernels.column_median(img, window + 2)
+
+
 def test_opening_rejects_negative_radius():
     with pytest.raises(ValueError):
         kernels.vertical_opening(np.zeros((4, 4), bool), -1)

@@ -567,6 +567,13 @@ def test_smooth_window_beyond_trace_degrades_to_global_mean():
         assert np.allclose(out.velocities, trace.velocities.mean())
 
 
+def test_segmentation_median_window_is_bounded():
+    widest = kernels.MAX_MEDIAN_WINDOW
+    assert SegmentationParams(median_window=widest).median_window == widest
+    with pytest.raises(ValueError, match=f"median_window .* got {widest + 2}"):
+        SegmentationParams(median_window=widest + 2)
+
+
 def test_smooth_rejects_nonpositive_window():
     with pytest.raises(ValueError):
         smooth_trace(make_trace(np.ones(5)), 0.0)
