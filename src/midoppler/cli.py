@@ -131,7 +131,11 @@ def _add_pipeline_flags(parser):
     group = parser.add_argument_group("pipeline parameters")
     for _, cls, flags in _PIPELINE_FLAGS:
         _add_flags(group, cls, flags)
-    group.add_argument("--mask", default=None, help="import an external envelope mask (single input only)")
+    group.add_argument(
+        "--mask",
+        default=None,
+        help="import external envelope masks: a PGM file (single input only) or a directory of <image-stem>.mask.pgm",
+    )
 
 
 def _pipeline_params(args) -> dict:
@@ -139,7 +143,9 @@ def _pipeline_params(args) -> dict:
     return {keyword: cls(**_flag_values(args, flags)) for keyword, cls, flags in _PIPELINE_FLAGS}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="midoppler",
         description="Automated mitral-inflow Doppler measurement",
@@ -205,11 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _expand_inputs(inputs):
+    """The named images, and each named directory's studies: its .ppm files but overlay's output."""
     images = []
     for raw in inputs:
         path = Path(raw)
         if path.is_dir():
-            images.extend(sorted(path.glob("*.ppm")))
+            images.extend(sorted(p for p in path.glob("*.ppm") if not p.name.endswith(".overlay.ppm")))
         else:
             images.append(path)
     return images
@@ -220,8 +227,9 @@ def cmd_analyze(args) -> int:
     if not images:
         print("no input images found", file=sys.stderr)
         return 2
-    for flag, value in (("--manifest", args.manifest), ("--mask", args.mask)):
-        if value and len(images) > 1:
+    mask_file = args.mask and not Path(args.mask).is_dir()
+    for flag, single in (("--manifest", args.manifest), ("--mask", mask_file)):
+        if single and len(images) > 1:
             print(f"error: {flag} requires a single input image", file=sys.stderr)
             return 1
     params = {**_pipeline_params(args), "drop_outliers": args.drop_outliers}
@@ -363,10 +371,11 @@ def _analyze_one(image_path, args, params, write):
     Reads the image's size from its header, loads its manifest (by default
     <image-stem>.manifest) against that size and routes the study; only a
     mitral-inflow study's pixels are read and measured with
-    measure_study(**params). Then write(image_path, args, image, manifest,
-    run) writes the command's files and returns the measured input's
-    triple. The outcome is "measured", "rejected" or "error". Prints
-    nothing, so that a worker process can run it.
+    measure_study(**params), on the mask --mask names: a file, or
+    <image-stem>.mask.pgm in a directory. Then write(image_path, args,
+    image, manifest, run) writes the command's files and returns the
+    measured input's triple. The outcome is "measured", "rejected" or
+    "error". Prints nothing, so that a worker process can run it.
     """
     try:
         image_size = read_image_size(image_path)
@@ -376,12 +385,19 @@ def _analyze_one(image_path, args, params, write):
         if not decision.accepted:
             return "rejected", f"{image_path}: rejected (label={decision.label})\n", ""
         image = load_image(image_path)
-        run = measure_study(image, manifest, mask_path=args.mask, **params)
+        run = measure_study(image, manifest, mask_path=_mask_path(image_path, args.mask), **params)
         return write(image_path, args, image, manifest, run)
     except (MidopplerError, OSError) as exc:
         return "error", "", f"{image_path}: error: {exc}\n"
     except Exception as exc:  # one faulty study must not abort the batch
         return "error", "", f"{traceback.format_exc()}{image_path}: error: {type(exc).__name__}: {exc}\n"
+
+
+def _mask_path(image_path, mask):
+    """The mask of image_path that --mask names: mask itself, or the image's mask in directory mask."""
+    if mask and Path(mask).is_dir():
+        return Path(mask) / f"{image_path.stem}.mask.pgm"
+    return mask
 
 
 def _write_measurements(image_path, args, image, manifest, run):

@@ -580,6 +580,17 @@ def test_analyze_shared_output_keeps_serial_order(tmp_path, capsys, monkeypatch)
     assert (out / "study_0000.measurements.csv").read_bytes() == expected
 
 
+def test_analyze_directory_skips_overlay_output(tmp_path, capsys):
+    assert main(["synth", "--n", "1", "--out", str(tmp_path)]) == 0
+    assert main(["overlay", str(tmp_path / "study_0000.ppm")]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"{tmp_path / 'study_0000.ppm'}: 3 beats") and captured.out.count("\n") == 1
+    assert not (tmp_path / "study_0000.overlay.measurements.csv").exists()
+
+
 @pytest.mark.parametrize("flag", ["--manifest", "--mask"])
 def test_analyze_single_input_flag_with_two_inputs_exits_one(tmp_path, capsys, flag):
     make_study(tmp_path)
@@ -609,6 +620,63 @@ def test_analyze_with_imported_mask(tmp_path):
     assert code == 0
     rows = read_measurement_csv(tmp_path / "study_0000.measurements.csv")
     assert rows[1]["e_mps"] == pytest.approx(0.8, abs=0.02)
+
+
+def lowered_mask(truth, rows) -> EnvelopeMask:
+    """truth's envelope mask moved rows lower, so that the measurements show which mask was read."""
+    cells = np.zeros_like(truth.mask)
+    cells[rows:] = truth.mask[:-rows]
+    return EnvelopeMask(cells)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_analyze_mask_directory_pairs_each_image_with_its_stem(tmp_path, capsys, monkeypatch, cpus):
+    inputs, masks, out = tmp_path / "inputs", tmp_path / "masks", tmp_path / "out"
+    inputs.mkdir()
+    masks.mkdir()
+    for k, stem in enumerate(["a_masked", "b_masked"]):
+        _, _, truth = make_study(inputs, stem=stem, noise_sigma=0.15, heart_rate=60.0 + 15.0 * k, seed=k)
+        export_mask(masks / f"{stem}.mask.pgm", lowered_mask(truth, 4 + 4 * k))
+    make_study(inputs, stem="c_maskless", seed=2)
+    make_study(inputs, stem="d_rejected", label="LVOT")
+    report_cpus(monkeypatch, cpus)
+
+    def run(argvs):
+        codes = [main(argv) for argv in argvs]
+        captured = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return codes, captured, files
+
+    codes, batch, batch_files = run([["analyze", str(inputs), "--mask", str(masks), "--out", str(out)]])
+    assert codes == [1]
+    maskless = inputs / "c_maskless.ppm"
+    [line] = outcome_lines(batch, maskless)
+    assert line.startswith(f"{maskless}: error: mask-import: {masks / 'c_maskless.mask.pgm'}: cannot read file: ")
+    assert outcome_lines(batch, inputs / "d_rejected.ppm") == [f"{inputs / 'd_rejected.ppm'}: rejected (label=LVOT)"]
+
+    stems = ["a_masked", "b_masked"]
+    single_codes, singles, single_files = run([
+        ["analyze", str(inputs / f"{stem}.ppm"), "--mask", str(masks / f"{stem}.mask.pgm"), "--out", str(out)]
+        for stem in stems
+    ])
+    assert single_codes == [0, 0]
+    assert batch_files == single_files
+    assert sorted(batch_files) == [f"{stem}.measurements.csv" for stem in stems]
+    for stem in stems:
+        assert outcome_lines(batch, inputs / f"{stem}.ppm") == outcome_lines(singles, inputs / f"{stem}.ppm")
+
+    # the masks matter: each CSV differs from the classical segmentation's and from the other mask's
+    assert main(["analyze", str(inputs / "a_masked.ppm"), "--mask", str(masks / "b_masked.mask.pgm"), "--out", str(out)]) == 0
+    assert main(["analyze", str(inputs / "a_masked.ppm"), "--out", str(tmp_path / "plain")]) == 0
+    swapped = (out / "a_masked.measurements.csv").read_bytes()
+    plain = (tmp_path / "plain" / "a_masked.measurements.csv").read_bytes()
+    assert batch_files["a_masked.measurements.csv"] not in (swapped, plain)
+
+    image = str(inputs / "b_masked.ppm")
+    assert main(["overlay", image, "--mask", str(masks), "--out", str(tmp_path / "dir.ppm")]) == 0
+    assert main(["overlay", image, "--mask", str(masks / "b_masked.mask.pgm"), "--out", str(tmp_path / "file.ppm")]) == 0
+    assert (tmp_path / "dir.ppm").read_bytes() == (tmp_path / "file.ppm").read_bytes()
 
 
 def test_empty_flow_side_is_one_trace_error_and_the_batch_goes_on(tmp_path, capsys):
@@ -983,10 +1051,8 @@ def test_overlay_reports_an_input_as_single_input_analyze_does(tmp_path, capsys,
 def test_overlay_mask_draws_what_analyze_mask_measures(tmp_path):
     image, manifest, truth = make_study(tmp_path, noise_sigma=0.15, seed=5)
     # an envelope 8 rows lower than the rendered one, so the mask visibly matters
-    cells = np.zeros_like(truth.mask)
-    cells[8:] = truth.mask[:-8]
     mask_path = tmp_path / "lowered.mask.pgm"
-    export_mask(mask_path, EnvelopeMask(cells))
+    export_mask(mask_path, lowered_mask(truth, 8))
     image_path = str(tmp_path / "study_0000.ppm")
 
     assert main(["analyze", image_path, "--mask", str(mask_path), "--out", str(tmp_path)]) == 0
@@ -1060,6 +1126,35 @@ def test_help_lists_defaults(capsys):
     assert "default: 15.0" in text       # --smooth-ms
     assert "default: 0.15" in text       # --min-prominence
     assert "default: 200.0" in text      # --refractory-ms
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+
+    def outputs(directory):
+        return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    assert main(["synth", "--spike", "300,1.5,5", "--alias-band", "--out", str(tmp_path / "artifacts")]) == 0
+    assert main(["synth", "--out", str(tmp_path / "after")]) == 0
+    cli.build_parser.cache_clear()
+    assert main(["synth", "--out", str(tmp_path / "alone")]) == 0
+    assert outputs(tmp_path / "after") == outputs(tmp_path / "alone")
+    assert outputs(tmp_path / "after") != outputs(tmp_path / "artifacts")
+
+    # a spike on an E descent makes one beat's DT an outlier
+    studies = tmp_path / "spiked"
+    assert main([
+        "synth", "--e", "1.313", "--a", "0.677", "--dt", "114.5", "--hr", "129.1", "--beats", "4",
+        "--seed", "99", "--alias-band", "--spike", "730.9,1.71,6.5", "--out", str(studies),
+    ]) == 0
+    csv_name = "study_0099.measurements.csv"
+    assert main(["analyze", str(studies), "--drop-outliers", "--out", str(tmp_path / "dropped")]) == 0
+    assert main(["analyze", str(studies), "--out", str(tmp_path / "after_drop")]) == 0
+    cli.build_parser.cache_clear()
+    assert main(["analyze", str(studies), "--out", str(tmp_path / "lone")]) == 0
+    lone = (tmp_path / "lone" / csv_name).read_bytes()
+    assert (tmp_path / "after_drop" / csv_name).read_bytes() == lone
+    assert (tmp_path / "dropped" / csv_name).read_bytes() != lone
 
 
 def on_glibc() -> bool:

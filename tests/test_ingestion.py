@@ -465,26 +465,39 @@ PNM_SEPARATOR = st.lists(
 
 @st.composite
 def ppm_files(draw):
-    """A header of random whitespace, comments, fields and maxval, mostly a
-    valid P6 one, then pixel data; cut inside the header, at its end, inside
-    the pixels or not at all."""
-    header = draw(st.sampled_from([b"P6"] * 8 + [b"P5", b"P3"]))
+    """(file bytes, outcome): a header of random whitespace, comments, fields
+    and maxval, mostly a valid P6 one, then pixel data; cut inside the header,
+    at its end, inside the pixels or not at all.
+
+    The outcome is the (width, height) the file declares, or ImageFormatError
+    when the magic, a field, the maxval or the cut makes the file invalid. A
+    field may have a comment glued on; a field runs to the next whitespace
+    byte, so that makes the field non-numeric.
+    """
+    magic = draw(st.sampled_from([b"P6"] * 8 + [b"P5", b"P3"]))
     fields = [draw(st.sampled_from([3, 1, 2, 5, 0, -1])) for _ in range(2)]
     fields.append(draw(st.sampled_from([255, 255, 255, 65535, 0])))
     tokens = [str(value).encode() for value in fields]
+    valid = magic == b"P6" and min(fields[:2]) >= 1 and fields[2] == 255
     if draw(st.integers(0, 9)) == 0:
         tokens[draw(st.integers(0, 2))] = draw(st.sampled_from([b"x", b"2x", b"-", b"1.5"]))
+        valid = False
+    if draw(st.integers(0, 3)) == 0:
+        tokens[draw(st.integers(0, 2))] += b"#" + draw(COMMENT_TEXT) + b"\n"
+        valid = False
+    header = magic
     for token in tokens:
         header += draw(PNM_WHITESPACE) + draw(PNM_SEPARATOR) + token
     header += draw(PNM_WHITESPACE)
-    pixels = max(fields[0], 0) * max(fields[1], 0) * 3 + draw(st.integers(0, 2))
-    data = header + bytes(range(pixels))
+    need = max(fields[0], 0) * max(fields[1], 0) * 3
+    data = header + bytes(range(need + draw(st.integers(0, 2))))
     cut = draw(st.one_of(
         st.just(len(data)),
         st.sampled_from([len(header) - 1, len(header), len(header) + 1]),
         st.integers(0, len(data)),
     ))
-    return data[:cut]
+    valid = valid and cut >= len(header) + need
+    return data[:cut], (tuple(fields[:2]) if valid else ImageFormatError)
 
 
 def size_or_error(read, path):
@@ -501,10 +514,13 @@ def decoded_size(path):
 
 @fuzz
 @given(ppm_files())
-def test_header_reader_agrees_with_load_image(tmp_path, data):
+def test_header_reader_agrees_with_load_image(tmp_path, case):
+    data, outcome = case
     path = tmp_path / "study.ppm"
     path.write_bytes(data)
-    assert size_or_error(read_image_size, path) == size_or_error(decoded_size, path)
+    size = size_or_error(read_image_size, path)
+    assert size == size_or_error(decoded_size, path)
+    assert (size if isinstance(size, tuple) else ImageFormatError) == outcome
 
 
 def test_header_reader_reads_past_a_long_comment(tmp_path):
