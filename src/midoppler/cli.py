@@ -227,6 +227,9 @@ def cmd_analyze(args) -> int:
     if not images:
         print("no input images found", file=sys.stderr)
         return 2
+    if args.mask and len(images) > 1 and not Path(args.mask).exists():
+        print(f"error: --mask {args.mask}: no such file or directory", file=sys.stderr)
+        return 1
     mask_file = args.mask and not Path(args.mask).is_dir()
     for flag, single in (("--manifest", args.manifest), ("--mask", mask_file)):
         if single and len(images) > 1:

@@ -106,18 +106,21 @@ class RouteDecision:
 # atomic file writes (analyze/synth may run concurrently on shared dirs)
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write data to a temporary file beside path, then rename it to path.
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write chunks, in order, to a temporary file beside path, then rename it to path.
 
-    An OSError names path as given, never the temporary file, whose random
-    name would make the message differ on every run.
+    Each chunk is bytes or another C-contiguous buffer, such as a uint8
+    array, and is written from its own memory, never copied. An OSError
+    names path as given, never the temporary file, whose random name would
+    make the message differ on every run.
     """
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+                for chunk in chunks:
+                    fh.write(chunk)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -179,36 +182,37 @@ def _read_pnm_header(fh, path, magic: bytes) -> tuple:
     return width, height
 
 
-def _check_pixel_bytes(path, shape, found: int) -> int:
-    """The byte count of a raster of shape; found, fewer than that, is an error."""
+def _check_pixel_bytes(path, shape, found: int) -> None:
+    """Raise ImageFormatError if found is fewer bytes than a raster of shape holds."""
     need = math.prod(shape)
     if found < need:
         raise ImageFormatError(
             f"{path}: truncated pixel data, expected {need} bytes, found {found}"
         )
-    return need
 
 
 def _read_pnm(path, magic: bytes, channels: tuple, pixels: bool = True):
     """The (height, width, *channels) uint8 raster of a binary PNM file.
 
     The header is parsed from the open file, and the pixel data is checked
-    against the size fstat reports. With pixels false only the raster's
-    shape is returned, and no pixel is read. A raster read that comes up
-    short, as from a file that shrank after fstat, is still a truncation.
+    against the size fstat reports. The raster is read straight into an
+    uninitialised array, which the caller then owns. With pixels false only
+    the raster's shape is returned, and no pixel is read. A raster read that
+    comes up short, as from a file that shrank after fstat, is still a
+    truncation.
     """
     try:
         with open(path, "rb", buffering=_HEADER_READ) as fh:
             width, height = _read_pnm_header(fh, path, magic)
             shape = (height, width, *channels)
-            need = _check_pixel_bytes(path, shape, os.fstat(fh.fileno()).st_size - fh.tell())
+            _check_pixel_bytes(path, shape, os.fstat(fh.fileno()).st_size - fh.tell())
             if not pixels:
                 return shape
-            data = bytearray(need)
-            _check_pixel_bytes(path, shape, fh.readinto(data))
+            raster = np.empty(shape, np.uint8)
+            _check_pixel_bytes(path, shape, fh.readinto(raster))
     except OSError as exc:
         raise ImageFormatError(f"{path}: cannot read file: {exc}") from exc
-    return np.frombuffer(data, np.uint8).reshape(shape)
+    return raster
 
 
 def load_image(path) -> RasterImage:
@@ -228,7 +232,7 @@ def read_image_size(path) -> tuple:
 
 def save_image(path, image: RasterImage) -> None:
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + image.pixels.tobytes())
+    atomic_write_bytes(path, header, np.ascontiguousarray(image.pixels))
 
 
 def load_gray_image(path) -> np.ndarray:
@@ -239,7 +243,7 @@ def load_gray_image(path) -> np.ndarray:
 def save_gray_image(path, gray: np.ndarray) -> None:
     gray = np.ascontiguousarray(gray, dtype=np.uint8)
     header = f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + gray.tobytes())
+    atomic_write_bytes(path, header, gray)
 
 
 # ---------------------------------------------------------------------------

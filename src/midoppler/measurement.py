@@ -275,13 +275,14 @@ def deceleration_time(
     flags = set()
     stop_idx = None
     spacing_sq = spacing * spacing
+    values = memoryview(velocities)  # Python floats, not numpy scalars, per sample
     i = start
     while 0 < i < n - 1:
-        if velocities[i] <= floor:
+        if values[i] <= floor:
             stop_idx = i
             flags.add(FLAG_NO_SLOPE_CHANGE)
             break
-        curvature = (velocities[i + 1] - 2 * velocities[i] + velocities[i - 1]) / spacing_sq
+        curvature = (values[i + 1] - 2 * values[i] + values[i - 1]) / spacing_sq
         if abs(curvature) > params.curvature_threshold:
             stop_idx = i
             break
@@ -296,7 +297,7 @@ def deceleration_time(
     if trace.gap_flags[e_column:stop_idx + 1].any():
         flags.add(FLAG_GAP_IN_DESCENT)
     t_stop = stop_idx * spacing
-    v_stop = float(velocities[stop_idx])
+    v_stop = values[stop_idx]
     if v_stop >= v_peak:
         flags.add(FLAG_NO_SLOPE_CHANGE)
         return DtResult(None, t_stop, v_stop, None, frozenset(flags))

@@ -284,6 +284,20 @@ def test_analyze_cold_start_imports_no_scipy(tmp_path):
     assert (tmp_path / "out" / "study_0000.measurements.csv").exists()
 
 
+def test_analyze_cold_start_imports_no_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma on its first call, about 13 ms of a
+    # fresh process; the QRS threshold takes its percentile without it
+    make_study(tmp_path)
+    result = run_fresh_interpreter(
+        "import sys, midoppler.cli\n"
+        f"status = midoppler.cli.main(['analyze', {str(tmp_path)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(status, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "study_0000.measurements.csv").exists()
+
+
 def test_analyze_runs_with_scipy_uninstalled(tmp_path):
     make_study(tmp_path, noise_sigma=0.15, seed=5)
     assert main(["analyze", str(tmp_path), "--out", str(tmp_path / "expected")]) == 0
@@ -601,6 +615,18 @@ def test_analyze_single_input_flag_with_two_inputs_exits_one(tmp_path, capsys, f
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {flag} requires a single input image\n"
+    assert not out.exists()
+
+
+def test_analyze_missing_mask_path_with_two_inputs_names_it(tmp_path, capsys):
+    make_study(tmp_path)
+    make_study(tmp_path, stem="study_0001", seed=1)
+    missing, out = tmp_path / "no_such_masks", tmp_path / "out"
+    code = main(["analyze", str(tmp_path), "--mask", str(missing), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --mask {missing}: no such file or directory\n"
     assert not out.exists()
 
 

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from midoppler.ecg import EcgSignal, QrsParams, detect_qrs, extract_ecg
+from midoppler.ecg import EcgSignal, QrsParams, _percentile, detect_qrs, extract_ecg
 from midoppler.errors import EcgExtractionError
 from midoppler.ingestion import RasterImage
 from midoppler.synth import SynthParams, generate_synthetic
@@ -122,6 +122,39 @@ def test_extract_matches_int16_reference(study):
     assert np.array_equal(signal.valid_flags, expected.valid_flags)
     assert signal.samples.dtype == expected.samples.dtype
     assert np.array_equal(signal.samples, expected.samples)
+
+
+# the QRS threshold's percentile ---------------------------------------------
+
+
+# few values, so that draws tie; both zeros, so that the sign of a zero result shows
+TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300])
+
+
+@st.composite
+def percentile_inputs(draw):
+    """A 1-D float64 array of finite values, drawn tied, constant or free."""
+    n = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["tied", "constant", "free"]))
+    if kind == "tied":
+        values = draw(st.lists(TIED_VALUES, min_size=n, max_size=n))
+    elif kind == "constant":
+        values = [draw(st.one_of(TIED_VALUES, st.floats(allow_nan=False, allow_infinity=False)))] * n
+    else:
+        values = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    return np.array(values, dtype=np.float64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(percentile_inputs(), st.one_of(st.just(98.0), st.sampled_from([0.0, 50.0, 100.0]), st.floats(0, 100)))
+@example(np.array([-0.0]), 98.0)  # at the last index: the fraction counts from index -1
+@example(np.array([-0.0, 0.0, -0.0]), 25.0)  # a fraction below 0.5 between zeros
+@example(np.array([1.0, -0.0, 0.0, 2.0]), 50.0)  # exactly 0.5 takes the upper form
+def test_percentile_matches_numpy_to_the_bit(values, q):
+    expected = np.percentile(values, q)
+    original = values.copy()
+    assert np.float64(_percentile(values, q)).tobytes() == np.float64(expected).tobytes()
+    assert values.tobytes() == original.tobytes()  # the input keeps its order
 
 
 # detect_qrs ------------------------------------------------------------------

@@ -114,6 +114,44 @@ def test_loaded_pixels_are_writable(tmp_path):
     assert pixels.sum() == 9 * 18 - 24
 
 
+@pytest.mark.parametrize("magic, load, shape", [
+    (b"P6", lambda path: load_image(path).pixels, (3, 4, 3)),
+    (b"P5", load_gray_image, (3, 4)),
+], ids=["ppm", "pgm"])
+def test_loaded_raster_is_a_contiguous_uint8_array_that_owns_its_memory(tmp_path, magic, load, shape):
+    path = tmp_path / "raster.pnm"
+    data = bytes(range(math.prod(shape)))
+    path.write_bytes(magic + b"\n4 3\n255\n" + data)
+    raster = load(path)
+    assert raster.dtype == np.uint8 and raster.shape == shape
+    assert raster.flags.c_contiguous and raster.flags.writeable
+    assert raster.flags.owndata and raster.base is None
+    assert raster.tobytes() == data
+
+
+def test_save_image_of_a_sliced_view_writes_header_and_pixel_bytes(tmp_path):
+    rng = np.random.default_rng(7)
+    full = rng.integers(0, 256, (240, 700, 3), dtype=np.uint8)
+    view = full[10:230, 5::3]  # every third column: not C-contiguous
+    assert not view.flags.c_contiguous
+    path = tmp_path / "view.ppm"
+    save_image(path, RasterImage(view))
+    height, width = view.shape[:2]
+    assert path.read_bytes() == f"P6\n{width} {height}\n255\n".encode() + view.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_save_gray_image_of_a_mask_writes_header_and_pixel_bytes(tmp_path, layout):
+    cells = np.random.default_rng(8).uniform(size=(300, 500)) < 0.3
+    gray = cells.astype(np.uint8) * 255  # as export_mask writes a mask
+    if layout == "transposed":
+        gray = gray.T
+    path = tmp_path / "mask.pgm"
+    save_gray_image(path, gray)
+    height, width = gray.shape
+    assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + gray.tobytes()
+
+
 def test_wrong_magic_is_corrupt_header(tmp_path):
     path = tmp_path / "bad.ppm"
     path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
