@@ -9,6 +9,14 @@ descent continues at half the initial slope. The A wave is a symmetric
 triangle ending shortly before the next QRS. Speckle is multiplicative
 uniform noise; artifacts (bright spikes, dropouts, an aliasing band below
 the baseline) are drawn after the envelope.
+
+The rendered bytes are part of the oracle's contract (the golden tests pin
+them). With ``noise_sigma > 0`` the spectral region takes exactly one draw,
+``np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, columns))`` in C
+order, and each pixel is ``round_half_even(I * (1 + noise_sigma * u))``
+clipped to 0..255, with I = 205 inside the envelope mask and 12 outside;
+with ``noise_sigma == 0`` it is I itself. The same gray value goes to R, G
+and B.
 """
 
 import math
@@ -24,6 +32,12 @@ ENVELOPE_INTENSITY = 205
 BACKGROUND_INTENSITY = 12
 SPIKE_INTENSITY = 235
 ALIAS_INTENSITY = 185
+MIN_WIDTH = 300
+# The ECG strip runs from 30 rows below the spectral region, whose bottom row
+# is round(0.818 * height), to 13 rows above the frame's bottom edge, and it
+# needs 40 rows; the spare rows never shrink as the height grows, and 454 is
+# the first height that leaves 40.
+MIN_HEIGHT = 454
 
 
 @dataclass(frozen=True)
@@ -121,8 +135,12 @@ def _validate(params: SynthParams) -> None:
         raise GenerationError(
             f"dt_second_slope_fraction must be in [0, 1], got {params.dt_second_slope_fraction}"
         )
-    if params.width < 300 or params.height < 300:
-        raise GenerationError("rendered image must be at least 300x300")
+    if params.width < MIN_WIDTH:
+        raise GenerationError(f"width must be at least {MIN_WIDTH}, got {params.width}")
+    if params.height < MIN_HEIGHT:
+        raise GenerationError(
+            f"height must be at least {MIN_HEIGHT} to fit the ECG strip, got {params.height}"
+        )
 
 
 def _beat_geometry(
@@ -261,8 +279,6 @@ def generate_synthetic(params: SynthParams):
 
     ey0 = sy1 + 30
     ey1 = min(params.height - 13, ey0 + 95)
-    if ey1 - ey0 < 40:
-        raise GenerationError("image too short to place the ECG strip")
 
     qrs_times = params.lead_in_ms + beat_ms * np.arange(params.n_beats + 1)
     geoms = [
@@ -280,21 +296,29 @@ def generate_synthetic(params: SynthParams):
     row_idx = np.arange(region_h)[:, None]
     mask = (row_idx >= top[None, :]) & (row_idx <= baseline_local)
 
-    rng = np.random.default_rng(params.seed)
     pixels = np.full((params.height, params.width, 3), BACKGROUND_INTENSITY, np.uint8)
+    region_view = pixels[sy0:sy1 + 1, sx0:sx1 + 1]
     # the bright baseline band extends two rows below the baseline so that
     # zero-flow columns survive median filtering and opening; the analysis
     # keeps only the flow side, so the band reads back as exactly zero
     render_mask = mask.copy()
     render_mask[baseline_local + 1:baseline_local + 3, :] = True
-    gray = np.where(render_mask, float(ENVELOPE_INTENSITY), float(BACKGROUND_INTENSITY))
     if params.noise_sigma > 0:
-        factor = 1.0 + params.noise_sigma * rng.uniform(-1.0, 1.0, gray.shape)
-        gray = gray * factor
-    region_u8 = np.clip(np.round(gray), 0, 255).astype(np.uint8)
-    pixels[sy0:sy1 + 1, sx0:sx1 + 1] = region_u8[:, :, None]
+        # the speckle chain of the module docstring, in place on the draw
+        gray = np.random.default_rng(params.seed).uniform(-1.0, 1.0, render_mask.shape)
+        gray *= params.noise_sigma
+        gray += 1.0
+        np.multiply(gray, float(ENVELOPE_INTENSITY), out=gray, where=render_mask)
+        np.multiply(gray, float(BACKGROUND_INTENSITY), out=gray, where=~render_mask)
+        np.round(gray, out=gray)
+        np.clip(gray, 0, 255, out=gray)
+        region_u8 = gray.astype(np.uint8)
+    else:
+        region_u8 = np.where(render_mask, np.uint8(ENVELOPE_INTENSITY), np.uint8(BACKGROUND_INTENSITY))
+    # one plain copy per channel: a stride-0 broadcast copy is several times slower
+    for channel in range(3):
+        region_view[:, :, channel] = region_u8
 
-    region_view = pixels[sy0:sy1 + 1, sx0:sx1 + 1]
     for artifact in params.artifacts:
         if isinstance(artifact, Spike):
             c0 = int(round(artifact.time_ms / time_scale))

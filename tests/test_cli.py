@@ -146,6 +146,17 @@ def test_synth_params_file_errors_are_one_line(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+def test_synth_too_short_height_is_one_error_line(tmp_path, capsys):
+    params_file = tmp_path / "params.txt"
+    params_file.write_text("height = 453\n")
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--params", str(params_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: height must be at least 454 to fit the ECG strip, got 453\n"
+    assert not out.exists()
+
+
 def test_synth_artifact_flags_render_those_artifacts(tmp_path):
     flags = ["--spike", "300,1.2,8", "--spike", "1900,0.9,5", "--dropout", "1200,20", "--alias-band"]
     assert main(["synth", "--out", str(tmp_path / "cli"), "--noise", "0.1", *flags]) == 0

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -15,6 +16,7 @@ from midoppler.synth import (
     Dropout,
     Spike,
     SynthParams,
+    corpus_params,
     generate_synthetic,
     truth_csv_text,
 )
@@ -108,6 +110,35 @@ def test_invalid_artifact_is_a_generation_error_naming_it(artifact, message):
     params = SynthParams(artifacts=(AliasBand(), artifact))
     with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
         generate_synthetic(params)
+
+
+def test_height_floor_is_the_first_height_that_fits_the_ecg_strip():
+    image, manifest, _ = generate_synthetic(SynthParams(height=454))
+    assert image.height == 454
+    assert manifest.ecg_region[3] - manifest.ecg_region[1] == 40
+    with pytest.raises(GenerationError, match="^height must be at least 454 to fit the ECG strip, got 453$"):
+        generate_synthetic(SynthParams(height=453))
+
+
+def test_width_floor():
+    assert generate_synthetic(SynthParams(width=300))[0].width == 300
+    with pytest.raises(GenerationError, match="^width must be at least 300, got 299$"):
+        generate_synthetic(SynthParams(width=299))
+
+
+def test_noisy_render_allocates_no_frame_sized_temporaries():
+    # the speckle chain runs in place on its one float64 draw (3.8 MiB here)
+    # next to the 2.2 MiB frame, for a peak near 7.5 MiB; an np.where
+    # intensity frame would add 3.8 MiB and a broadcast factor frame more
+    params = corpus_params(SynthParams(noise_sigma=0.15), 7001)
+    generate_synthetic(params)
+    tracemalloc.start()
+    try:
+        generate_synthetic(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20
 
 
 def test_wave_overlap_raises_generation_error():
