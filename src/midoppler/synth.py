@@ -14,9 +14,9 @@ The rendered bytes are part of the oracle's contract (the golden tests pin
 them). With ``noise_sigma > 0`` the spectral region takes exactly one draw,
 ``np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, columns))`` in C
 order, and each pixel is ``round_half_even(I * (1 + noise_sigma * u))``
-clipped to 0..255, with I = 205 inside the envelope mask and 12 outside;
-with ``noise_sigma == 0`` it is I itself. The same gray value goes to R, G
-and B.
+clipped to 0..255, with I = 205 on the truth mask and the two bright rows
+below the baseline and 12 elsewhere; with ``noise_sigma == 0`` it is I
+itself. The same gray value goes to R, G and B.
 """
 
 import math
