@@ -15,7 +15,7 @@ from dataclasses import fields as dataclass_fields, replace
 from functools import partial
 from pathlib import Path
 
-from .ecg import QrsParams, ecg_csv_rows
+from .ecg import QrsParams, ecg_csv_text
 from .errors import GenerationError, MidopplerError, StatsError
 from .ingestion import (
     atomic_write_text,
@@ -410,7 +410,7 @@ def _write_measurements(image_path, args, image, manifest, run):
     csv_path = out_dir / f"{image_path.stem}.measurements.csv"
     write_study_csv(csv_path, run)
     if args.dump_ecg:
-        _dump_ecg(out_dir / f"{image_path.stem}.ecg.csv", run.ecg, manifest)
+        atomic_write_text(out_dir / f"{image_path.stem}.ecg.csv", ecg_csv_text(run.ecg, manifest))
     return "measured", f"{image_path}: {_summary_line(run)} -> {csv_path}\n", ""
 
 
@@ -433,13 +433,6 @@ def _summary_line(means: StudyMeans) -> str:
         f"  E/A={fmt(means.mean_ea, '{:.3f}')}"
         f"  DT={fmt(means.mean_dt, '{:.1f}')}ms"
     )
-
-
-def _dump_ecg(path, signal, manifest) -> None:
-    lines = ["time_ms,amplitude_px,valid"]
-    for t, amp, valid in ecg_csv_rows(signal, manifest):
-        lines.append(f"{t:.1f},{amp:.2f},{int(valid)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +553,8 @@ def cmd_agree(args) -> int:
         print("error: no overlapping keys between the two series", file=sys.stderr)
         return 1
 
-    field_names = [f.strip().upper() for f in args.fields.split(",") if f.strip()]
+    # each field once, in first-mention order
+    field_names = list(dict.fromkeys(f.strip().upper() for f in args.fields.split(",") if f.strip()))
     for name in field_names:
         if name not in FIELD_COLUMNS:
             print(f"error: unknown field {name!r} (choose from {_ALL_FIELDS})", file=sys.stderr)

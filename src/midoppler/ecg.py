@@ -6,6 +6,10 @@ per column (row centroid, inverted so up on screen is positive), then
 scanned for QRS complexes with a derivative-energy threshold detector. The
 threshold is relative (a fraction of the 98th percentile of the squared
 first difference) so display gain does not matter.
+
+Column i of the strip lies (ecg_x0 - sx0 + i) * time_scale ms from the
+spectral region's left edge sx0, negative where the strip starts left of
+it. The QRS marks and the --dump-ecg CSV both read this one axis.
 """
 
 import math
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import column_time
 from .errors import EcgExtractionError
 from .ingestion import CalibrationManifest, RasterImage
 
@@ -128,7 +131,6 @@ def detect_qrs(
         span = amp[s:e + 1]  # diff run [s, e) covers columns s .. e
         candidates.append(s + int(np.argmax(span)))
 
-    ecg_x0 = manifest.ecg_region[0]
     kept_cols: list[int] = []
     for col in candidates:
         if kept_cols:
@@ -139,8 +141,14 @@ def detect_qrs(
                 continue
         kept_cols.append(col)
 
-    times = np.array([column_time(ecg_x0 + c, manifest) for c in kept_cols])
-    return QrsMarks(times=times)
+    return QrsMarks(times=_column_times(np.array(kept_cols, dtype=np.int64), manifest))
+
+
+def _column_times(columns: np.ndarray, manifest: CalibrationManifest) -> np.ndarray:
+    """Times in ms of ECG-region columns (an integer array), measured from
+    the spectral left edge; a strip that starts left of the spectral region
+    gets negative times there, on the same scale."""
+    return (columns + (manifest.ecg_region[0] - manifest.spectral_region[0])) * manifest.time_scale
 
 
 def _percentile(values: np.ndarray, q: float) -> float:
@@ -170,8 +178,11 @@ def _percentile(values: np.ndarray, q: float) -> float:
     return low + step * fraction
 
 
-def ecg_csv_rows(signal: EcgSignal, manifest: CalibrationManifest):
-    """Yield (time_ms, amplitude_px, valid) rows for CSV dumping."""
-    ecg_x0 = manifest.ecg_region[0]
-    for i, (amp, valid) in enumerate(zip(signal.samples, signal.valid_flags)):
-        yield column_time(ecg_x0 + i, manifest), float(amp), bool(valid)
+def ecg_csv_text(signal: EcgSignal, manifest: CalibrationManifest) -> str:
+    """The --dump-ecg CSV: a header, then time_ms, amplitude_px and valid
+    (1 or 0) for each ECG-region column."""
+    times = _column_times(np.arange(len(signal.samples)), manifest)
+    lines = ["time_ms,amplitude_px,valid"]
+    for t, amp, valid in zip(times, signal.samples, signal.valid_flags):
+        lines.append(f"{t:.1f},{float(amp):.2f},{int(valid)}")
+    return "\n".join(lines) + "\n"

@@ -2,12 +2,13 @@
 
 Five distinct colors, one per annotation role: envelope border polyline,
 E-peak markers, A-peak markers, slope-change points, and the extrapolated
-baseline crossing of the deceleration line.
+baseline crossing of the deceleration line. Velocities and times map to
+float pixel rows and columns through the manifest; rounding happens only
+when drawing.
 """
 
 import numpy as np
 
-from .calibration import time_to_col, velocity_to_row
 from .ingestion import CalibrationManifest, RasterImage
 from .segmentation import EnvelopeTrace
 
@@ -18,6 +19,19 @@ SLOPE_COLOR = (255, 40, 40)
 CROSSING_COLOR = (255, 0, 255)
 
 _MARKER_HALF = 2  # 5x5 squares
+
+
+def velocity_to_row(velocity: float, manifest: CalibrationManifest) -> float:
+    """Float pixel row of a velocity in m/s (positive on the flow side);
+    elementwise on an array of velocities."""
+    if not manifest.flow_above_baseline:
+        velocity = -velocity
+    return manifest.baseline_row - velocity / manifest.velocity_scale
+
+
+def time_to_col(time_ms: float, manifest: CalibrationManifest) -> float:
+    """Float pixel column of a time in ms from the spectral left edge."""
+    return manifest.spectral_region[0] + time_ms / manifest.time_scale
 
 
 def _draw_marker(pixels, row, col, color):

@@ -60,7 +60,9 @@ def pearson(a, b) -> float:
     da = a - a.mean()
     db = b - b.mean()
     denom = np.sqrt(np.sum(da * da) * np.sum(db * db))
-    if denom == 0:
+    # a constant series can leave residues of 1e-16 in a - a.mean(), so
+    # its values are compared, not only its deviations
+    if denom == 0 or a.min() == a.max() or b.min() == b.max():
         raise StatsError("correlation undefined: a series has zero variance")
     return float(np.sum(da * db) / denom)
 

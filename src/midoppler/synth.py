@@ -97,8 +97,6 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class _BeatGeometry:
-    q_start: float
-    q_end: float
     e_on: float
     e_time: float
     knee_time: float | None
@@ -196,8 +194,6 @@ def _beat_geometry(
             f"{limit:.1f} ms (E and A supports overlap); reduce dt or heart_rate"
         )
     return _BeatGeometry(
-        q_start=q_start,
-        q_end=q_end,
         e_on=e_on,
         e_time=e_time,
         knee_time=knee_time,
@@ -320,18 +316,13 @@ def generate_synthetic(params: SynthParams):
         region_view[:, :, channel] = region_u8
 
     for artifact in params.artifacts:
+        if isinstance(artifact, (Spike, Dropout)):
+            c0 = max(0, min(region_w - 1, int(round(artifact.time_ms / time_scale))))
+            c1 = min(region_w, c0 + max(1, int(round(artifact.width_ms / time_scale))))
         if isinstance(artifact, Spike):
-            c0 = int(round(artifact.time_ms / time_scale))
-            span = max(1, int(round(artifact.width_ms / time_scale)))
-            c0 = max(0, min(region_w - 1, c0))
-            c1 = min(region_w, c0 + span)
             spike_top = max(0, baseline_local - int(round(artifact.velocity / velocity_scale)))
             region_view[spike_top:baseline_local + 1, c0:c1] = SPIKE_INTENSITY
         elif isinstance(artifact, Dropout):
-            c0 = int(round(artifact.time_ms / time_scale))
-            span = max(1, int(round(artifact.width_ms / time_scale)))
-            c0 = max(0, min(region_w - 1, c0))
-            c1 = min(region_w, c0 + span)
             region_view[:baseline_local + 1, c0:c1] = BACKGROUND_INTENSITY
         elif isinstance(artifact, AliasBand):
             r0 = baseline_local + 8

@@ -1,9 +1,12 @@
-"""Physical-unit <-> row/column conversions, against mask_to_trace's readings."""
+"""Physical-unit <-> row/column conversions: the overlay's pixel mapping
+against mask_to_trace's readings, and the ECG strip's time axis as the
+--dump-ecg CSV and the QRS marks read it."""
 
 import numpy as np
 import pytest
 
-from midoppler.calibration import column_time, time_to_col, velocity_to_row
+from midoppler.ecg import EcgSignal, QrsParams, detect_qrs, ecg_csv_text
+from midoppler.overlay import time_to_col, velocity_to_row
 from midoppler.segmentation import EnvelopeMask, mask_to_trace
 
 from conftest import make_manifest
@@ -16,6 +19,26 @@ def staircase_trace(manifest, tops):
     for j, top in enumerate(tops):
         cells[top - y0:, j] = True
     return mask_to_trace(EnvelopeMask(cells), manifest)
+
+
+def ecg_width(manifest):
+    return manifest.ecg_region[2] - manifest.ecg_region[0] + 1
+
+
+def dump_times(manifest):
+    """The time_ms column of the --dump-ecg CSV of a strip as wide as the ecg_region."""
+    width = ecg_width(manifest)
+    text = ecg_csv_text(EcgSignal(np.zeros(width), np.ones(width, bool)), manifest)
+    return [float(line.split(",")[0]) for line in text.splitlines()[1:]]
+
+
+def mark_times(manifest, col):
+    """detect_qrs's marks on a flat strip with one triangular spike at column col."""
+    amp = np.zeros(ecg_width(manifest))
+    for dc in range(-4, 5):
+        if 0 <= col + dc < amp.size:
+            amp[col + dc] = 30.0 * (1 - abs(dc) / 5)
+    return detect_qrs(EcgSignal(amp, np.ones(amp.size, bool)), QrsParams(), manifest).times
 
 
 def test_baseline_row_maps_to_zero(manifest):
@@ -37,13 +60,15 @@ def test_flow_below_baseline_flips_sign():
 
 
 def test_time_origin_at_region_left(manifest):
-    assert column_time(manifest.spectral_region[0], manifest) == 0.0
+    assert manifest.ecg_region[0] == manifest.spectral_region[0]
+    assert dump_times(manifest)[0] == 0.0
+    assert mark_times(manifest, 0).tolist() == [0.0]
     assert time_to_col(0.0, manifest) == manifest.spectral_region[0]
 
 
 def test_linear_time_scale(manifest):
-    x0 = manifest.spectral_region[0]
-    assert column_time(x0 + 100, manifest) == pytest.approx(250.0)
+    assert dump_times(manifest)[100] == pytest.approx(250.0)
+    assert mark_times(manifest, 100).tolist() == [pytest.approx(250.0)]
 
 
 def test_row_to_velocity_strictly_decreasing(manifest):
@@ -54,10 +79,12 @@ def test_row_to_velocity_strictly_decreasing(manifest):
     assert velocities[-1] == 0.0
 
 
-def test_col_to_time_strictly_increasing(manifest):
-    x0, _, x1, _ = manifest.spectral_region
-    times = [column_time(c, manifest) for c in range(x0, x1 + 1)]
-    assert all(a < b for a, b in zip(times, times[1:]))
+def test_col_to_time_strictly_increasing():
+    for ecg_x0 in (10, 0):  # at, and 10 columns left of, the spectral region's left edge
+        manifest = make_manifest(ecg_region=(ecg_x0, 110, 189, 140))
+        times = dump_times(manifest)
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert times[0] == (ecg_x0 - 10) * manifest.time_scale
 
 
 def test_conversions_invert_up_to_pixel_quantization():
@@ -73,5 +100,6 @@ def test_conversions_invert_up_to_pixel_quantization():
         for col in rng.integers(0, x1 - x0 + 1, size=5):
             assert round(velocity_to_row(trace.velocities[col], manifest)) == tops[col]
             assert round(time_to_col(col * trace.spacing, manifest)) == x0 + col
-        for col in rng.integers(x0, x1 + 1, size=5):
-            assert round(time_to_col(column_time(int(col), manifest), manifest)) == col
+        for col in rng.integers(0, x1 - x0 + 1, size=5):
+            assert round(time_to_col(dump_times(manifest)[col], manifest)) == x0 + col
+            assert [round(time_to_col(t, manifest)) for t in mark_times(manifest, col)] == [x0 + col]

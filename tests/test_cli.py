@@ -28,6 +28,8 @@ from midoppler.overlay import (
     E_COLOR,
     SLOPE_COLOR,
     render_overlay,
+    time_to_col,
+    velocity_to_row,
 )
 from midoppler.segmentation import EnvelopeMask, export_mask
 from midoppler.stats import FIELD_COLUMNS
@@ -293,6 +295,24 @@ def test_analyze_cold_start_imports_no_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "out" / "study_0000.measurements.csv").exists()
+
+
+def test_analyze_cold_start_loads_these_package_modules(tmp_path):
+    # each module a single-study analyze loads costs a fresh process its
+    # import time: a module added to or dropped from this list is a decision
+    make_study(tmp_path)
+    result = run_fresh_interpreter(
+        "import sys, midoppler.cli\n"
+        f"status = midoppler.cli.main(['analyze', {str(tmp_path / 'study_0000.ppm')!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'midoppler'))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    modules = [
+        "midoppler", "midoppler.cli", "midoppler.ecg", "midoppler.errors", "midoppler.ingestion",
+        "midoppler.kernels", "midoppler.measurement", "midoppler.overlay", "midoppler.segmentation",
+        "midoppler.stats", "midoppler.synth",
+    ]
+    assert result.stdout.splitlines()[-1] == f"0 {modules}"
 
 
 def test_analyze_cold_start_imports_no_numpy_ma(tmp_path):
@@ -778,13 +798,12 @@ def test_analyze_dump_ecg(tmp_path):
 
 
 def test_agree_file_with_itself(tmp_path, capsys):
-    make_study(tmp_path)
-    main(["analyze", str(tmp_path)])
-    capsys.readouterr()
-    csv_path = tmp_path / "study_0000.measurements.csv"
+    # E and DT vary across its beats; A and E/A read the same in every beat
+    csv_path = Path(write_beats(tmp_path / "a", (1, 2, 3))) / "s.measurements.csv"
     assert main(["agree", str(csv_path), str(csv_path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "field,n,bias,sd,loa_low,loa_high,pearson_r,r_squared"
+    assert [line.split(",")[0] for line in lines[1:]] == ["E", "DT"]
     for line in lines[1:]:
         fields = line.split(",")
         assert float(fields[2]) == 0.0  # bias
@@ -875,17 +894,33 @@ def test_agree_refuses_a_study_read_from_two_files(tmp_path, capsys):
 
 
 def test_agree_missing_output_directory_is_one_error_line(tmp_path, capsys, monkeypatch):
-    make_study(tmp_path)
+    write_beats(tmp_path / "a", (1, 2, 3))  # E and DT vary across its beats
     monkeypatch.chdir(tmp_path)
     errors = []
     for _ in range(2):
-        assert main(["agree", "study_0000.truth.csv", "study_0000.truth.csv", "--out", "no-dir/x.csv"]) == 1
+        assert main(["agree", "a", "a", "--out", "no-dir/x.csv"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         errors.append(captured.err)
     assert errors[0] == errors[1]
     assert errors[0].splitlines()[-1] == "error: [Errno 2] No such file or directory: 'no-dir/x.csv'"
     assert "Traceback" not in errors[0]
+
+
+def test_agree_on_studies_alike_but_for_noise_finds_no_correlation(tmp_path, capsys):
+    # synth --n 2 varies only the speckle seed: every field reads the same in
+    # every beat on both sides, so no field has a correlation to report
+    synth_dir, measured = str(tmp_path / "s"), str(tmp_path / "m")
+    assert main(["synth", "--n", "2", "--out", synth_dir]) == 0
+    assert main(["analyze", synth_dir, "--out", measured]) == 0
+    capsys.readouterr()
+    assert main(["agree", measured, synth_dir]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        *(f"warning: field {name}: correlation undefined: a series has zero variance" for name in FIELD_COLUMNS),
+        "error: no field produced an agreement row",
+    ]
 
 
 def test_agree_disjoint_keys_exits_one(tmp_path, capsys):
@@ -936,6 +971,9 @@ def test_agree_counts_each_unpaired_key_once(tmp_path, capsys):
     # per patient, both sides are the one study s
     main(["agree", a, b, "--per-patient"])
     assert "unpaired" not in capsys.readouterr().err
+    # a field named twice, in any case, gives one row, in first-mention order
+    assert main(["agree", a, b, "--fields", "DT,E,dt,e"]) == 0
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["DT", "E"]
 
 
 @pytest.mark.parametrize(
@@ -975,8 +1013,6 @@ def test_overlay_draws_all_marker_roles(tmp_path):
 
 
 def test_overlay_markers_near_truth_positions(tmp_path):
-    from midoppler.calibration import time_to_col, velocity_to_row
-
     _, manifest, truth = make_study(tmp_path)
     out = tmp_path / "annotated.ppm"
     assert main(["overlay", str(tmp_path / "study_0000.ppm"), "--out", str(out)]) == 0

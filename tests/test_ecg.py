@@ -1,11 +1,13 @@
 """ECG color-key extraction and QRS detection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from midoppler.ecg import EcgSignal, QrsParams, _percentile, detect_qrs, extract_ecg
+from midoppler.ecg import EcgSignal, QrsParams, _percentile, detect_qrs, ecg_csv_text, extract_ecg
 from midoppler.errors import EcgExtractionError
 from midoppler.ingestion import RasterImage
 from midoppler.synth import SynthParams, generate_synthetic
@@ -216,3 +218,30 @@ def test_marks_strictly_increasing_with_refractory_gap(manifest):
         gaps = np.diff(marks.times)
         assert (gaps > 0).all()
         assert (gaps >= params.refractory_ms).all()
+
+
+# the strip's time axis -------------------------------------------------------
+
+
+@pytest.mark.parametrize("shift", [0, 20], ids=["strip-at-spectral-edge", "strip-20-columns-left"])
+def test_qrs_marks_and_ecg_dump_share_one_time_axis(shift):
+    image, manifest, truth = generate_synthetic(SynthParams(seed=3))
+    ex0, ey0, ex1, ey1 = manifest.ecg_region
+    manifest = replace(manifest, ecg_region=(ex0 - shift, ey0, ex1, ey1))
+    signal = extract_ecg(image, manifest)
+    offset = manifest.ecg_region[0] - manifest.spectral_region[0]
+    rows = [line.split(",") for line in ecg_csv_text(signal, manifest).splitlines()[1:]]
+    assert len(rows) == len(signal.samples)
+    assert [t for t, _, _ in rows] == [f"{(offset + i) * manifest.time_scale:.1f}" for i in range(len(rows))]
+    if shift:
+        assert rows[0][0] == f"{-shift * manifest.time_scale:.1f}"
+        assert float(rows[shift - 1][0]) < 0 and float(rows[shift][0]) == 0.0
+
+    marks = detect_qrs(signal, QrsParams(), manifest)
+    # the marks land on the rendered R spikes, whatever the strip's offset
+    assert len(marks) == len(truth.qrs_times)
+    assert np.abs(marks.times - truth.qrs_times).max() <= manifest.time_scale
+    for t in marks.times:
+        col = round(t / manifest.time_scale) - offset
+        assert t == (offset + col) * manifest.time_scale
+        assert rows[col][0] == f"{t:.1f}"

@@ -52,9 +52,19 @@ def test_pearson_hand_computed():
     assert pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(0.98198, abs=1e-4)
 
 
-def test_pearson_constant_series_rejected():
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1, 2, 3], [5, 5, 5]),
+        # means that do not round exactly: a - a.mean() leaves 1e-16 residues
+        ([0.8] * 6, [0.8] * 6),
+        ([0.1] * 3, [1, 2, 3]),
+    ],
+    ids=["exact-mean", "inexact-mean-both", "inexact-mean-first"],
+)
+def test_pearson_constant_series_rejected(a, b):
     with pytest.raises(StatsError):
-        pearson([1, 2, 3], [5, 5, 5])
+        pearson(a, b)
 
 
 def test_r_squared_exact_fit():
