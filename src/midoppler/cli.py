@@ -555,6 +555,9 @@ def cmd_agree(args) -> int:
 
     # each field once, in first-mention order
     field_names = list(dict.fromkeys(f.strip().upper() for f in args.fields.split(",") if f.strip()))
+    if not field_names:
+        print(f"error: --fields names no field (choose from {_ALL_FIELDS})", file=sys.stderr)
+        return 1
     for name in field_names:
         if name not in FIELD_COLUMNS:
             print(f"error: unknown field {name!r} (choose from {_ALL_FIELDS})", file=sys.stderr)

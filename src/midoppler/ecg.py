@@ -119,9 +119,6 @@ def detect_qrs(
     energy = np.diff(amp) ** 2
     threshold = params.threshold_fraction * _percentile(energy, 98.0)
     supra = energy > threshold
-    if not supra.any():
-        return QrsMarks(times=np.empty(0))
-
     edges = np.diff(np.concatenate(([0], supra.astype(np.int8), [0])))
     starts = np.nonzero(edges == 1)[0]
     ends = np.nonzero(edges == -1)[0]  # exclusive, in diff index space

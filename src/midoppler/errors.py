@@ -29,10 +29,6 @@ class EcgExtractionError(MidopplerError):
     """No pixel in the ECG region matches the manifest color key."""
 
 
-class LabelingError(MidopplerError):
-    """Beats cannot be bounded (fewer than two QRS marks)."""
-
-
 class GenerationError(MidopplerError):
     """Synthetic parameter set has conflicting wave geometry."""
 

@@ -7,7 +7,6 @@ the scanner metadata a DICOM header would normally provide.
 
 import math
 import os
-import tempfile
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -110,13 +109,15 @@ def atomic_write_bytes(path, *chunks) -> None:
     """Write chunks, in order, to a temporary file beside path, then rename it to path.
 
     Each chunk is bytes or another C-contiguous buffer, such as a uint8
-    array, and is written from its own memory, never copied. An OSError
-    names path as given, never the temporary file, whose random name would
-    make the message differ on every run.
+    array, and is written from its own memory, never copied. The file is
+    created with mode 0o666 less the umask, as open() creates one. An
+    OSError names path as given, never the temporary file, whose random
+    name would make the message differ on every run.
     """
     path = Path(path)
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 for chunk in chunks:

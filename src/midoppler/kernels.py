@@ -133,8 +133,6 @@ def remove_small_components(mask: np.ndarray, min_area: int) -> np.ndarray:
     padded = np.zeros((h + 2, w), np.bool_)
     padded[1:-1] = mask
     flat = np.flatnonzero(padded[1:] != padded[:-1])  # row transitions, row-major
-    if flat.size == 0:
-        return mask
     # Key column * step + row orders the transitions column by column, where
     # they alternate start, end: run k covers rows [start[k], end[k]) of its
     # column in key units, and key + step is the same row one column on.

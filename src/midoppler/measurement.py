@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .ecg import EcgSignal, QrsMarks, QrsParams, detect_qrs, extract_ecg
-from .errors import LabelingError, MidopplerError, RoutingRejection
+from .errors import MidopplerError, RoutingRejection
 from .ingestion import (
     CalibrationManifest,
     RasterImage,
@@ -129,7 +129,7 @@ class StudyRun(StudyMeans):
     beats: list              # one BeatMeasurement per labeled beat
 
 
-def detect_flow_peaks(trace: EnvelopeTrace, params: PeakParams | None = None):
+def detect_flow_peaks(trace: EnvelopeTrace, params: PeakParams = PeakParams()):
     """Local maxima passing the prominence and width gates, in time order.
 
     A plateau of equal samples peaks at its middle sample (rounded down).
@@ -137,12 +137,9 @@ def detect_flow_peaks(trace: EnvelopeTrace, params: PeakParams | None = None):
     window); width is measured at half prominence, in ms, interpolated
     linearly between samples. Narrow artifact spikes fail the width gate.
     """
-    params = params or PeakParams()
     velocities = trace.velocities
     if velocities.size == 0:
         raise ValueError("trace is empty")
-    if velocities.size < 3:
-        return []
     spacing = trace.spacing
     return [
         FlowPeak(
@@ -229,10 +226,9 @@ def label_beats(peaks, qrs: QrsMarks):
 
     The last peak before the closing QRS is the A wave; the largest earlier
     peak is the E wave. A window holding a single peak yields (E, None): E
-    and A are fused and no A is guessed. Peakless windows are dropped.
+    and A are fused and no A is guessed. Peakless windows are dropped, and
+    fewer than two marks bound no window.
     """
-    if len(qrs) < 2:
-        raise LabelingError("need at least two QRS marks to bound a beat window")
     pairs = []
     times = qrs.times
     for q0, q1 in zip(times, times[1:]):
@@ -248,7 +244,7 @@ def deceleration_time(
     trace: EnvelopeTrace,
     e_column: int,
     e_velocity: float,
-    params: DtParams | None = None,
+    params: DtParams = DtParams(),
 ) -> DtResult:
     """Slope-change extrapolation of the E-wave descent to the baseline.
 
@@ -262,7 +258,6 @@ def deceleration_time(
     no_slope_change. Times are column * trace.spacing. An apex column
     outside the trace is a ValueError.
     """
-    params = params or DtParams()
     velocities, spacing = trace.velocities, trace.spacing
     n = len(velocities)
     if not (0 <= e_column < n):
@@ -324,8 +319,8 @@ def measure_beats(
     smoothed: EnvelopeTrace,
     peaks,
     qrs: QrsMarks,
-    peak_params: PeakParams | None = None,
-    dt_params: DtParams | None = None,
+    peak_params: PeakParams = PeakParams(),
+    dt_params: DtParams = DtParams(),
 ):
     """Per-beat E, A and DT from the flow peaks detected on the smoothed trace.
 
@@ -336,10 +331,6 @@ def measure_beats(
     time. Returns a list of BeatMeasurement, each with its DT geometry;
     empty when fewer than two QRS marks or no peaks exist.
     """
-    peak_params = peak_params or PeakParams()
-    dt_params = dt_params or DtParams()
-    if len(qrs) < 2 or not peaks:
-        return []
     radius = smoothing_columns(peak_params.smooth_window_ms, raw_trace) // 2
     velocities, spacing = raw_trace.velocities, raw_trace.spacing
 
@@ -377,10 +368,10 @@ def measure_study(
     image: RasterImage,
     manifest: CalibrationManifest,
     *,
-    seg_params: SegmentationParams | None = None,
-    peak_params: PeakParams | None = None,
-    dt_params: DtParams | None = None,
-    qrs_params: QrsParams | None = None,
+    seg_params: SegmentationParams = SegmentationParams(),
+    peak_params: PeakParams = PeakParams(),
+    dt_params: DtParams = DtParams(),
+    qrs_params: QrsParams = QrsParams(),
     mask_path=None,
     drop_outliers: bool = False,
 ) -> StudyRun:
@@ -397,7 +388,6 @@ def measure_study(
             f"label {decision.label!r} is not mitral inflow; study was not routed here"
         )
 
-    peak_params = peak_params or PeakParams()
     if mask_path is not None:
         mask = _stage("mask-import", import_mask, mask_path, manifest)
     else:
@@ -406,7 +396,7 @@ def measure_study(
         )
     trace = _stage("trace", mask_to_trace, mask, manifest)
     ecg = _stage("ecg", extract_ecg, image, manifest)
-    qrs = _stage("qrs", detect_qrs, ecg, qrs_params or QrsParams(), manifest)
+    qrs = _stage("qrs", detect_qrs, ecg, qrs_params, manifest)
     smoothed = smooth_trace(trace, peak_params.smooth_window_ms)
     peaks = detect_flow_peaks(smoothed, peak_params)
     beats = measure_beats(trace, smoothed, peaks, qrs, peak_params, dt_params)

@@ -57,23 +57,17 @@ class SegmentationParams:
             raise ValueError(f"min_component_area must be >= 0, got {self.min_component_area}")
 
 
+@dataclass
 class EnvelopeMask:
     """Binary mask over the spectral region, 1 = foreground (flow signal on
     the flow side of the baseline; ``mask_to_trace`` ignores the far side)."""
 
-    def __init__(self, cells: np.ndarray):
-        if cells.ndim != 2:
+    cells: np.ndarray  # bool, (rows, columns) of the spectral region
+
+    def __post_init__(self):
+        if self.cells.ndim != 2:
             raise ValueError("mask cells must be a 2-D array")
-        self.cells = cells.astype(bool, copy=False)
-        self.shape = self.cells.shape
-
-    @property
-    def width(self) -> int:
-        return self.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.shape[0]
+        self.cells = self.cells.astype(bool, copy=False)
 
 
 @dataclass
@@ -137,7 +131,7 @@ def otsu_threshold(levels: np.ndarray) -> int:
 def segment_envelope_threshold(
     image: RasterImage,
     manifest: CalibrationManifest,
-    params: SegmentationParams | None = None,
+    params: SegmentationParams = SegmentationParams(),
 ) -> EnvelopeMask:
     """Classical threshold segmentation of the flow envelope.
 
@@ -149,7 +143,6 @@ def segment_envelope_threshold(
     spectral region, on both sides of the baseline; ``mask_to_trace``
     finds the border.
     """
-    params = params or SegmentationParams()
     rows, cols = _region_slice(manifest)
     region = image.pixels[rows, cols]
     if region.size == 0:
@@ -223,9 +216,9 @@ def mask_to_trace(mask: EnvelopeMask, manifest: CalibrationManifest) -> Envelope
     the nearest value) and flagged.
     """
     height, width = _region_shape(manifest)
-    if mask.shape != (height, width):
+    if mask.cells.shape != (height, width):
         raise SegmentationError(
-            f"mask is {mask.width}x{mask.height}, spectral region is {width}x{height}"
+            f"mask is {mask.cells.shape[1]}x{mask.cells.shape[0]}, spectral region is {width}x{height}"
         )
     # the flow side, ordered outermost row first and baseline row last
     baseline = manifest.baseline_row - manifest.spectral_region[1]

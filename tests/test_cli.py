@@ -254,6 +254,18 @@ def test_analyze_valid_study(tmp_path, capsys):
     assert rows[1]["e_mps"] == pytest.approx(0.8, abs=0.02)
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_outputs_are_created_under_the_umask(tmp_path, capsys, umask):
+    previous = os.umask(umask)
+    try:
+        assert main(["synth", "--out", str(tmp_path)]) == 0
+        assert main(["analyze", str(tmp_path / "study_0000.ppm")]) == 0
+    finally:
+        os.umask(previous)
+    for name in ("study_0000.ppm", "study_0000.measurements.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def run_fresh_interpreter(script):
     """Run script in a new python process that imports this checkout's package."""
     src = str(Path(midoppler.__file__).parents[1])
@@ -983,8 +995,16 @@ def test_agree_counts_each_unpaired_key_once(tmp_path, capsys):
         ("full", ["--fields", "E,X"], "unknown field 'X'"),
         # A is constant in write_beats: its comparison would warn first
         ("full", ["--fields", "A,X"], "unknown field 'X'"),
+        ("full", ["--fields", ","], "--fields names no field (choose from E,A,EA,DT)"),
+        ("full", ["--fields", ""], "--fields names no field (choose from E,A,EA,DT)"),
     ],
-    ids=["empty-directory", "unknown-field", "unknown-field-after-an-undefined-one"],
+    ids=[
+        "empty-directory",
+        "unknown-field",
+        "unknown-field-after-an-undefined-one",
+        "no-field-comma",
+        "no-field-empty",
+    ],
 )
 def test_agree_usage_faults_are_one_error_line(tmp_path, capsys, series_b, flags, message):
     full = write_beats(tmp_path / "full", (1, 2, 3))
@@ -1152,6 +1172,13 @@ def test_overlay_mask_draws_what_analyze_mask_measures(tmp_path):
         ("--median-window", str(MAX_MEDIAN_WINDOW + 2)),
         ("--qrs-threshold-fraction", "1.5"),
         ("--smooth-ms", "0"),
+        ("--open-radius", "-1"),
+        ("--min-component-area", "-1"),
+        ("--min-prominence", "0"),
+        ("--min-width-ms", "0"),
+        ("--curvature-threshold", "0"),
+        ("--skip-ms", "0"),
+        ("--refractory-ms", "0"),
     ],
 )
 def test_rejected_pipeline_value_is_a_usage_error(tmp_path, capsys, command, flag, value):

@@ -152,6 +152,15 @@ def test_save_gray_image_of_a_mask_writes_header_and_pixel_bytes(tmp_path, layou
     assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + gray.tobytes()
 
 
+def test_write_failing_midway_leaves_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(TypeError):
+        ingestion.atomic_write_bytes(path, b"new\n", "not a buffer")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert path.read_bytes() == b"old\n"
+
+
 def test_wrong_magic_is_corrupt_header(tmp_path):
     path = tmp_path / "bad.ppm"
     path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")

@@ -303,6 +303,12 @@ def test_remove_small_components_joins_hard_shapes(name, transform):
     assert not kernels.remove_small_components(mask, area + 1).any()
 
 
+@pytest.mark.parametrize("shape", [(30, 40), (0, 40), (30, 0)])
+def test_remove_small_components_all_background_returns_input(shape):
+    mask = np.zeros(shape, bool)
+    assert kernels.remove_small_components(mask, 25) is mask
+
+
 @pytest.mark.parametrize("min_area", [0, 1])
 def test_remove_small_components_min_area_below_two_returns_input(min_area):
     mask = np.random.default_rng(14).uniform(size=(30, 40)) < 0.3

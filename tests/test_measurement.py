@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from midoppler.ecg import QrsMarks, QrsParams, detect_qrs
-from midoppler.errors import LabelingError, MidopplerError, RoutingRejection, UnknownLabelError
+from midoppler.errors import MidopplerError, RoutingRejection, UnknownLabelError
 from midoppler.measurement import (
     FLAG_FUSED_EA,
     FLAG_GAP_IN_DESCENT,
@@ -123,6 +123,11 @@ def test_empty_trace_rejected():
         detect_flow_peaks(make_trace(np.empty(0)))
 
 
+@pytest.mark.parametrize("velocities", [[0.8], [0.2, 0.8], [0.8, 0.2]])
+def test_traces_under_three_samples_have_no_peaks(velocities):
+    assert detect_flow_peaks(make_trace(velocities)) == []
+
+
 @st.composite
 def peak_traces(draw):
     """0-60 samples: integer runs (plateaus at either end, equal minima and
@@ -190,9 +195,10 @@ def test_label_three_peaks_largest_early_is_e():
     assert a_peak.time == 660.0
 
 
-def test_label_requires_two_marks():
-    with pytest.raises(LabelingError):
-        label_beats([peak(100.0, 0.8)], QrsMarks(times=np.array([0.0])))
+def test_label_without_two_marks_is_empty():
+    peaks = [peak(100.0, 0.8), peak(400.0, 0.5)]
+    assert label_beats(peaks, QrsMarks(times=np.empty(0))) == []
+    assert label_beats(peaks, QrsMarks(times=np.array([0.0]))) == []
 
 
 def test_label_drops_empty_windows_and_keeps_a_before_qrs():
@@ -259,6 +265,21 @@ def test_dt_gap_in_descent_flagged():
 def test_dt_on_a_one_column_trace_is_absent():
     result = deceleration_time(make_trace([0.8]), 0, 0.8)
     assert result == DtResult(None, None, None, None, frozenset({FLAG_NO_SLOPE_CHANGE}))
+
+
+def test_dt_running_off_the_trace_flags_a_gap_after_the_apex():
+    gaps = np.zeros(40, bool)
+    gaps[20] = True
+    result = deceleration_time(make_trace(np.full(40, 0.8), gaps=gaps), 5, 0.8)
+    flags = frozenset({FLAG_NO_SLOPE_CHANGE, FLAG_GAP_IN_DESCENT})
+    assert result == DtResult(None, None, None, None, flags)
+
+
+def test_dt_slope_change_at_or_above_e_is_absent():
+    v = np.full(40, 1.0)
+    v[20:] = np.linspace(1.0, 0.2, 20)
+    result = deceleration_time(make_trace(v), 5, 0.9)
+    assert result == DtResult(None, 50.0, 1.0, None, frozenset({FLAG_NO_SLOPE_CHANGE}))
 
 
 def test_dt_peak_off_trace_rejected():
@@ -334,6 +355,11 @@ def test_time_translation_shifts_times_only():
 def test_measure_beats_without_marks_is_empty():
     trace, _ = ea_trace()
     assert measure_trace(trace, QrsMarks(times=np.array([40.0]))) == []
+
+
+def test_measure_beats_without_peaks_is_empty():
+    trace, qrs = ea_trace()
+    assert measure_beats(trace, smooth_trace(trace, 15.0), [], qrs) == []
 
 
 def test_peak_amplitude_read_within_refine_radius():

@@ -345,6 +345,14 @@ def test_trace_gap_interpolates_midpoint():
     assert trace.gap_flags.tolist() == [False, True, False]
 
 
+def test_mask_of_another_size_rejected(manifest):
+    x0, y0, x1, y1 = manifest.spectral_region
+    cells = np.ones((y1 - y0 + 1, x1 - x0), bool)
+    message = rf"^mask is {x1 - x0}x{y1 - y0 + 1}, spectral region is {x1 - x0 + 1}x{y1 - y0 + 1}$"
+    with pytest.raises(SegmentationError, match=message):
+        mask_to_trace(EnvelopeMask(cells), manifest)
+
+
 def test_empty_mask_rejected(manifest):
     x0, y0, x1, y1 = manifest.spectral_region
     cells = np.zeros((y1 - y0 + 1, x1 - x0 + 1), bool)
@@ -377,7 +385,7 @@ def test_segmented_columns_are_single_runs_touching_baseline():
     image, manifest, _ = generate_synthetic(SynthParams(seed=10, noise_sigma=0.1))
     mask = segment_envelope_threshold(image, manifest)
     baseline_local = manifest.baseline_row - manifest.spectral_region[1]
-    for col in range(0, mask.width, 7):
+    for col in range(0, mask.cells.shape[1], 7):
         column = mask.cells[:, col]
         if not column.any():
             continue
