@@ -16,7 +16,9 @@ them). With ``noise_sigma > 0`` the spectral region takes exactly one draw,
 order, and each pixel is ``round_half_even(I * (1 + noise_sigma * u))``
 clipped to 0..255, with I = 205 on the truth mask and the two bright rows
 below the baseline and 12 elsewhere; with ``noise_sigma == 0`` it is I
-itself. The same gray value goes to R, G and B.
+itself. The same gray value goes to R, G and B. The draw is taken in blocks
+of rows from the one generator, one block after the next; their values are
+those of the single C-order draw.
 """
 
 import math
@@ -32,6 +34,7 @@ ENVELOPE_INTENSITY = 205
 BACKGROUND_INTENSITY = 12
 SPIKE_INTENSITY = 235
 ALIAS_INTENSITY = 185
+SPECKLE_BLOCK_ROWS = 32  # rows of speckle drawn and rendered at a time
 MIN_WIDTH = 300
 # The ECG strip runs from 30 rows below the spectral region, whose bottom row
 # is round(0.818 * height), to 13 rows above the frame's bottom edge, and it
@@ -138,6 +141,12 @@ def _validate(params: SynthParams) -> None:
     if params.height < MIN_HEIGHT:
         raise GenerationError(
             f"height must be at least {MIN_HEIGHT} to fit the ECG strip, got {params.height}"
+        )
+    # the manifest is read back line by line with each value stripped, so
+    # only a one-line label without surrounding whitespace survives the trip
+    if params.label != params.label.strip() or len(params.label.splitlines()) > 1:
+        raise GenerationError(
+            f"label must be one line without leading or trailing whitespace, got {params.label!r}"
         )
 
 
@@ -289,31 +298,40 @@ def generate_synthetic(params: SynthParams):
     # the bright baseline band, so the envelope touches the baseline everywhere
     top = baseline_local - np.round(envelope / velocity_scale).astype(np.int64)
     top = np.clip(top, 0, baseline_local)
-    row_idx = np.arange(region_h)[:, None]
-    mask = (row_idx >= top[None, :]) & (row_idx <= baseline_local)
+    # rows below the baseline are never flow, so one compare over the flow
+    # side fills the mask; uint16 rows compare several times faster than int64
+    row_type = np.uint16 if region_h < 2**16 else np.intp
+    mask = np.zeros((region_h, region_w), dtype=bool)
+    flow_rows = np.arange(baseline_local + 1, dtype=row_type)[:, None]
+    np.greater_equal(flow_rows, top.astype(row_type), out=mask[:baseline_local + 1])
 
     pixels = np.full((params.height, params.width, 3), BACKGROUND_INTENSITY, np.uint8)
     region_view = pixels[sy0:sy1 + 1, sx0:sx1 + 1]
+    gray = mask.view(np.uint8) * np.uint8(ENVELOPE_INTENSITY - BACKGROUND_INTENSITY)
+    gray += BACKGROUND_INTENSITY
     # the bright baseline band extends two rows below the baseline so that
     # zero-flow columns survive median filtering and opening; the analysis
     # keeps only the flow side, so the band reads back as exactly zero
-    render_mask = mask.copy()
-    render_mask[baseline_local + 1:baseline_local + 3, :] = True
+    gray[baseline_local + 1:baseline_local + 3] = ENVELOPE_INTENSITY
     if params.noise_sigma > 0:
-        # the speckle chain of the module docstring, in place on the draw
-        gray = np.random.default_rng(params.seed).uniform(-1.0, 1.0, render_mask.shape)
-        gray *= params.noise_sigma
-        gray += 1.0
-        np.multiply(gray, float(ENVELOPE_INTENSITY), out=gray, where=render_mask)
-        np.multiply(gray, float(BACKGROUND_INTENSITY), out=gray, where=~render_mask)
-        np.round(gray, out=gray)
-        np.clip(gray, 0, 255, out=gray)
-        region_u8 = gray.astype(np.uint8)
-    else:
-        region_u8 = np.where(render_mask, np.uint8(ENVELOPE_INTENSITY), np.uint8(BACKGROUND_INTENSITY))
+        # the speckle chain of the module docstring, one row block at a time
+        # and in place on each block's draw: consecutive blocks take the
+        # values of the single C-order draw, and no region-sized float64
+        # buffer is made. A uint8 factor multiplies as the same float64, and
+        # 1 + noise_sigma * u >= 0, so only the upper clip can act.
+        rng = np.random.default_rng(params.seed)
+        for r0 in range(0, region_h, SPECKLE_BLOCK_ROWS):
+            rows = slice(r0, r0 + SPECKLE_BLOCK_ROWS)
+            block = rng.uniform(-1.0, 1.0, gray[rows].shape)
+            block *= params.noise_sigma
+            block += 1.0
+            block *= gray[rows]
+            np.rint(block, out=block)
+            np.minimum(block, 255.0, out=block)
+            gray[rows] = block
     # one plain copy per channel: a stride-0 broadcast copy is several times slower
     for channel in range(3):
-        region_view[:, :, channel] = region_u8
+        region_view[:, :, channel] = gray
 
     for artifact in params.artifacts:
         if isinstance(artifact, (Spike, Dropout)):

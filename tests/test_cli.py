@@ -228,6 +228,20 @@ def test_synth_invalid_artifact_is_one_error_line(tmp_path, capsys, flag, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "label",
+    ["mitral_inflow\nbaseline_row = 3", " mitral_inflow "],
+    ids=["second-manifest-line", "padded"],
+)
+def test_synth_label_that_does_not_read_back_is_one_error_line(tmp_path, capsys, label):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--label", label]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: label must be one line without leading or trailing whitespace, got {label!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_synth_fewer_than_one_study_is_a_usage_error(tmp_path, capsys, count):
     out = tmp_path / "out"

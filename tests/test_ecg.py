@@ -224,6 +224,39 @@ def test_marks_strictly_increasing_with_refractory_gap(manifest):
 # the strip's time axis -------------------------------------------------------
 
 
+def ecg_width(manifest):
+    return manifest.ecg_region[2] - manifest.ecg_region[0] + 1
+
+
+def dump_times(manifest):
+    """The time_ms column of the --dump-ecg CSV of a strip as wide as the ecg_region."""
+    width = ecg_width(manifest)
+    text = ecg_csv_text(EcgSignal(np.zeros(width), np.ones(width, bool)), manifest)
+    return [float(line.split(",")[0]) for line in text.splitlines()[1:]]
+
+
+def mark_times(manifest, col):
+    """detect_qrs's marks on a flat strip with one triangular spike at column col."""
+    amp = np.zeros(ecg_width(manifest))
+    for dc in range(-4, 5):
+        if 0 <= col + dc < amp.size:
+            amp[col + dc] = 30.0 * (1 - abs(dc) / 5)
+    return detect_qrs(EcgSignal(amp, np.ones(amp.size, bool)), QrsParams(), manifest).times
+
+
+def test_linear_time_scale(manifest):
+    assert dump_times(manifest)[100] == pytest.approx(250.0)
+    assert mark_times(manifest, 100).tolist() == [pytest.approx(250.0)]
+
+
+def test_col_to_time_strictly_increasing():
+    for ecg_x0 in (10, 0):  # at, and 10 columns left of, the spectral region's left edge
+        manifest = make_manifest(ecg_region=(ecg_x0, 110, 189, 140))
+        times = dump_times(manifest)
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert times[0] == (ecg_x0 - 10) * manifest.time_scale
+
+
 @pytest.mark.parametrize("shift", [0, 20], ids=["strip-at-spectral-edge", "strip-20-columns-left"])
 def test_qrs_marks_and_ecg_dump_share_one_time_axis(shift):
     image, manifest, truth = generate_synthetic(SynthParams(seed=3))

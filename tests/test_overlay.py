@@ -1,15 +1,15 @@
-"""Physical-unit <-> row/column conversions: the overlay's pixel mapping
-against mask_to_trace's readings, and the ECG strip's time axis as the
---dump-ecg CSV and the QRS marks read it."""
+"""overlay's physical-unit <-> pixel conversions: velocity_to_row against
+mask_to_trace's readings, and time_to_col against the ECG strip's time axis
+as the --dump-ecg CSV and the QRS marks read it."""
 
 import numpy as np
 import pytest
 
-from midoppler.ecg import EcgSignal, QrsParams, detect_qrs, ecg_csv_text
 from midoppler.overlay import time_to_col, velocity_to_row
 from midoppler.segmentation import EnvelopeMask, mask_to_trace
 
 from conftest import make_manifest
+from test_ecg import dump_times, mark_times
 
 
 def staircase_trace(manifest, tops):
@@ -19,26 +19,6 @@ def staircase_trace(manifest, tops):
     for j, top in enumerate(tops):
         cells[top - y0:, j] = True
     return mask_to_trace(EnvelopeMask(cells), manifest)
-
-
-def ecg_width(manifest):
-    return manifest.ecg_region[2] - manifest.ecg_region[0] + 1
-
-
-def dump_times(manifest):
-    """The time_ms column of the --dump-ecg CSV of a strip as wide as the ecg_region."""
-    width = ecg_width(manifest)
-    text = ecg_csv_text(EcgSignal(np.zeros(width), np.ones(width, bool)), manifest)
-    return [float(line.split(",")[0]) for line in text.splitlines()[1:]]
-
-
-def mark_times(manifest, col):
-    """detect_qrs's marks on a flat strip with one triangular spike at column col."""
-    amp = np.zeros(ecg_width(manifest))
-    for dc in range(-4, 5):
-        if 0 <= col + dc < amp.size:
-            amp[col + dc] = 30.0 * (1 - abs(dc) / 5)
-    return detect_qrs(EcgSignal(amp, np.ones(amp.size, bool)), QrsParams(), manifest).times
 
 
 def test_baseline_row_maps_to_zero(manifest):
@@ -66,25 +46,12 @@ def test_time_origin_at_region_left(manifest):
     assert time_to_col(0.0, manifest) == manifest.spectral_region[0]
 
 
-def test_linear_time_scale(manifest):
-    assert dump_times(manifest)[100] == pytest.approx(250.0)
-    assert mark_times(manifest, 100).tolist() == [pytest.approx(250.0)]
-
-
 def test_row_to_velocity_strictly_decreasing(manifest):
     _, y0, _, _ = manifest.spectral_region
     rows = np.arange(y0, manifest.baseline_row + 1)  # top of the region down to the baseline
     velocities = staircase_trace(manifest, rows).velocities[: len(rows)]
     assert all(a > b for a, b in zip(velocities, velocities[1:]))
     assert velocities[-1] == 0.0
-
-
-def test_col_to_time_strictly_increasing():
-    for ecg_x0 in (10, 0):  # at, and 10 columns left of, the spectral region's left edge
-        manifest = make_manifest(ecg_region=(ecg_x0, 110, 189, 140))
-        times = dump_times(manifest)
-        assert all(a < b for a, b in zip(times, times[1:]))
-        assert times[0] == (ecg_x0 - 10) * manifest.time_scale
 
 
 def test_conversions_invert_up_to_pixel_quantization():

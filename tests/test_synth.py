@@ -3,12 +3,15 @@
 import math
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from midoppler.errors import GenerationError
+from midoppler.errors import GenerationError, ManifestError
+from midoppler.ingestion import load_manifest, save_manifest
 from midoppler.measurement import FLAG_FUSED_EA, FLAG_MISSING_A, measure_study
 from midoppler.segmentation import SegmentationParams, segment_envelope_threshold
 from midoppler.synth import (
@@ -20,6 +23,8 @@ from midoppler.synth import (
     generate_synthetic,
     truth_csv_text,
 )
+
+from conftest import make_manifest
 
 
 def test_generation_is_deterministic():
@@ -126,19 +131,28 @@ def test_width_floor():
         generate_synthetic(SynthParams(width=299))
 
 
-def test_noisy_render_allocates_no_frame_sized_temporaries():
-    # the speckle chain runs in place on its one float64 draw (3.8 MiB here)
-    # next to the 2.2 MiB frame, for a peak near 7.5 MiB; an np.where
-    # intensity frame would add 3.8 MiB and a broadcast factor frame more
-    params = corpus_params(SynthParams(noise_sigma=0.15), 7001)
+def render_peak_bytes(params):
+    """tracemalloc's peak over one warm generate_synthetic(params)."""
     generate_synthetic(params)
     tracemalloc.start()
     try:
         generate_synthetic(params)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * 2**20
+
+
+def test_noisy_render_allocates_no_frame_sized_temporaries():
+    # the 2.2 MiB frame, the 0.5 MiB truth mask and uint8 gray region, and a
+    # 32-row float64 speckle block (0.2 MiB) read 3.6 MiB; a region-sized
+    # float64 draw would add 3.8 MiB
+    assert render_peak_bytes(corpus_params(SynthParams(noise_sigma=0.15), 7001)) <= 4 * 2**20
+
+
+def test_noise_free_render_allocates_no_frame_sized_temporaries():
+    # the frame, the mask and the gray region read 3.2 MiB; a second
+    # region-sized bool or uint8 array would add 0.5 MiB
+    assert render_peak_bytes(corpus_params(SynthParams(), 7001)) <= 3.5 * 2**20
 
 
 def test_wave_overlap_raises_generation_error():
@@ -218,3 +232,87 @@ def test_ecg_is_drawn_in_the_manifest_color_key():
     x0, _, x1, _ = manifest.ecg_region
     drawn = image.pixels[truth.ecg_rows, np.arange(x0, x1 + 1)]
     assert (drawn == manifest.ecg_color).all()
+
+
+def reference_frame(params, manifest, truth):
+    """The frame the module docstring specifies: one whole-region draw and the
+    masked float64 chain, then the artifacts, then the ECG polyline."""
+    x0, y0, x1, y1 = manifest.spectral_region
+    height, width = y1 - y0 + 1, x1 - x0 + 1
+    b = manifest.baseline_row - y0
+    top = np.clip(b - np.round(truth.envelope / manifest.velocity_scale).astype(np.int64), 0, b)
+    rows = np.arange(height)[:, None]
+    mask = (rows >= top[None, :]) & (rows <= b)
+    assert np.array_equal(truth.mask, mask)
+    render_mask = mask.copy()
+    render_mask[b + 1:b + 3] = True
+    intensity = np.where(render_mask, 205.0, 12.0)
+    if params.noise_sigma > 0:
+        u = np.random.default_rng(params.seed).uniform(-1.0, 1.0, (height, width))
+        region = np.clip(np.round(intensity * (1 + params.noise_sigma * u)), 0, 255)
+    else:
+        region = intensity
+    region = region.astype(np.uint8)
+    for artifact in params.artifacts:
+        if isinstance(artifact, (Spike, Dropout)):
+            c0 = max(0, min(width - 1, int(round(artifact.time_ms / manifest.time_scale))))
+            c1 = min(width, c0 + max(1, int(round(artifact.width_ms / manifest.time_scale))))
+        if isinstance(artifact, Spike):
+            spike_top = max(0, b - int(round(artifact.velocity / manifest.velocity_scale)))
+            region[spike_top:b + 1, c0:c1] = 235
+        elif isinstance(artifact, Dropout):
+            region[:b + 1, c0:c1] = 12
+        else:
+            region[b + 8:b + 28] = 185
+    frame = np.full((params.height, params.width, 3), 12, np.uint8)
+    frame[y0:y1 + 1, x0:x1 + 1] = region[:, :, None]
+    ex0, _, ex1, _ = manifest.ecg_region
+    frame[truth.ecg_rows, np.arange(ex0, ex1 + 1)] = manifest.ecg_color
+    return frame
+
+
+artifacts = st.one_of(
+    st.builds(Spike, st.floats(0.0, 4000.0), st.floats(0.05, 2.0), st.floats(0.5, 60.0)),
+    st.builds(Dropout, st.floats(0.0, 4000.0), st.floats(0.5, 200.0)),
+    st.just(AliasBand()),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    width=st.integers(300, 1100),
+    height=st.integers(454, 900),
+    drawn=st.lists(artifacts, max_size=3),
+)
+@example(seed=7, noise=0.345, width=1016, height=758, drawn=[Spike(650.0, 1.2, 5.0), Dropout(1650.0, 40.0), AliasBand()])
+def test_render_equals_the_docstring_reference(seed, noise, width, height, drawn):
+    params = SynthParams(seed=seed, noise_sigma=noise, width=width, height=height, artifacts=tuple(drawn))
+    image, manifest, truth = generate_synthetic(params)
+    assert np.array_equal(image.pixels, reference_frame(params, manifest, truth))
+
+
+label_characters = st.one_of(st.characters(), st.sampled_from(" \t\n\r\v\f\x1c\x1d\x1e\x85  =#"))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(label=st.text(label_characters, max_size=12))
+@example(label="mitral_inflow\nbaseline_row = 3")
+@example(label=" mitral_inflow ")
+@example(label="a\n# b")
+def test_a_label_is_accepted_iff_it_reads_back_from_its_manifest(tmp_path, label):
+    try:
+        manifest = generate_synthetic(SynthParams(label=label))[1]
+        accepted = True
+    except GenerationError as exc:
+        assert repr(label) in str(exc)
+        manifest = replace(make_manifest(), label=label)
+        accepted = False
+    path = tmp_path / "study.manifest"
+    save_manifest(path, manifest)
+    try:
+        read_back = load_manifest(path).label
+    except ManifestError:
+        read_back = None
+    assert (read_back == label) == accepted
