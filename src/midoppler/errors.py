@@ -17,10 +17,6 @@ class UnknownLabelError(MidopplerError):
     """Manifest label is not one of the known image classes."""
 
 
-class RoutingRejection(MidopplerError):
-    """A study with a non mitral-inflow label was pushed into measurement."""
-
-
 class SegmentationError(MidopplerError):
     """No usable envelope signal could be extracted."""
 

@@ -81,7 +81,9 @@ class CalibrationManifest:
     Regions are (x0, y0, x1, y1) inclusive pixel bounds. ``velocity_scale``
     is m/s per pixel row, ``time_scale`` ms per pixel column. The ECG color
     key defaults to pure green with a generous per-channel tolerance since
-    vendor renderings differ.
+    vendor renderings differ. Every manifest, dataclasses.replace's too, is
+    checked when it is built against each invariant that needs no image;
+    load_manifest checks the regions against an image's size.
     """
 
     label: str
@@ -93,6 +95,33 @@ class CalibrationManifest:
     ecg_region: tuple
     ecg_color: tuple = (0, 255, 0)
     ecg_color_tolerance: int = 60
+
+    def __post_init__(self):
+        """Raise ManifestError on the first violated invariant."""
+        for name in ("velocity_scale", "time_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ManifestError(f"{name} must be finite and positive, got {value}")
+        for name in ("spectral_region", "ecg_region"):
+            region = getattr(self, name)
+            x0, y0, x1, y1 = region
+            if x0 > x1 or y0 > y1:
+                raise ManifestError(f"{name} corners are not ordered: {region}")
+            if x0 < 0 or y0 < 0:
+                raise ManifestError(f"{name} has negative coordinates: {region}")
+        _, sy0, _, sy1 = self.spectral_region
+        if not (sy0 <= self.baseline_row <= sy1):
+            raise ManifestError(
+                f"baseline_row {self.baseline_row} outside spectral_region rows [{sy0}, {sy1}]"
+            )
+        for channel in self.ecg_color:
+            if not (0 <= channel <= 255):
+                raise ManifestError(f"ecg_color channel out of range: {self.ecg_color}")
+        # at 255 every pixel of ecg_region would match whatever the key
+        if not (0 <= self.ecg_color_tolerance < 255):
+            raise ManifestError(
+                f"ecg_color_tolerance must be in [0, 255), got {self.ecg_color_tolerance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -314,6 +343,14 @@ def _parse_int(value: str, key: str) -> int:
         raise ManifestError(f"key {key!r}: expected an integer, got {value!r}") from None
 
 
+def _parse_whole_number(value: str, key: str) -> int:
+    """An integer written as any finite number with no fractional part, such as 60.0."""
+    number = _parse_float(value, key)
+    if not number.is_integer():
+        raise ManifestError(f"key {key!r}: expected an integer, got {value!r}")
+    return int(number)
+
+
 def _parse_bool(value: str, key: str) -> bool:
     if value.lower() not in ("true", "false"):
         raise ManifestError(f"key {key!r}: expected true/false, got {value!r}")
@@ -329,16 +366,16 @@ _VALUE_PARSERS = {
     "spectral_region": partial(_parse_ints, count=4),
     "ecg_region": partial(_parse_ints, count=4),
     "ecg_color": partial(_parse_ints, count=3),
-    "ecg_color_tolerance": lambda value, key: int(_parse_float(value, key)),
+    "ecg_color_tolerance": _parse_whole_number,
 }
 
 
 def load_manifest(path, image_size=None) -> CalibrationManifest:
-    """Parse a ``key = value`` manifest and validate its invariants.
+    """Parse a ``key = value`` manifest into a CalibrationManifest.
 
     An absent optional key takes its CalibrationManifest default. image_size,
-    when given as (width, height), additionally checks that the declared
-    regions fit inside the image.
+    when given as (width, height), also checks that the declared regions fit
+    inside the image.
     """
     raw = read_key_values(path, _MANIFEST_DEFAULTS, ManifestError, "manifest")
     for key, default in _MANIFEST_DEFAULTS.items():
@@ -348,45 +385,13 @@ def load_manifest(path, image_size=None) -> CalibrationManifest:
         if key in raw:
             raw[key] = parse(raw[key], key)
     manifest = CalibrationManifest(**raw)
-    validate_manifest(manifest, image_size=image_size)
+    if image_size is not None:
+        width, height = image_size
+        for name in ("spectral_region", "ecg_region"):
+            region = getattr(manifest, name)
+            if region[2] >= width or region[3] >= height:
+                raise ManifestError(f"{name} {region} exceeds image bounds {width}x{height}")
     return manifest
-
-
-def validate_manifest(manifest: CalibrationManifest, image_size=None) -> None:
-    """Raise ManifestError on any violated manifest invariant."""
-    for name in ("velocity_scale", "time_scale"):
-        value = getattr(manifest, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ManifestError(f"{name} must be finite and positive, got {value}")
-    for name, region in (
-        ("spectral_region", manifest.spectral_region),
-        ("ecg_region", manifest.ecg_region),
-    ):
-        x0, y0, x1, y1 = region
-        if x0 > x1 or y0 > y1:
-            raise ManifestError(f"{name} corners are not ordered: {region}")
-        if x0 < 0 or y0 < 0:
-            raise ManifestError(f"{name} has negative coordinates: {region}")
-        if image_size is not None:
-            width, height = image_size
-            if x1 >= width or y1 >= height:
-                raise ManifestError(
-                    f"{name} {region} exceeds image bounds {width}x{height}"
-                )
-    _, sy0, _, sy1 = manifest.spectral_region
-    if not (sy0 <= manifest.baseline_row <= sy1):
-        raise ManifestError(
-            f"baseline_row {manifest.baseline_row} outside spectral_region rows "
-            f"[{sy0}, {sy1}]"
-        )
-    for channel in manifest.ecg_color:
-        if not (0 <= channel <= 255):
-            raise ManifestError(f"ecg_color channel out of range: {manifest.ecg_color}")
-    # at 255 every pixel of ecg_region would match whatever the key
-    if not (0 <= manifest.ecg_color_tolerance < 255):
-        raise ManifestError(
-            f"ecg_color_tolerance must be in [0, 255), got {manifest.ecg_color_tolerance}"
-        )
 
 
 def save_manifest(path, manifest: CalibrationManifest) -> None:

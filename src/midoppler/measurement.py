@@ -22,14 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .ecg import EcgSignal, QrsMarks, QrsParams, detect_qrs, extract_ecg
-from .errors import MidopplerError, RoutingRejection
-from .ingestion import (
-    CalibrationManifest,
-    RasterImage,
-    atomic_write_text,
-    route_image,
-    validate_manifest,
-)
+from .errors import MidopplerError
+from .ingestion import CalibrationManifest, RasterImage, atomic_write_text
 from .segmentation import (
     EnvelopeMask,
     EnvelopeTrace,
@@ -377,17 +371,12 @@ def measure_study(
 ) -> StudyRun:
     """Run the whole pipeline on one routed study image.
 
-    Stage failures carry a stage prefix. Individual unmeasurable beats do
-    not fail the study; a study where nothing is measurable yields a run
-    with zero beats.
+    The caller owns the checks that come before: manifest is one that
+    load_manifest checked against this image's size, and route_image
+    accepted it. Stage failures carry a stage prefix. Individual
+    unmeasurable beats do not fail the study; a study where nothing is
+    measurable yields a run with zero beats.
     """
-    _stage("manifest", validate_manifest, manifest, (image.width, image.height))
-    decision = route_image(manifest)
-    if not decision.accepted:
-        raise RoutingRejection(
-            f"label {decision.label!r} is not mitral inflow; study was not routed here"
-        )
-
     if mask_path is not None:
         mask = _stage("mask-import", import_mask, mask_path, manifest)
     else:

@@ -420,6 +420,38 @@ def test_analyze_continues_past_non_finite_manifest(tmp_path, capsys):
         assert sorted(read_measurement_csv(tmp_path / f"{stem}.measurements.csv")) == [1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("time_scale = nan", "key 'time_scale': expected a finite number, got 'nan'"),
+        ("velocity_scale = 0", "velocity_scale must be finite and positive, got 0.0"),
+        ("spectral_region = 955, 60, 60, 620", "spectral_region corners are not ordered: (955, 60, 60, 620)"),
+        ("ecg_region = -1, 650, 955, 745", "ecg_region has negative coordinates: (-1, 650, 955, 745)"),
+        ("baseline_row = 621", "baseline_row 621 outside spectral_region rows [60, 620]"),
+        ("ecg_color = 0, 256, 0", "ecg_color channel out of range: (0, 256, 0)"),
+        ("ecg_color_tolerance = 255", "ecg_color_tolerance must be in [0, 255), got 255"),
+        ("spectral_region = 60, 60, 1016, 620", "spectral_region (60, 60, 1016, 620) exceeds image bounds 1016x758"),
+        ("ecg_region = 60, 650, 955, 758", "ecg_region (60, 650, 955, 758) exceeds image bounds 1016x758"),
+    ],
+    ids=[
+        "non-finite-scale", "zero-scale", "unordered", "negative", "baseline-outside",
+        "channel-256", "tolerance-255", "spectral-past-edge", "ecg-past-edge",
+    ],
+)
+def test_analyze_manifest_invariant_is_one_error_line(tmp_path, capsys, line, message):
+    make_study(tmp_path)  # 1016x758, the regions and baseline the lines above edit
+    path = tmp_path / "study_0000.manifest"
+    key = line.split(" = ")[0]
+    text = re.sub(rf"(?m)^{key} = .*$", line, path.read_text())
+    assert text != path.read_text()
+    path.write_text(text)
+    image_path = tmp_path / "study_0000.ppm"
+    assert main(["analyze", str(image_path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{image_path}: error: {message}\n")
+    assert not (tmp_path / "study_0000.measurements.csv").exists()
+
+
 def test_analyze_tiny_time_scale_is_one_line_without_traceback(tmp_path, capsys):
     # window / spacing overflows int64 at 1e-20 ms per column and float at 1e-320
     for stem, time_scale in (("a_good", None), ("b_1e20", "1e-20"), ("c_1e320", "1e-320")):

@@ -31,9 +31,7 @@ from midoppler.ingestion import (
     save_gray_image,
     save_image,
     save_manifest,
-    validate_manifest,
 )
-from midoppler.measurement import measure_study
 from midoppler.segmentation import import_mask
 from midoppler.synth import SynthParams, generate_synthetic
 
@@ -264,15 +262,10 @@ def test_manifest_non_finite_number_rejected(tmp_path, key, default, value):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("key", ["velocity_scale", "time_scale"])
 def test_in_code_manifest_non_finite_scale_rejected(key, value):
-    with pytest.raises(ManifestError, match=f"{key}.*finite"):
-        validate_manifest(replace(make_manifest(), **{key: value}))
-
-
-@pytest.mark.parametrize("key, value", [("time_scale", math.nan), ("velocity_scale", math.inf)])
-def test_measure_study_validates_manifest_first(key, value):
-    image, manifest, _ = generate_synthetic(SynthParams(seed=2))
-    with pytest.raises(ManifestError, match=f"manifest: {key}"):
-        measure_study(image, replace(manifest, **{key: value}))
+    # a manifest checks itself when built, dataclasses.replace's too
+    with pytest.raises(ManifestError) as info:
+        replace(make_manifest(), **{key: value})
+    assert str(info.value) == f"{key} must be finite and positive, got {value}"
 
 
 @pytest.mark.parametrize("value", ["255", "300", "1e30"])
@@ -282,15 +275,22 @@ def test_manifest_ecg_tolerance_upper_bound(tmp_path, value):
     with pytest.raises(ManifestError, match="ecg_color_tolerance"):
         load_manifest(write_manifest(tmp_path, text))
     with pytest.raises(ManifestError, match="ecg_color_tolerance"):
-        validate_manifest(replace(make_manifest(), ecg_color_tolerance=float(value)))
+        replace(make_manifest(), ecg_color_tolerance=float(value))
+
+
+@pytest.mark.parametrize("value", ["60.0", "6e1"])
+def test_manifest_ecg_tolerance_whole_number_loads_as_int(tmp_path, value):
+    text = MANIFEST_TEXT.replace("ecg_color_tolerance = 60", f"ecg_color_tolerance = {value}")
+    tolerance = load_manifest(write_manifest(tmp_path, text)).ecg_color_tolerance
+    assert type(tolerance) is int and tolerance == float(value)
 
 
 def test_manifest_ecg_tolerance_range_ends():
     for value in (0, 254):
-        validate_manifest(replace(make_manifest(), ecg_color_tolerance=value))
+        replace(make_manifest(), ecg_color_tolerance=value)
     for value in (-1, math.nan):
         with pytest.raises(ManifestError, match="ecg_color_tolerance"):
-            validate_manifest(replace(make_manifest(), ecg_color_tolerance=value))
+            replace(make_manifest(), ecg_color_tolerance=value)
 
 
 @pytest.mark.parametrize(
@@ -302,8 +302,14 @@ def test_manifest_ecg_tolerance_range_ends():
         ("spectral_region = 500, 20, 10, 450", "spectral_region corners are not ordered: (500, 20, 10, 450)"),
         ("ecg_region = -1, 470, 500, 520", "ecg_region has negative coordinates: (-1, 470, 500, 520)"),
         ("ecg_color = 0, 256, 0", "ecg_color channel out of range: (0, 256, 0)"),
+        ("ecg_color_tolerance = -0.5", "key 'ecg_color_tolerance': expected an integer, got '-0.5'"),
+        ("ecg_color_tolerance = 0.99", "key 'ecg_color_tolerance': expected an integer, got '0.99'"),
+        ("ecg_color_tolerance = 60.7", "key 'ecg_color_tolerance': expected an integer, got '60.7'"),
     ],
-    ids=["non-numeric", "non-integer", "non-boolean", "unordered", "negative", "channel-256"],
+    ids=[
+        "non-numeric", "non-integer", "non-boolean", "unordered", "negative", "channel-256",
+        "tolerance-minus-half", "tolerance-0.99", "tolerance-60.7",
+    ],
 )
 def test_manifest_bad_value_names_the_key(tmp_path, line, message):
     key = line.split(" = ")[0]

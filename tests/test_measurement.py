@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from midoppler.ecg import QrsMarks, QrsParams, detect_qrs
-from midoppler.errors import MidopplerError, RoutingRejection, UnknownLabelError
+from midoppler.errors import MidopplerError
 from midoppler.measurement import (
     FLAG_FUSED_EA,
     FLAG_GAP_IN_DESCENT,
@@ -451,11 +451,16 @@ def test_beats_carry_their_dt_geometry():
         assert b.crossing_time == pytest.approx(b.e_time + b.dt_ms)
 
 
-@pytest.mark.parametrize(
-    "label, error", [("LVOT", RoutingRejection), ("spectral_unknown", UnknownLabelError)]
-)
-def test_measure_study_routes_only_mitral_inflow(label, error):
+@pytest.mark.parametrize("edge", ["right", "bottom", "outside"])
+def test_spectral_region_past_the_image_edge_is_a_typed_error(edge):
+    # load_manifest owns the bounds check; an in-code pair that skips it still fails typed
     image, manifest, _ = generate_synthetic(SynthParams())
-    with pytest.raises(error, match=label) as caught:
-        measure_study(image, replace(manifest, label=label))
-    assert isinstance(caught.value, MidopplerError)
+    x0, y0, x1, y1 = manifest.spectral_region
+    width, height = image.width, image.height
+    region = {
+        "right": (x0, y0, width, y1),
+        "bottom": (x0, y0, x1, height + 4),
+        "outside": (width, y0, width + 99, y1),
+    }[edge]
+    with pytest.raises(MidopplerError):
+        measure_study(image, replace(manifest, spectral_region=region))
