@@ -32,6 +32,7 @@ from midoppler.ingestion import (
     save_image,
     save_manifest,
 )
+from midoppler.measurement import measure_study
 from midoppler.segmentation import import_mask
 from midoppler.synth import SynthParams, generate_synthetic
 
@@ -266,6 +267,14 @@ def test_in_code_manifest_non_finite_scale_rejected(key, value):
     with pytest.raises(ManifestError) as info:
         replace(make_manifest(), **{key: value})
     assert str(info.value) == f"{key} must be finite and positive, got {value}"
+
+
+@pytest.mark.parametrize("key, value", [("time_scale", math.nan), ("velocity_scale", math.inf)])
+def test_measure_study_validates_manifest_first(key, value):
+    # the bad manifest is refused when built, so measure_study never sees it
+    image, manifest, _ = generate_synthetic(SynthParams(seed=2))
+    with pytest.raises(ManifestError, match=f"^{key} must be finite"):
+        measure_study(image, replace(manifest, **{key: value}))
 
 
 @pytest.mark.parametrize("value", ["255", "300", "1e30"])
