@@ -8,9 +8,11 @@ import argparse
 import ctypes
 import functools
 import os
+import pickle
+import select
 import sys
 import traceback
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import fields as dataclass_fields, replace
 from functools import partial
 from pathlib import Path
@@ -256,144 +258,203 @@ def _run(images, args, params, write) -> int:
     return 0 if outcomes["measured"] else 2
 
 
+# The fewest studies each process of a pool must get for forking to pay: a
+# process's first study after the fork costs about three, in copy-on-write
+# faults. Measured warm and in a fresh process; the table is in the README.
+_STUDIES_PER_PROCESS = 3
+
+
 def _analyze_all(images, args, params, write):
     """(outcome, stdout text, stderr text) of each input, in input order.
 
-    Two or more inputs run on one process per usable CPU, at most one per
-    input: this process and forked workers. A single input, a single CPU,
-    a platform without fork or sched_getaffinity, or inputs that would
-    write the same output files run in-process only.
+    Every input is routed here first, in this process (_route): one that is
+    rejected, or that fails before its pixels are read, has its lines at
+    once and never reaches a worker. The accepted studies are then measured
+    (_measure) with the manifests routing checked. They run on
+    min(usable CPUs, studies // _STUDIES_PER_PROCESS) processes, this one
+    and forked workers (_pooled), so that each process gets at least
+    _STUDIES_PER_PROCESS of them. One process, a platform without fork or
+    sched_getaffinity, or studies that would write the same output files
+    run in-process only.
     """
-    analyze = partial(_analyze_one, args=args, params=params, write=write)
+    routed = [_route(image_path, args) for image_path in images]  # manifests, or finished inputs' lines
+    studies = [(path, manifest) for path, manifest in zip(images, routed) if not isinstance(manifest, tuple)]
+    measure = partial(_measure, args=args, params=params, write=write)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(images))
-    distinct_outputs = len({_out_dir(p, args) / p.stem for p in images}) == len(images)
-    if workers > 1 and distinct_outputs:
-        import multiprocessing  # imported here, so that `import midoppler.cli` stays lean
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork, not spawn: workers inherit the imported package and numpy,
-            # which a fresh interpreter would take about 0.13 s to import again.
-            yield from _pooled(analyze, images, workers, multiprocessing.get_context("fork"))
-            return
-    yield from map(analyze, images)
-
-
-_HERE = -1  # the claims mark of an input this process takes
-
-
-def _pooled(analyze, images, workers, context):
-    """Run the batch on workers - 1 forked workers and on this process.
-
-    Each worker drains the batch from the front and sends each result back
-    over its own pipe; this process takes inputs from the back, and between
-    two of them yields the finished inputs in input order. Every input is
-    claimed first in a shared array, which records the claimant, so that it
-    runs once; an input claimed by a worker that dies before returning it
-    ends in an error line naming the worker's exit code. Fork write-protects
-    every page of this process, and an idle wait lets the workers evict its
-    caches: staying busy until the two ends meet takes those costs inside
-    the batch, instead of in the caller's next study.
-    """
-    from multiprocessing.connection import wait
-
-    claims = context.Array("i", len(images))
-    live = {}  # a worker's receiving end of its pipe: (worker mark, process)
-    results = {}  # finished inputs not yet yielded, by index
-
-    def collect(conn):
-        """Take every result conn has ready; at its end, settle what its worker left."""
-        while conn.poll():
-            try:
-                index, result = conn.recv()
-            except EOFError:
-                mark, process = live.pop(conn)
-                conn.close()
-                process.join()
-                lost = f"error: worker process exited with code {process.exitcode}"
-                for index in range(done, len(images)):
-                    if claims[index] == mark and index not in results:
-                        results[index] = "error", "", f"{images[index]}: {lost}\n"
-                return
-            results[index] = result
-
-    done, back = 0, len(images)  # inputs yielded; the lowest index this process took
+    workers = min(cpus, len(studies) // _STUDIES_PER_PROCESS)
+    distinct_outputs = len({_out_dir(p, args) / p.stem for p, _ in studies}) == len(studies)
+    if workers > 1 and distinct_outputs and hasattr(os, "fork"):
+        # fork, not spawn: workers inherit the imported package and numpy,
+        # which a fresh interpreter would take about 0.13 s to import again
+        measured = _pooled(measure, studies, workers)
+    else:
+        measured = (measure(*study) for study in studies)
     try:
-        for mark in range(1, workers):
-            receiving, sending = context.Pipe(duplex=False)
-            process = context.Process(target=_drain, args=(analyze, images, claims, mark, sending), daemon=True)
-            process.start()
-            sending.close()  # so that the worker's exit ends the pipe
-            live[receiving] = mark, process
-        while done < len(images):
+        for result in routed:
+            yield result if isinstance(result, tuple) else next(measured)
+    finally:
+        measured.close()
+
+
+def _pooled(measure, studies, workers):
+    """measure(*study) of each study, in order, on workers - 1 forked workers and this process.
+
+    The studies are cut into workers consecutive runs. Each of the first
+    workers - 1 runs goes to a forked worker, which inherits the studies,
+    measures its run front first and sends each result back over its own
+    pipe. This process measures the last run from the back, and between two
+    of its studies yields the finished ones in order. Fork write-protects
+    every page of this process, and an idle wait lets the workers evict its
+    caches: staying busy until its run is done takes those costs inside the
+    batch, instead of in the caller's next study. A worker that dies ends
+    the study it was on in an error line naming its exit code, and this
+    process measures the studies it had not reached. Closing the generator
+    closes the pipes, so that each worker stops after its current study,
+    and reaps the workers.
+    """
+    bounds = [len(studies) * w // workers for w in range(workers + 1)]
+    here = list(range(bounds[-2], len(studies)))  # this process's studies, taken from the end
+    live = {}  # a worker's receiving end of its pipe: (pid, its studies not yet returned)
+    results = {}  # finished studies not yet yielded, by index
+
+    def collect(timeout):
+        """Take every result ready within timeout; at a pipe's end, settle what its worker left."""
+        while live:
+            ready, _, _ = select.select(list(live), [], [], timeout)
+            if not ready:
+                return
+            timeout = 0
+            for conn in ready:
+                pid, pending = live[conn]
+                message = _receive(conn)
+                if message:
+                    index, result = message
+                    results[index] = result
+                    pending.popleft()
+                    continue
+                del live[conn]
+                os.close(conn)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if pending:
+                    lost = pending.popleft()
+                    results[lost] = "error", "", f"{studies[lost][0]}: error: worker process exited with code {code}\n"
+                    here.extend(reversed(pending))
+
+    done = 0  # studies yielded
+    try:
+        for w in range(workers - 1):
+            receiving, sending = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(measure, studies, range(bounds[w], bounds[w + 1]), sending, [receiving, *live])
+            os.close(sending)  # so that the worker's exit ends the pipe
+            live[receiving] = pid, deque(range(bounds[w], bounds[w + 1]))
+        while done < len(studies):
             if done not in results:
-                for conn in wait(live, timeout=0):
-                    collect(conn)
+                collect(0)
             if done in results:
                 yield results.pop(done)
                 done += 1
-            elif back > done and _claim(claims, back - 1, _HERE):
-                back -= 1
-                results[back] = analyze(images[back])
-            else:  # a worker has it, and the workers have all before it
-                for conn in wait(live):
-                    collect(conn)
+            elif here:
+                index = here.pop()
+                results[index] = measure(*studies[index])
+            else:  # a worker has it
+                collect(None)
     finally:
-        # after an early stop, so that the workers stop after their current input
-        for index in range(done, len(images)):
-            _claim(claims, index, _HERE)
-        while live:
-            for conn in wait(live):
-                collect(conn)
+        for conn in live:  # after an early stop: a worker's next send fails, and it exits
+            os.close(conn)
+        for pid, _ in live.values():
+            os.waitpid(pid, 0)
 
 
-def _drain(analyze, images, claims, mark, sending):
-    """A worker's loop: run each input it can claim, front first, and send back (index, result)."""
-    for index, image_path in enumerate(images):
-        if _claim(claims, index, mark):
-            sending.send((index, analyze(image_path)))
-    sending.close()
+def _work(measure, studies, indices, sending, inherited):
+    """A worker's life: measure its studies in order and send back (index, result) of each; never returns.
+
+    It closes the receiving ends it inherited, its own among them, so that
+    this process closing one reaches the worker that writes to it.
+    """
+    code = 1
+    try:
+        for conn in inherited:
+            os.close(conn)
+        with open(sending, "wb") as pipe:
+            for index in indices:
+                body = pickle.dumps((index, measure(*studies[index])))
+                pipe.write(len(body).to_bytes(8, "little") + body)
+                pipe.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _claim(claims, index, mark) -> bool:
-    """Claim input index for the process of mark; False if it was taken."""
-    with claims.get_lock():
-        if claims[index]:
-            return False
-        claims[index] = mark
-    return True
+def _receive(conn):
+    """The next (index, result) a worker sent over conn, or None where the pipe ends."""
+    header = _read_exactly(conn, 8)
+    if len(header) < 8:
+        return None
+    size = int.from_bytes(header, "little")
+    body = _read_exactly(conn, size)
+    return pickle.loads(body) if len(body) == size else None
+
+
+def _read_exactly(conn, size) -> bytes:
+    """size bytes from conn, or fewer where the pipe ends."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(conn, size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
 
 
 def _out_dir(image_path, args) -> Path:
     return Path(args.out) if args.out else image_path.parent
 
 
-def _analyze_one(image_path, args, params, write):
-    """One input: (outcome, stdout text, stderr text).
+def _route(image_path, args):
+    """The checked manifest of a study to measure, or the (outcome, stdout, stderr) of an input that ends here.
 
     Reads the image's size from its header, loads its manifest (by default
-    <image-stem>.manifest) against that size and routes the study; only a
-    mitral-inflow study's pixels are read and measured with
-    measure_study(**params), on the mask --mask names: a file, or
-    <image-stem>.mask.pgm in a directory. Then write(image_path, args,
-    image, manifest, run) writes the command's files and returns the
-    measured input's triple. The outcome is "measured", "rejected" or
-    "error". Prints nothing, so that a worker process can run it.
+    <image-stem>.manifest) against that size and routes the study: only a
+    mitral-inflow study goes on to _measure. The outcome is "rejected" or
+    "error". Reads no pixels.
     """
     try:
         image_size = read_image_size(image_path)
         manifest_path = Path(args.manifest) if args.manifest else image_path.with_suffix(".manifest")
         manifest = load_manifest(manifest_path, image_size=image_size)
         decision = route_image(manifest)
-        if not decision.accepted:
-            return "rejected", f"{image_path}: rejected (label={decision.label})\n", ""
+    except Exception as exc:
+        return _error(image_path, exc)
+    if not decision.accepted:
+        return "rejected", f"{image_path}: rejected (label={decision.label})\n", ""
+    return manifest
+
+
+def _measure(image_path, manifest, args, params, write):
+    """One routed study: (outcome, stdout text, stderr text).
+
+    Reads its pixels and measures them with measure_study(**params), on
+    the mask --mask names: a file, or <image-stem>.mask.pgm in a directory.
+    Then write(image_path, args, image, manifest, run) writes the command's
+    files and returns the "measured" triple; a failure is an "error".
+    Prints nothing, so that a worker process can run it.
+    """
+    try:
         image = load_image(image_path)
         run = measure_study(image, manifest, mask_path=_mask_path(image_path, args.mask), **params)
         return write(image_path, args, image, manifest, run)
-    except (MidopplerError, OSError) as exc:
+    except Exception as exc:
+        return _error(image_path, exc)
+
+
+def _error(image_path, exc):
+    """The "error" triple of an input that raised exc: one line, after a traceback if exc was unexpected."""
+    if isinstance(exc, (MidopplerError, OSError)):
         return "error", "", f"{image_path}: error: {exc}\n"
-    except Exception as exc:  # one faulty study must not abort the batch
-        return "error", "", f"{traceback.format_exc()}{image_path}: error: {type(exc).__name__}: {exc}\n"
+    # one faulty study must not abort the batch
+    return "error", "", f"{traceback.format_exc()}{image_path}: error: {type(exc).__name__}: {exc}\n"
 
 
 def _mask_path(image_path, mask):

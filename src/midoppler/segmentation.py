@@ -143,10 +143,11 @@ def segment_envelope_threshold(
     spectral region, on both sides of the baseline; ``mask_to_trace``
     finds the border.
     """
-    rows, cols = _region_slice(manifest)
-    region = image.pixels[rows, cols]
-    if region.size == 0:
-        raise SegmentationError("spectral region is empty")
+    region = image.pixels[_region_slice(manifest)]
+    if region.shape[:2] != _region_shape(manifest):  # the slice stopped at the image edge
+        raise SegmentationError(
+            f"spectral_region {manifest.spectral_region} exceeds image bounds {image.width}x{image.height}"
+        )
 
     median = kernels.column_median(_luma_levels(region), params.median_window)
     foreground = median > otsu_threshold(median)

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: exit codes, file outputs, determinism."""
 
-import multiprocessing
 import os
 import re
 import shutil
@@ -18,7 +17,7 @@ import midoppler
 from midoppler import cli
 from midoppler.cli import main
 from midoppler.errors import ImageFormatError
-from midoppler.ingestion import MITRAL_INFLOW_LABEL, load_image, save_image, save_manifest
+from midoppler.ingestion import KNOWN_LABELS, MITRAL_INFLOW_LABEL, load_image, save_image, save_manifest
 from midoppler.kernels import MAX_MEDIAN_WINDOW
 from midoppler.measurement import measure_study, read_measurement_csv, study_csv_text
 from midoppler.overlay import (
@@ -38,15 +37,54 @@ from midoppler.synth import AliasBand, Dropout, Spike, SynthParams, generate_syn
 from conftest import alias_band_only, checkerboard_region, one_level_region, picture_mask
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="batches run in-process without fork",
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="batches run in-process without fork")
+
+# the fewest accepted studies a batch on two CPUs runs pooled
+POOLED_ON_TWO = 2 * cli._STUDIES_PER_PROCESS
 
 
 def report_cpus(monkeypatch, count):
-    """Make `analyze` see count usable CPUs, so a batch runs on that many workers."""
+    """Make `analyze` see count usable CPUs, so a batch runs on up to that many processes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def spy_forks(monkeypatch):
+    """The pids of the worker processes forked from now on, appended as they are forked.
+
+    Where os has no fork, batches run in-process and the list stays empty.
+    """
+    pids = []
+    if not hasattr(os, "fork"):
+        return pids
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def reaped(pid) -> bool:
+    """The forked pid has exited and been waited for: it is no child of this process any more."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def outputs_of(capsys, monkeypatch, cpus, argv, out):
+    """(exit code, stdout, stderr, {output file: bytes}) of main(argv) on cpus CPUs; out is removed after."""
+    report_cpus(monkeypatch, cpus)
+    code = main(argv)
+    captured = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())} if out.exists() else {}
+    shutil.rmtree(out, ignore_errors=True)
+    return code, captured.out, captured.err, files
 
 
 def outcome_lines(captured, image_path):
@@ -513,15 +551,17 @@ def test_analyze_isolates_unexpected_exception(tmp_path, capsys, monkeypatch):
 def test_analyze_batch_equals_serial_single_runs(tmp_path, capsys, monkeypatch):
     inputs = tmp_path / "inputs"
     inputs.mkdir()
-    for k in range(4):
-        make_study(inputs, stem=f"m{k}", noise_sigma=0.15, heart_rate=55.0 + 15.0 * k, seed=k)
+    studies = 3 * cli._STUDIES_PER_PROCESS  # enough for three processes
+    for k in range(studies):
+        make_study(inputs, stem=f"m{k}", noise_sigma=0.15, heart_rate=55.0 + 6.0 * k, seed=k)
     make_study(inputs, stem="r_lvot", label="LVOT")
     make_study(inputs, stem="u_unknown", label="spectral_unknown")
     make_study(inputs, stem="t_truncated")
     truncated = inputs / "t_truncated.ppm"
     truncated.write_bytes(truncated.read_bytes()[:1000])
     images = sorted(inputs.glob("*.ppm"))
-    report_cpus(monkeypatch, 3)  # fewer workers than inputs
+    report_cpus(monkeypatch, 3)  # fewer processes than inputs
+    forks = spy_forks(monkeypatch)
     out = tmp_path / "out"
 
     def run(argvs):
@@ -532,22 +572,24 @@ def test_analyze_batch_equals_serial_single_runs(tmp_path, capsys, monkeypatch):
         return codes, captured.out, captured.err, files
 
     batch_codes, *batch = run([["analyze", str(inputs), "--dump-ecg", "--out", str(out)]])
+    assert len(forks) == (2 if hasattr(os, "fork") else 0)
     single_codes, *singles = run(
         [["analyze", str(image), "--dump-ecg", "--out", str(out)] for image in images]
     )
     assert batch == singles
-    assert sorted(single_codes) == [0, 0, 0, 0, 1, 1, 2]
+    assert sorted(single_codes) == [0] * studies + [1, 1, 2]
     assert batch_codes == [1]
     assert sorted(batch[2]) == sorted(
-        f"m{k}.{kind}.csv" for k in range(4) for kind in ("measurements", "ecg")
+        f"m{k}.{kind}.csv" for k in range(studies) for kind in ("measurements", "ecg")
     )
+    assert all(reaped(pid) for pid in forks)
 
 
 @needs_fork
 def test_analyze_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
+    stems = ["a_dies", *(f"s{k}" for k in range(1, POOLED_ON_TWO))]
     images = {
-        stem: make_study(tmp_path, stem=stem, heart_rate=hr)[0]
-        for stem, hr in (("a_dies", 60.0), ("b", 70.0), ("c", 80.0), ("d", 90.0))
+        stem: make_study(tmp_path, stem=stem, heart_rate=60.0 + 5.0 * k)[0] for k, stem in enumerate(stems)
     }
     real_measure_study = cli.measure_study
     test_pid = os.getpid()
@@ -557,12 +599,11 @@ def test_analyze_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
             if os.getpid() == test_pid:  # run in-process: fail, do not end pytest
                 raise RuntimeError("a_dies ran in-process, not in a worker")
             os._exit(3)
-        if os.getpid() == test_pid:
-            time.sleep(0.2)  # meanwhile the worker claims a_dies, the first input
         return real_measure_study(image, manifest, **kwargs)
 
     monkeypatch.setattr(cli, "measure_study", dying_measure_study)
     report_cpus(monkeypatch, 2)
+    forks = spy_forks(monkeypatch)
     codes = []
     batch = threading.Thread(
         target=lambda: codes.append(main(["analyze", str(tmp_path)])), daemon=True
@@ -574,19 +615,18 @@ def test_analyze_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
     assert codes == [1]
     (dead,) = outcome_lines(captured, tmp_path / "a_dies.ppm")
     assert dead == f"{tmp_path / 'a_dies.ppm'}: error: worker process exited with code 3"
-    for stem in ("b", "c"):
+    for stem in stems[1:]:  # the dead worker's other studies run in this process
         (line,) = outcome_lines(captured, tmp_path / f"{stem}.ppm")
-        assert ": 3 beats" in line or ": error: " in line
-    (last,) = outcome_lines(captured, tmp_path / "d.ppm")  # taken by this process first
-    assert ": 3 beats" in last
-    assert multiprocessing.active_children() == []
+        assert ": 3 beats" in line
+    assert len(forks) == 1 and reaped(forks[0])
 
 
 @needs_fork
 def test_analyze_batch_runs_its_last_inputs_in_this_process(tmp_path, capsys, monkeypatch):
     # fork write-protects this process's pages; the studies it runs during
     # the batch take those faults instead of the caller's next study
-    images = [make_study(tmp_path, stem=f"s{k}", heart_rate=60.0 + 10.0 * k)[0] for k in range(4)]
+    studies = POOLED_ON_TWO
+    images = [make_study(tmp_path, stem=f"s{k}", heart_rate=60.0 + 5.0 * k)[0] for k in range(studies)]
     real_measure_study = cli.measure_study
     test_pid = os.getpid()
     calls = tmp_path / "calls.txt"  # appended to by every process
@@ -599,19 +639,23 @@ def test_analyze_batch_runs_its_last_inputs_in_this_process(tmp_path, capsys, mo
 
     monkeypatch.setattr(cli, "measure_study", measure_study)
     report_cpus(monkeypatch, 2)
+    forks = spy_forks(monkeypatch)
     assert main(["analyze", str(tmp_path)]) == 0
     ran = [tuple(map(int, line.split())) for line in calls.read_text().splitlines()]
-    assert sorted(k for k, _ in ran) == [0, 1, 2, 3]  # each input once
+    assert sorted(k for k, _ in ran) == list(range(studies))  # each input once
     here = [k for k, in_here in ran if in_here]
-    assert here and here == [3, 2, 1, 0][: len(here)]  # from the back, one at a time
+    assert here and here == list(reversed(range(studies)))[: len(here)]  # from the back, one at a time
+    assert len(here) < studies  # the worker ran the others
     printed = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()]
-    assert printed == [str(tmp_path / f"s{k}.ppm") for k in range(4)]
-    assert multiprocessing.active_children() == []
+    assert printed == [str(tmp_path / f"s{k}.ppm") for k in range(studies)]
+    assert len(forks) == 1 and reaped(forks[0])
 
 
 @needs_fork
 def test_analyze_batch_closed_early_leaves_no_worker(tmp_path, monkeypatch):
-    pictures = [make_study(tmp_path, stem=f"s{k}", heart_rate=60.0 + 5.0 * k)[0] for k in range(6)]
+    pictures = [
+        make_study(tmp_path, stem=f"s{k}", heart_rate=60.0 + 5.0 * k)[0] for k in range(3 * cli._STUDIES_PER_PROCESS)
+    ]
     real_measure_study = cli.measure_study
 
     def measure_study(image, manifest, **kwargs):
@@ -621,19 +665,80 @@ def test_analyze_batch_closed_early_leaves_no_worker(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "measure_study", measure_study)
     report_cpus(monkeypatch, 3)
+    forks = spy_forks(monkeypatch)
     args = cli.build_parser().parse_args(["analyze", str(tmp_path)])
     images = cli._expand_inputs(args.inputs)
     batch = cli._analyze_all(images, args, cli._pipeline_params(args), cli._write_measurements)
     outcome, out, _ = next(batch)
     assert outcome == "measured" and out.startswith(f"{images[0]}: 3 beats")
+    assert len(forks) == 2
     batch.close()
-    assert multiprocessing.active_children() == []
+    assert all(reaped(pid) for pid in forks)
+    # the worker on s1 stopped after it: s2, next in its run, was never measured
+    assert (tmp_path / "s1.measurements.csv").exists() and not (tmp_path / "s2.measurements.csv").exists()
+
+
+def make_exam(directory, studies):
+    """An echo exam as analyze sees it: studies mitral-inflow images, interleaved
+    by name with six rejected labels, an unknown label and a truncated PPM whose
+    manifest says mitral inflow. Returns the images to measure, in input order."""
+    others = [label for label in KNOWN_LABELS if label != MITRAL_INFLOW_LABEL][:6] + ["spectral_unknown", "truncated"]
+    for k, label in enumerate(others):
+        make_study(directory, stem=f"{2 * k + 1:02d}_{label}", label=MITRAL_INFLOW_LABEL if label == "truncated" else label)
+    truncated = directory / f"{2 * len(others) - 1:02d}_truncated.ppm"
+    truncated.write_bytes(truncated.read_bytes()[:1000])
+    stems = [f"{2 * k:02d}_mitral" for k in range(studies)]
+    for k, stem in enumerate(stems):
+        make_study(directory, stem=stem, noise_sigma=0.15, heart_rate=55.0 + 6.0 * k, seed=k)
+    return [directory / f"{stem}.ppm" for stem in stems]
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "studies, forked", [(2, 0), (POOLED_ON_TWO - 1, 0), (POOLED_ON_TWO, 1)], ids=["exam", "below", "at"]
+)
+def test_exam_forks_past_the_break_even_and_routes_in_this_process(tmp_path, capsys, monkeypatch, studies, forked):
+    # a batch forks only when each of its processes gets _STUDIES_PER_PROCESS
+    # studies; every input is routed here, and only the studies reach a worker
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    mitral = make_exam(inputs, studies)
+    log = tmp_path / "calls.txt"  # appended to by every process
+    test_pid = os.getpid()
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def call(path, *args, **kwargs):
+            with open(log, "a") as lines:
+                lines.write(f"{name} {Path(path).name} {int(os.getpid() == test_pid)}\n")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, call)
+
+    for name in ("read_image_size", "load_manifest", "load_image"):
+        spy(name)
+    forks = spy_forks(monkeypatch)
+    argv = ["analyze", str(inputs), "--dump-ecg", "--out", str(out)]
+    batch = outputs_of(capsys, monkeypatch, 2, argv, out)
+    assert len(forks) == forked and all(reaped(pid) for pid in forks)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(path for name, path, _ in calls if name == "load_image") == [image.name for image in mitral]
+    in_workers = [(name, path) for name, path, here in calls if here == "0"]
+    assert all(name == "load_image" for name, _ in in_workers)
+    assert bool(in_workers) == bool(forked)
+    log.unlink()
+    monkeypatch.undo()
+    assert batch == outputs_of(capsys, monkeypatch, 1, argv, out)
+    code, stdout, stderr, files = batch
+    assert code == 1 and stdout.count(" beats ") == studies and stderr.count(": error: ") == 2
+    assert sorted(files) == sorted(f"{image.stem}.{kind}.csv" for image in mitral for kind in ("measurements", "ecg"))
 
 
 @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
 def test_analyze_reads_the_pixels_of_mitral_inflow_studies_only(tmp_path, capsys, monkeypatch, cpus):
-    labels = {"a_lvot": "LVOT", "b_mitral": MITRAL_INFLOW_LABEL, "c_pulm_vein": "pulm_vein",
-              "d_mitral": MITRAL_INFLOW_LABEL, "e_truncated": "LVOT"}
+    labels = {"a_lvot": "LVOT", "c_pulm_vein": "pulm_vein", "e_truncated": "LVOT"}
+    labels.update({f"b_mitral{k}": MITRAL_INFLOW_LABEL for k in range(POOLED_ON_TWO)})
     for k, (stem, label) in enumerate(labels.items()):
         make_study(tmp_path, stem=stem, label=label, seed=k)
     truncated = tmp_path / "e_truncated.ppm"
@@ -650,8 +755,10 @@ def test_analyze_reads_the_pixels_of_mitral_inflow_studies_only(tmp_path, capsys
 
     monkeypatch.setattr(cli, "load_image", spy_load_image)
     report_cpus(monkeypatch, cpus)
+    forks = spy_forks(monkeypatch)
     assert main(["analyze", str(tmp_path)]) == 1
-    assert sorted(reads.read_text().split()) == ["b_mitral.ppm", "d_mitral.ppm"]
+    assert len(forks) == cpus - 1
+    assert sorted(reads.read_text().split()) == [f"b_mitral{k}.ppm" for k in range(POOLED_ON_TWO)]
     captured = capsys.readouterr()
     for stem in ("a_lvot", "c_pulm_vein"):
         assert outcome_lines(captured, tmp_path / f"{stem}.ppm") == [
@@ -663,24 +770,30 @@ def test_analyze_reads_the_pixels_of_mitral_inflow_studies_only(tmp_path, capsys
 
 @needs_fork
 def test_analyze_shared_output_keeps_serial_order(tmp_path, capsys, monkeypatch):
+    # enough studies to pool, but two inputs of a name write the same files:
+    # the batch runs in-process, in input order, and the second one's files stay
     first_dir, second_dir, out = tmp_path / "first", tmp_path / "second", tmp_path / "out"
     first_dir.mkdir()
     second_dir.mkdir()
-    first, _, _ = make_study(first_dir, heart_rate=60.0)
-    make_study(second_dir, heart_rate=80.0)
+    stems = [f"study_{k:04d}" for k in range(POOLED_ON_TWO // 2)]
+    first = [make_study(first_dir, stem=stem, heart_rate=60.0 + 5.0 * k)[0] for k, stem in enumerate(stems)]
+    for k, stem in enumerate(stems):
+        make_study(second_dir, stem=stem, heart_rate=80.0 + 5.0 * k)
     assert main(["analyze", str(second_dir)]) == 0
-    expected = (second_dir / "study_0000.measurements.csv").read_bytes()
+    expected = {stem: (second_dir / f"{stem}.measurements.csv").read_bytes() for stem in stems}
     real_measure_study = cli.measure_study
 
     def slow_first(image, manifest, **kwargs):
-        if np.array_equal(image.pixels, first.pixels):
+        if np.array_equal(image.pixels, first[0].pixels):
             time.sleep(0.5)  # run in parallel, the first input would write last
         return real_measure_study(image, manifest, **kwargs)
 
     monkeypatch.setattr(cli, "measure_study", slow_first)
     report_cpus(monkeypatch, 2)
+    forks = spy_forks(monkeypatch)
     assert main(["analyze", str(first_dir), str(second_dir), "--out", str(out)]) == 0
-    assert (out / "study_0000.measurements.csv").read_bytes() == expected
+    assert forks == []
+    assert {stem: (out / f"{stem}.measurements.csv").read_bytes() for stem in stems} == expected
 
 
 def test_analyze_directory_skips_overlay_output(tmp_path, capsys):
@@ -752,9 +865,12 @@ def test_analyze_mask_directory_pairs_each_image_with_its_stem(tmp_path, capsys,
     for k, stem in enumerate(["a_masked", "b_masked"]):
         _, _, truth = make_study(inputs, stem=stem, noise_sigma=0.15, heart_rate=60.0 + 15.0 * k, seed=k)
         export_mask(masks / f"{stem}.mask.pgm", lowered_mask(truth, 4 + 4 * k))
-    make_study(inputs, stem="c_maskless", seed=2)
+    maskless = [f"c_maskless{k}" for k in range(POOLED_ON_TWO - 2)]  # so that two CPUs pool the batch
+    for k, stem in enumerate(maskless):
+        make_study(inputs, stem=stem, seed=2 + k)
     make_study(inputs, stem="d_rejected", label="LVOT")
     report_cpus(monkeypatch, cpus)
+    forks = spy_forks(monkeypatch)
 
     def run(argvs):
         codes = [main(argv) for argv in argvs]
@@ -765,9 +881,10 @@ def test_analyze_mask_directory_pairs_each_image_with_its_stem(tmp_path, capsys,
 
     codes, batch, batch_files = run([["analyze", str(inputs), "--mask", str(masks), "--out", str(out)]])
     assert codes == [1]
-    maskless = inputs / "c_maskless.ppm"
-    [line] = outcome_lines(batch, maskless)
-    assert line.startswith(f"{maskless}: error: mask-import: {masks / 'c_maskless.mask.pgm'}: cannot read file: ")
+    assert len(forks) == (cpus - 1 if hasattr(os, "fork") else 0)
+    for stem in maskless:
+        [line] = outcome_lines(batch, inputs / f"{stem}.ppm")
+        assert line.startswith(f"{inputs / stem}.ppm: error: mask-import: {masks / stem}.mask.pgm: cannot read file: ")
     assert outcome_lines(batch, inputs / "d_rejected.ppm") == [f"{inputs / 'd_rejected.ppm'}: rejected (label=LVOT)"]
 
     stems = ["a_masked", "b_masked"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from midoppler.ecg import QrsMarks, QrsParams, detect_qrs
-from midoppler.errors import MidopplerError
+from midoppler.errors import SegmentationError
 from midoppler.measurement import (
     FLAG_FUSED_EA,
     FLAG_GAP_IN_DESCENT,
@@ -462,5 +462,6 @@ def test_spectral_region_past_the_image_edge_is_a_typed_error(edge):
         "bottom": (x0, y0, x1, height + 4),
         "outside": (width, y0, width + 99, y1),
     }[edge]
-    with pytest.raises(MidopplerError):
+    with pytest.raises(SegmentationError) as error:
         measure_study(image, replace(manifest, spectral_region=region))
+    assert str(error.value) == f"segmentation: spectral_region {region} exceeds image bounds {width}x{height}"
