@@ -21,10 +21,11 @@ from .ecg import QrsParams, ecg_csv_text
 from .errors import GenerationError, MidopplerError, StatsError
 from .ingestion import (
     atomic_write_text,
+    key_value_fields,
     load_image,
     load_manifest,
+    read_fields,
     read_image_size,
-    read_key_values,
     route_image,
     save_image,
     save_manifest,
@@ -81,10 +82,7 @@ _SYNTH_FLAGS = (
     ("--label", "label", "manifest label"),
 )
 
-# a params file sets any SynthParams field but the artifacts; float | None parses as float
-_SYNTH_FILE_TYPES = {
-    f.name: float if f.type == float | None else f.type for f in dataclass_fields(SynthParams) if f.name != "artifacts"
-}
+_PARAMS_FILE_FIELDS = key_value_fields(SynthParams, skip=("artifacts",))
 
 _ALL_FIELDS = ",".join(FIELD_COLUMNS)
 
@@ -501,22 +499,19 @@ def _summary_line(means: StudyMeans) -> str:
 
 
 def _parse_artifacts(args):
+    """The artifacts of --spike, --dropout and --alias-band; a malformed value's ValueError names its flag."""
     artifacts = []
-    for raw in args.spike:
-        t, v, w = (float(x) for x in raw.split(","))
-        artifacts.append(Spike(time_ms=t, velocity=v, width_ms=w))
-    for raw in args.dropout:
-        t, w = (float(x) for x in raw.split(","))
-        artifacts.append(Dropout(time_ms=t, width_ms=w))
+    for flag, cls, values in (("--spike", Spike, args.spike), ("--dropout", Dropout, args.dropout)):
+        names = [f.name for f in dataclass_fields(cls)]
+        for raw in values:
+            try:
+                kwargs = dict(zip(names, map(float, raw.split(",")), strict=True))
+            except ValueError:
+                raise ValueError(f"{flag} {raw!r}: expected {','.join(names)}") from None
+            artifacts.append(cls(**kwargs))
     if args.alias_band:
         artifacts.append(AliasBand())
     return tuple(artifacts)
-
-
-def _params_from_file(path) -> dict:
-    """The SynthParams fields a key = value file sets, converted by field type."""
-    raw = read_key_values(path, _SYNTH_FILE_TYPES, GenerationError, "params file")
-    return {key: _SYNTH_FILE_TYPES[key](value) for key, value in raw.items()}
 
 
 def cmd_synth(args) -> int:
@@ -524,7 +519,7 @@ def cmd_synth(args) -> int:
     try:
         values = _flag_values(args, _SYNTH_FLAGS)
         if args.params:
-            values.update(_params_from_file(args.params))
+            values.update(read_fields(args.params, _PARAMS_FILE_FIELDS, GenerationError, "params file"))
         params = SynthParams(artifacts=_parse_artifacts(args), **values)
         out_dir = Path(args.out)
         for seed in range(params.seed, params.seed + args.n):

@@ -2,7 +2,8 @@
 
 Images travel as binary PPM (P6, 8-bit RGB); grayscale masks as PGM (P5).
 Calibration lives in a sibling ``key = value`` manifest that stands in for
-the scanner metadata a DICOM header would normally provide.
+the scanner metadata a DICOM header would normally provide. Its keys are
+CalibrationManifest's keyword-only fields, whose order is the file's line order.
 """
 
 import math
@@ -10,6 +11,7 @@ import os
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -74,7 +76,7 @@ class RasterImage:
         return self.pixels.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CalibrationManifest:
     """Pixel-to-physical calibration plus routing label for one image.
 
@@ -83,18 +85,19 @@ class CalibrationManifest:
     key defaults to pure green with a generous per-channel tolerance since
     vendor renderings differ. Every manifest, dataclasses.replace's too, is
     checked when it is built against each invariant that needs no image;
-    load_manifest checks the regions against an image's size.
+    load_manifest checks the regions against an image's size. Each field is
+    a manifest key; they are keyword-only, and their order is the line order.
     """
 
     label: str
     velocity_scale: float
     time_scale: float
     baseline_row: int
-    spectral_region: tuple
+    spectral_region: tuple[int, int, int, int]
     flow_above_baseline: bool
-    ecg_region: tuple
-    ecg_color: tuple = (0, 255, 0)
+    ecg_color: tuple[int, int, int] = (0, 255, 0)
     ecg_color_tolerance: int = 60
+    ecg_region: tuple[int, int, int, int]
 
     def __post_init__(self):
         """Raise ManifestError on the first violated invariant."""
@@ -281,14 +284,14 @@ def save_gray_image(path, gray: np.ndarray) -> None:
 
 
 def read_key_values(path, keys, error, kind) -> dict:
-    """{key: value text} of a ``key = value`` file; blank and ``#`` lines skip.
+    """{key: value text} of a ``key = value`` file; blank and ``#`` lines skip, as does a leading BOM.
 
     A missing ``=``, a key not in keys, a repeated key and an unreadable or
     non-UTF-8 file raise error (a MidopplerError subclass) naming the path,
     and the line where there is one; kind names the file in the message.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{path}: cannot read {kind}: {exc}") from exc
 
@@ -309,65 +312,80 @@ def read_key_values(path, keys, error, kind) -> dict:
     return values
 
 
-# ---------------------------------------------------------------------------
-# manifest parsing
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text.lower() == "true"
 
-# every CalibrationManifest field is a manifest key; one without a default is required
-_MANIFEST_DEFAULTS = {f.name: f.default for f in fields(CalibrationManifest)}
 
-
-def _parse_ints(value: str, key: str, count: int):
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != count:
-        raise ManifestError(f"key {key!r}: expected {count} comma-separated integers")
+def _parse_float(text: str, expected="a number") -> float:
     try:
-        return tuple(int(p) for p in parts)
+        number = float(text)
     except ValueError:
-        raise ManifestError(f"key {key!r}: non-integer value in {value!r}") from None
-
-
-def _parse_float(value: str, key: str) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        raise ManifestError(f"key {key!r}: expected a number, got {value!r}") from None
+        raise ValueError(f"expected {expected}, got {text!r}") from None
     if not math.isfinite(number):
-        raise ManifestError(f"key {key!r}: expected a finite number, got {value!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return number
 
 
-def _parse_int(value: str, key: str) -> int:
+def _parse_int(text: str) -> int:
+    """The one integer rule: int(text), so that digits stay exact, else a finite whole number such as 60.0."""
     try:
-        return int(value)
+        return int(text)
     except ValueError:
-        raise ManifestError(f"key {key!r}: expected an integer, got {value!r}") from None
-
-
-def _parse_whole_number(value: str, key: str) -> int:
-    """An integer written as any finite number with no fractional part, such as 60.0."""
-    number = _parse_float(value, key)
+        number = _parse_float(text, expected="an integer")
     if not number.is_integer():
-        raise ManifestError(f"key {key!r}: expected an integer, got {value!r}")
+        raise ValueError(f"expected an integer, got {text!r}")
     return int(number)
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    if value.lower() not in ("true", "false"):
-        raise ManifestError(f"key {key!r}: expected true/false, got {value!r}")
-    return value.lower() == "true"
+def _parse_ints(text: str, count: int) -> tuple:
+    parts = text.split(",")
+    if len(parts) != count:
+        raise ValueError(f"expected {count} comma-separated integers")
+    return tuple(_parse_int(part.strip()) for part in parts)
 
 
-# how each non-text manifest value parses, in the order its errors are checked
-_VALUE_PARSERS = {
-    "flow_above_baseline": _parse_bool,
-    "baseline_row": _parse_int,
-    "velocity_scale": _parse_float,
-    "time_scale": _parse_float,
-    "spectral_region": partial(_parse_ints, count=4),
-    "ecg_region": partial(_parse_ints, count=4),
-    "ecg_color": partial(_parse_ints, count=3),
-    "ecg_color_tolerance": _parse_whole_number,
+# (parser, formatter) of each field type but tuple[int, ...]; a parser's ValueError says what it expected
+_FIELD_TYPES = {
+    bool: (_parse_bool, lambda value: "true" if value else "false"),
+    int: (_parse_int, str),
+    float: (_parse_float, repr),
+    float | None: (_parse_float, repr),
+    str: (str, str),
 }
+
+
+def key_value_fields(cls, skip=()) -> dict:
+    """{name: (parser, formatter)} of each field of dataclass cls but skip, in field order.
+
+    A tuple of ints takes its length from the annotation; a type no file holds is a TypeError.
+    """
+    table = {}
+    for field in (f for f in fields(cls) if f.name not in skip):
+        args = get_args(field.type)
+        if get_origin(field.type) is tuple and set(args) == {int}:
+            table[field.name] = partial(_parse_ints, count=len(args)), lambda values: ", ".join(map(str, values))
+        elif field.type in _FIELD_TYPES:
+            table[field.name] = _FIELD_TYPES[field.type]
+        else:
+            raise TypeError(f"{cls.__name__}.{field.name}: no key = value syntax for {field.type}")
+    return table
+
+
+def read_fields(path, table, error, kind) -> dict:
+    """read_key_values, then each value parsed by table's parser; a value refused raises error naming its key."""
+    values = read_key_values(path, table, error, kind)
+    for key, text in values.items():
+        try:
+            values[key] = table[key][0](text)
+        except ValueError as exc:
+            raise error(f"key {key!r}: {exc}") from None
+    return values
+
+
+_MANIFEST_FIELDS = key_value_fields(CalibrationManifest)
+_REQUIRED_KEYS = tuple(f.name for f in fields(CalibrationManifest) if f.default is MISSING)
 
 
 def load_manifest(path, image_size=None) -> CalibrationManifest:
@@ -377,14 +395,11 @@ def load_manifest(path, image_size=None) -> CalibrationManifest:
     when given as (width, height), also checks that the declared regions fit
     inside the image.
     """
-    raw = read_key_values(path, _MANIFEST_DEFAULTS, ManifestError, "manifest")
-    for key, default in _MANIFEST_DEFAULTS.items():
-        if default is MISSING and key not in raw:
+    values = read_fields(path, _MANIFEST_FIELDS, ManifestError, "manifest")
+    for key in _REQUIRED_KEYS:
+        if key not in values:
             raise ManifestError(f"{path}: missing required key {key!r}")
-    for key, parse in _VALUE_PARSERS.items():
-        if key in raw:
-            raw[key] = parse(raw[key], key)
-    manifest = CalibrationManifest(**raw)
+    manifest = CalibrationManifest(**values)
     if image_size is not None:
         width, height = image_size
         for name in ("spectral_region", "ecg_region"):
@@ -395,21 +410,9 @@ def load_manifest(path, image_size=None) -> CalibrationManifest:
 
 
 def save_manifest(path, manifest: CalibrationManifest) -> None:
-    def fmt_region(region):
-        return ", ".join(str(v) for v in region)
-
-    lines = [
-        f"label = {manifest.label}",
-        f"velocity_scale = {manifest.velocity_scale!r}",
-        f"time_scale = {manifest.time_scale!r}",
-        f"baseline_row = {manifest.baseline_row}",
-        f"spectral_region = {fmt_region(manifest.spectral_region)}",
-        f"flow_above_baseline = {'true' if manifest.flow_above_baseline else 'false'}",
-        f"ecg_color = {fmt_region(manifest.ecg_color)}",
-        f"ecg_color_tolerance = {manifest.ecg_color_tolerance}",
-        f"ecg_region = {fmt_region(manifest.ecg_region)}",
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write manifest as load_manifest reads it: one line per field in field order, a lone surrogate escaped."""
+    lines = (f"{key} = {fmt(getattr(manifest, key))}\n" for key, (_, fmt) in _MANIFEST_FIELDS.items())
+    atomic_write_bytes(path, "".join(lines).encode("utf-8", "backslashreplace"))
 
 
 # ---------------------------------------------------------------------------

@@ -142,12 +142,12 @@ def _validate(params: SynthParams) -> None:
         raise GenerationError(
             f"height must be at least {MIN_HEIGHT} to fit the ECG strip, got {params.height}"
         )
-    # the manifest is read back line by line with each value stripped, so
-    # only a one-line label without surrounding whitespace survives the trip
+    # the manifest is UTF-8, read back line by line with each value stripped, so only a one-line label
+    # without surrounding whitespace or lone surrogates (argv's non-UTF-8 bytes) survives the trip
     if params.label != params.label.strip() or len(params.label.splitlines()) > 1:
-        raise GenerationError(
-            f"label must be one line without leading or trailing whitespace, got {params.label!r}"
-        )
+        raise GenerationError(f"label must be one line without leading or trailing whitespace, got {params.label!r}")
+    if any("\ud800" <= c <= "\udfff" for c in params.label):
+        raise GenerationError(f"label must be UTF-8 text, got {params.label!r}")
 
 
 def _beat_geometry(

@@ -17,7 +17,7 @@ import midoppler
 from midoppler import cli
 from midoppler.cli import main
 from midoppler.errors import ImageFormatError
-from midoppler.ingestion import KNOWN_LABELS, MITRAL_INFLOW_LABEL, load_image, save_image, save_manifest
+from midoppler.ingestion import KNOWN_LABELS, MITRAL_INFLOW_LABEL, load_image, load_manifest, save_image, save_manifest
 from midoppler.kernels import MAX_MEDIAN_WINDOW
 from midoppler.measurement import measure_study, read_measurement_csv, study_csv_text
 from midoppler.overlay import (
@@ -168,8 +168,8 @@ def test_synth_params_file_overrides_flags_and_flags_fill_the_rest(tmp_path):
         ("e_velocity 1.0\n", "params.txt:1: expected 'key = value'"),
         ("seed = 2\nseed = 3\n", "params.txt:2: duplicate params file key 'seed'"),
         (None, "params.txt: cannot read params file"),
-        ("e_velocity = fast\n", "bad artifact or parameter syntax"),
-        ("n_beats = 2.5\n", "bad artifact or parameter syntax"),
+        ("e_velocity = fast\n", "error: key 'e_velocity': expected a number, got 'fast'\n"),
+        ("n_beats = 2.5\n", "error: key 'n_beats': expected an integer, got '2.5'\n"),
     ],
     ids=["unknown-key", "no-equals", "duplicate", "missing-file", "non-numeric", "non-integer"],
 )
@@ -184,6 +184,25 @@ def test_synth_params_file_errors_are_one_line(tmp_path, capsys, text, message):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
     assert not out.exists()
+
+
+def test_synth_params_file_with_bom_and_crlf_writes_what_the_plain_one_writes(tmp_path):
+    text = "e_velocity = 1.0\nn_beats = 2\nlabel = LVOT\n"
+    written = {}
+    for name, data in (("plain", text.encode()), ("windows", b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())):
+        (tmp_path / f"{name}.txt").write_bytes(data)
+        out = tmp_path / name
+        assert main(["synth", "--out", str(out), "--params", str(tmp_path / f"{name}.txt")]) == 0
+        written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert written["windows"] == written["plain"]
+    assert b"label = LVOT\n" in written["plain"]["study_0000.manifest"]
+
+
+def test_synth_params_file_seed_written_as_a_whole_number(tmp_path):
+    (tmp_path / "params.txt").write_text("seed = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--params", str(tmp_path / "params.txt")]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["study_0001.manifest", "study_0001.ppm", "study_0001.truth.csv"]
 
 
 def test_synth_too_short_height_is_one_error_line(tmp_path, capsys):
@@ -224,19 +243,34 @@ def test_synth_malformed_artifact_is_one_error_line(tmp_path, capsys, flag, valu
 
 
 @pytest.mark.parametrize(
-    "flags, params_text, name",
+    "flag, value, message",
     [
-        (["--e", "nan"], None, "e_velocity"),
-        (["--a", "nan"], None, "a_velocity"),
-        (["--dt", "inf"], None, "dt"),
-        ([], "e_rise_ms = nan\n", "e_rise_ms"),
-        ([], "a_half_ms = nan\n", "a_half_ms"),
-        ([], "lead_in_ms = inf\n", "lead_in_ms"),
-        ([], "e_peak_frac = nan\n", "e_peak_frac"),
+        ("--spike", "1,2", "--spike '1,2': expected time_ms,velocity,width_ms"),
+        ("--spike", "3x0,1.2,8", "--spike '3x0,1.2,8': expected time_ms,velocity,width_ms"),
+        ("--spike", "1,2,3,4", "--spike '1,2,3,4': expected time_ms,velocity,width_ms"),
+        ("--dropout", "1200", "--dropout '1200': expected time_ms,width_ms"),
+    ],
+)
+def test_synth_malformed_artifact_names_the_flag_and_its_form(tmp_path, capsys, flag, value, message):
+    assert main(["synth", "--out", str(tmp_path / "out"), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: bad artifact or parameter syntax: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, params_text, message",
+    [
+        (["--e", "nan"], None, "e_velocity must be finite"),
+        (["--a", "nan"], None, "a_velocity must be finite"),
+        (["--dt", "inf"], None, "dt must be finite"),
+        # a params file's float parser refuses the value before SynthParams sees it
+        ([], "e_rise_ms = nan\n", "key 'e_rise_ms': expected a finite number, got 'nan'\n"),
+        ([], "a_half_ms = nan\n", "key 'a_half_ms': expected a finite number, got 'nan'\n"),
+        ([], "lead_in_ms = inf\n", "key 'lead_in_ms': expected a finite number, got 'inf'\n"),
+        ([], "e_peak_frac = nan\n", "key 'e_peak_frac': expected a finite number, got 'nan'\n"),
     ],
     ids=["e-flag", "a-flag", "dt-flag", "e-rise-file", "a-half-file", "lead-in-file", "e-peak-frac-file"],
 )
-def test_synth_non_finite_parameter_is_one_error_line(tmp_path, capsys, flags, params_text, name):
+def test_synth_non_finite_parameter_is_one_error_line(tmp_path, capsys, flags, params_text, message):
     if params_text is not None:
         (tmp_path / "params.txt").write_text(params_text)
         flags = ["--params", str(tmp_path / "params.txt")]
@@ -244,7 +278,7 @@ def test_synth_non_finite_parameter_is_one_error_line(tmp_path, capsys, flags, p
     assert main(["synth", "--out", str(out), *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {name} must be finite")
+    assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1
     assert not list(out.glob("*.ppm"))
 
@@ -278,6 +312,22 @@ def test_synth_label_that_does_not_read_back_is_one_error_line(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == f"error: label must be one line without leading or trailing whitespace, got {label!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("label", ["\udcff", "LV\ud800OT"], ids=["argv-non-utf8-byte", "lone-surrogate"])
+def test_synth_label_that_utf8_cannot_hold_is_one_error_line(tmp_path, capsys, label):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--label", label]) == 1
+    assert capsys.readouterr() == ("", f"error: label must be UTF-8 text, got {label!r}\n")
+    assert not out.exists()
+
+
+def test_saved_manifest_escapes_a_label_utf8_cannot_hold(tmp_path):
+    # the file stays UTF-8 and loads, and the label does not read back as itself
+    path = tmp_path / "study.manifest"
+    save_manifest(path, replace(generate_synthetic(SynthParams())[1], label="\ud800"))
+    assert b"label = \\ud800\n" in path.read_bytes()
+    assert load_manifest(path).label == "\\ud800"
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

@@ -2,7 +2,7 @@
 
 import io
 import math
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from midoppler import ingestion
+from midoppler import cli, ingestion
 from midoppler.errors import (
     GenerationError,
     ImageFormatError,
@@ -22,9 +22,11 @@ from midoppler.ingestion import (
     MITRAL_INFLOW_LABEL,
     CalibrationManifest,
     RasterImage,
+    key_value_fields,
     load_gray_image,
     load_image,
     load_manifest,
+    read_fields,
     read_image_size,
     read_key_values,
     route_image,
@@ -389,6 +391,176 @@ def test_manifest_save_load_roundtrip(tmp_path):
     path = tmp_path / "m.manifest"
     save_manifest(path, manifest)
     assert load_manifest(path) == manifest
+
+
+def test_manifest_with_bom_and_crlf_loads_like_its_plain_copy(tmp_path):
+    plain = load_manifest(write_manifest(tmp_path, MANIFEST_TEXT))
+    path = tmp_path / "windows.manifest"
+    path.write_bytes(b"\xef\xbb\xbf" + MANIFEST_TEXT.replace("\n", "\r\n").encode())
+    assert load_manifest(path) == plain
+
+
+def test_manifest_is_written_in_field_order(tmp_path):
+    path = tmp_path / "m.manifest"
+    save_manifest(path, make_manifest())
+    keys = [line.split(" = ")[0] for line in path.read_text().splitlines()]
+    assert keys == [f.name for f in fields(CalibrationManifest)]
+
+
+round_trip = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+# one line, as read_key_values strips it, of UTF-8 text (no lone surrogate)
+ONE_LINE_TEXT = st.text(st.characters(exclude_categories=["Cs"])).filter(lambda text: text == text.strip() and len(text.splitlines()) <= 1)
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def ordered_pairs(draw):
+    low, high = sorted(draw(st.lists(st.integers(min_value=0), min_size=2, max_size=2)))
+    return low, high
+
+
+@st.composite
+def manifests(draw):
+    """A valid CalibrationManifest, its values anywhere the invariants allow."""
+    (sx0, sx1), (sy0, sy1), (ex0, ex1), (ey0, ey1) = (draw(ordered_pairs()) for _ in range(4))
+    scales = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return CalibrationManifest(
+        label=draw(ONE_LINE_TEXT),
+        velocity_scale=draw(scales),
+        time_scale=draw(scales),
+        baseline_row=draw(st.integers(sy0, sy1)),
+        spectral_region=(sx0, sy0, sx1, sy1),
+        flow_above_baseline=draw(st.booleans()),
+        ecg_color=draw(st.tuples(*[st.integers(0, 255)] * 3)),
+        ecg_color_tolerance=draw(st.integers(0, 254)),
+        ecg_region=(ex0, ey0, ex1, ey1),
+    )
+
+
+@round_trip
+@given(manifests())
+def test_saved_manifest_loads_equal_and_saves_the_same_bytes(tmp_path, manifest):
+    first, second = tmp_path / "first.manifest", tmp_path / "second.manifest"
+    save_manifest(first, manifest)
+    loaded = load_manifest(first)
+    assert loaded == manifest
+    save_manifest(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
+
+
+PARAMS_FILE_FIELDS = cli._PARAMS_FILE_FIELDS
+# a value of each SynthParams field type a params file can set
+SYNTH_VALUES = {int: st.integers(), float: FINITE_FLOATS, float | None: FINITE_FLOATS, str: ONE_LINE_TEXT}
+
+
+@round_trip
+@given(st.data())
+def test_synth_params_values_written_as_lines_read_back_equal(tmp_path, data):
+    names = data.draw(st.lists(st.sampled_from(list(PARAMS_FILE_FIELDS)), unique=True))
+    types = {f.name: f.type for f in fields(SynthParams)}
+    values = {name: data.draw(SYNTH_VALUES[types[name]], label=name) for name in names}
+    path = tmp_path / "params.txt"
+    path.write_text("".join(f"{name} = {PARAMS_FILE_FIELDS[name][1](value)}\n" for name, value in values.items()))
+    assert read_fields(path, PARAMS_FILE_FIELDS, GenerationError, "params file") == values
+
+
+@pytest.mark.parametrize(
+    "table, cls, skip",
+    [(ingestion._MANIFEST_FIELDS, CalibrationManifest, ()), (PARAMS_FILE_FIELDS, SynthParams, ("artifacts",))],
+    ids=["manifest", "synth-params"],
+)
+def test_every_field_has_a_parser(table, cls, skip):
+    assert list(table) == [f.name for f in fields(cls) if f.name not in skip]
+
+
+@pytest.mark.parametrize("annotation", [tuple, tuple[int, ...], tuple[int, float], list[int], complex])
+def test_a_field_of_an_unsupported_type_fails_when_its_table_is_built(annotation):
+    @dataclass
+    class Future:
+        gain: annotation
+
+    with pytest.raises(TypeError, match="Future.gain"):
+        key_value_fields(Future)
+
+
+# the one integer rule, in every key = value file ------------------------------
+
+
+def read_one(tmp_path, table, error, key, text):
+    """The value of key written as text, read as a one-line file with table's parsers."""
+    path = tmp_path / "values.txt"
+    path.write_text(f"{key} = {text}\n")
+    return read_fields(path, table, error, "test file")[key]
+
+@pytest.mark.parametrize(
+    "key, text, value",
+    [
+        ("baseline_row", "536.0", 536),
+        ("spectral_region", "60.0, 60, 955, 620", (60, 60, 955, 620)),
+        ("ecg_color", "0, 2.55e2, 0", (0, 255, 0)),
+        ("ecg_color_tolerance", "6e1", 60),
+    ],
+)
+def test_manifest_integer_written_as_a_whole_number_loads(tmp_path, key, text, value):
+    parsed = read_one(tmp_path, ingestion._MANIFEST_FIELDS, ManifestError, key, text)
+    assert parsed == value
+    assert all(type(v) is int for v in (parsed if isinstance(parsed, tuple) else (parsed,)))
+
+
+def test_manifest_with_whole_number_integers_loads_like_the_plain_one(tmp_path):
+    text = MANIFEST_TEXT.replace("baseline_row = 400", "baseline_row = 400.0")
+    text = text.replace("spectral_region = 10, 20", "spectral_region = 10.0, 20")
+    assert load_manifest(write_manifest(tmp_path, text)) == load_manifest(write_manifest(tmp_path, MANIFEST_TEXT, "plain.manifest"))
+
+
+@pytest.mark.parametrize(
+    "key, text, value",
+    [
+        ("seed", "1.0", 1),
+        ("seed", "12345678901234567890123", 12345678901234567890123),
+        ("n_beats", "3e0", 3),
+        ("width", " 1016 ", 1016),
+    ],
+)
+def test_params_integer_written_as_a_whole_number_loads(tmp_path, key, text, value):
+    parsed = read_one(tmp_path, PARAMS_FILE_FIELDS, GenerationError, key, text)
+    assert type(parsed) is int and parsed == value
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        ("baseline_row", "5.5", "key 'baseline_row': expected an integer, got '5.5'"),
+        ("baseline_row", "nan", "key 'baseline_row': expected a finite number, got 'nan'"),
+        ("baseline_row", "1e400", "key 'baseline_row': expected a finite number, got '1e400'"),
+        ("baseline_row", "row", "key 'baseline_row': expected an integer, got 'row'"),
+        ("ecg_color_tolerance", "abc", "key 'ecg_color_tolerance': expected an integer, got 'abc'"),
+        ("spectral_region", "60, 60.5, 955, 620", "key 'spectral_region': expected an integer, got '60.5'"),
+        ("spectral_region", "60, inf, 955, 620", "key 'spectral_region': expected a finite number, got 'inf'"),
+        ("ecg_region", "60, 650, 955", "key 'ecg_region': expected 4 comma-separated integers"),
+    ],
+)
+def test_manifest_integer_rule_refusals_name_the_key(tmp_path, key, text, message):
+    with pytest.raises(ManifestError) as info:
+        read_one(tmp_path, ingestion._MANIFEST_FIELDS, ManifestError, key, text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        ("seed", "5.5", "key 'seed': expected an integer, got '5.5'"),
+        ("seed", "nan", "key 'seed': expected a finite number, got 'nan'"),
+        ("n_beats", "-inf", "key 'n_beats': expected a finite number, got '-inf'"),
+        ("height", "tall", "key 'height': expected an integer, got 'tall'"),
+    ],
+)
+def test_params_integer_rule_refusals_name_the_key(tmp_path, key, text, message):
+    with pytest.raises(GenerationError) as info:
+        read_one(tmp_path, PARAMS_FILE_FIELDS, GenerationError, key, text)
+    assert str(info.value) == message
 
 
 # routing --------------------------------------------------------------------
