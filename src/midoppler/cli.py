@@ -4,17 +4,21 @@ Exit codes: 0 when at least one study produced output, 2 when every input
 was rejected or there was nothing to do, 1 when any error occurred.
 """
 
+import os
+
+# No matrix product here is large enough for a second BLAS thread, and starting
+# OpenBLAS's thread pool costs a fresh process tens of ms: pin it before
+# numpy loads, unless the user chose a thread count.
+if "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import ctypes
 import functools
-import os
-import pickle
-import select
 import sys
 import traceback
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import fields as dataclass_fields, replace
-from functools import partial
 from pathlib import Path
 
 from .ecg import QrsParams, ecg_csv_text
@@ -87,13 +91,13 @@ _PARAMS_FILE_FIELDS = key_value_fields(SynthParams, skip=("artifacts",))
 _ALL_FIELDS = ",".join(FIELD_COLUMNS)
 
 
-def _checked_type(cls, field):
-    """argparse type of one flag: the field's type, then cls's own checks.
+def _checked_type(cls, field, parse):
+    """argparse type of one flag: parse, the field's key = value file parser, then cls's own checks.
 
     A value the dataclass rejects becomes a usage error naming the flag.
     """
     def convert(text):
-        value = field.type(text)
+        value = parse(text)
         try:
             cls(**{field.name: value})
         except ValueError as exc:
@@ -115,11 +119,13 @@ def _study_count(text) -> int:
 _study_count.__name__ = "int"  # argparse's "invalid int value" names it
 
 
-def _add_flags(group, cls, flags):
+def _add_flags(group, cls, flags, table):
+    """Add a flag for each (flag, field, help) row, parsed as table (cls's key_value_fields) parses a file."""
     fields = {f.name: f for f in dataclass_fields(cls)}
     for flag, name, help_text in flags:
         field = fields[name]
-        group.add_argument(flag, type=_checked_type(cls, field), default=field.default, help=help_text)
+        parse = table[name][0]
+        group.add_argument(flag, type=_checked_type(cls, field, parse), default=field.default, help=help_text)
 
 
 def _flag_values(args, flags) -> dict:
@@ -130,7 +136,7 @@ def _flag_values(args, flags) -> dict:
 def _add_pipeline_flags(parser):
     group = parser.add_argument_group("pipeline parameters")
     for _, cls, flags in _PIPELINE_FLAGS:
-        _add_flags(group, cls, flags)
+        _add_flags(group, cls, flags, key_value_fields(cls))
     group.add_argument(
         "--mask",
         default=None,
@@ -171,9 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     ps.add_argument("--out", default=".", help="output directory")
-    _add_flags(ps, SynthParams, _SYNTH_FLAGS[:1])
+    _add_flags(ps, SynthParams, _SYNTH_FLAGS[:1], _PARAMS_FILE_FIELDS)
     ps.add_argument("--n", type=_study_count, default=1, help="number of studies (seeds seed..seed+n-1)")
-    _add_flags(ps, SynthParams, _SYNTH_FLAGS[1:])
+    _add_flags(ps, SynthParams, _SYNTH_FLAGS[1:], _PARAMS_FILE_FIELDS)
     ps.add_argument("--spike", action="append", default=[], metavar="T,V,W", help="bright spike artifact time_ms,velocity,width_ms (repeatable)")
     ps.add_argument("--dropout", action="append", default=[], metavar="T,W", help="signal dropout time_ms,width_ms (repeatable)")
     ps.add_argument("--alias-band", action="store_true", help="add a bright band below the baseline")
@@ -245,169 +251,23 @@ def cmd_overlay(args) -> int:
 
 
 def _run(images, args, params, write) -> int:
-    """Print each input's lines and return the exit code of the module docstring."""
+    """Print each input's lines, in input order, and return the exit code of the module docstring.
+
+    Each input is routed (_route), and measured (_measure) only if it was
+    accepted, before the next one starts.
+    """
     outcomes = Counter()
-    for outcome, out_text, err_text in _analyze_all(images, args, params, write):
+    for image_path in images:
+        result = _route(image_path, args)
+        if not isinstance(result, tuple):  # accepted: result is its checked manifest
+            result = _measure(image_path, result, args, params, write)
+        outcome, out_text, err_text = result
         sys.stdout.write(out_text)
         sys.stderr.write(err_text)
         outcomes[outcome] += 1
     if outcomes["error"]:
         return 1
     return 0 if outcomes["measured"] else 2
-
-
-# The fewest studies each process of a pool must get for forking to pay: a
-# process's first study after the fork costs about three, in copy-on-write
-# faults. Measured warm and in a fresh process; the table is in the README.
-_STUDIES_PER_PROCESS = 3
-
-
-def _analyze_all(images, args, params, write):
-    """(outcome, stdout text, stderr text) of each input, in input order.
-
-    Every input is routed here first, in this process (_route): one that is
-    rejected, or that fails before its pixels are read, has its lines at
-    once and never reaches a worker. The accepted studies are then measured
-    (_measure) with the manifests routing checked. They run on
-    min(usable CPUs, studies // _STUDIES_PER_PROCESS) processes, this one
-    and forked workers (_pooled), so that each process gets at least
-    _STUDIES_PER_PROCESS of them. One process, a platform without fork or
-    sched_getaffinity, or studies that would write the same output files
-    run in-process only.
-    """
-    routed = [_route(image_path, args) for image_path in images]  # manifests, or finished inputs' lines
-    studies = [(path, manifest) for path, manifest in zip(images, routed) if not isinstance(manifest, tuple)]
-    measure = partial(_measure, args=args, params=params, write=write)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(studies) // _STUDIES_PER_PROCESS)
-    distinct_outputs = len({_out_dir(p, args) / p.stem for p, _ in studies}) == len(studies)
-    if workers > 1 and distinct_outputs and hasattr(os, "fork"):
-        # fork, not spawn: workers inherit the imported package and numpy,
-        # which a fresh interpreter would take about 0.13 s to import again
-        measured = _pooled(measure, studies, workers)
-    else:
-        measured = (measure(*study) for study in studies)
-    try:
-        for result in routed:
-            yield result if isinstance(result, tuple) else next(measured)
-    finally:
-        measured.close()
-
-
-def _pooled(measure, studies, workers):
-    """measure(*study) of each study, in order, on workers - 1 forked workers and this process.
-
-    The studies are cut into workers consecutive runs. Each of the first
-    workers - 1 runs goes to a forked worker, which inherits the studies,
-    measures its run front first and sends each result back over its own
-    pipe. This process measures the last run from the back, and between two
-    of its studies yields the finished ones in order. Fork write-protects
-    every page of this process, and an idle wait lets the workers evict its
-    caches: staying busy until its run is done takes those costs inside the
-    batch, instead of in the caller's next study. A worker that dies ends
-    the study it was on in an error line naming its exit code, and this
-    process measures the studies it had not reached. Closing the generator
-    closes the pipes, so that each worker stops after its current study,
-    and reaps the workers.
-    """
-    bounds = [len(studies) * w // workers for w in range(workers + 1)]
-    here = list(range(bounds[-2], len(studies)))  # this process's studies, taken from the end
-    live = {}  # a worker's receiving end of its pipe: (pid, its studies not yet returned)
-    results = {}  # finished studies not yet yielded, by index
-
-    def collect(timeout):
-        """Take every result ready within timeout; at a pipe's end, settle what its worker left."""
-        while live:
-            ready, _, _ = select.select(list(live), [], [], timeout)
-            if not ready:
-                return
-            timeout = 0
-            for conn in ready:
-                pid, pending = live[conn]
-                message = _receive(conn)
-                if message:
-                    index, result = message
-                    results[index] = result
-                    pending.popleft()
-                    continue
-                del live[conn]
-                os.close(conn)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if pending:
-                    lost = pending.popleft()
-                    results[lost] = "error", "", f"{studies[lost][0]}: error: worker process exited with code {code}\n"
-                    here.extend(reversed(pending))
-
-    done = 0  # studies yielded
-    try:
-        for w in range(workers - 1):
-            receiving, sending = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _work(measure, studies, range(bounds[w], bounds[w + 1]), sending, [receiving, *live])
-            os.close(sending)  # so that the worker's exit ends the pipe
-            live[receiving] = pid, deque(range(bounds[w], bounds[w + 1]))
-        while done < len(studies):
-            if done not in results:
-                collect(0)
-            if done in results:
-                yield results.pop(done)
-                done += 1
-            elif here:
-                index = here.pop()
-                results[index] = measure(*studies[index])
-            else:  # a worker has it
-                collect(None)
-    finally:
-        for conn in live:  # after an early stop: a worker's next send fails, and it exits
-            os.close(conn)
-        for pid, _ in live.values():
-            os.waitpid(pid, 0)
-
-
-def _work(measure, studies, indices, sending, inherited):
-    """A worker's life: measure its studies in order and send back (index, result) of each; never returns.
-
-    It closes the receiving ends it inherited, its own among them, so that
-    this process closing one reaches the worker that writes to it.
-    """
-    code = 1
-    try:
-        for conn in inherited:
-            os.close(conn)
-        with open(sending, "wb") as pipe:
-            for index in indices:
-                body = pickle.dumps((index, measure(*studies[index])))
-                pipe.write(len(body).to_bytes(8, "little") + body)
-                pipe.flush()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _receive(conn):
-    """The next (index, result) a worker sent over conn, or None where the pipe ends."""
-    header = _read_exactly(conn, 8)
-    if len(header) < 8:
-        return None
-    size = int.from_bytes(header, "little")
-    body = _read_exactly(conn, size)
-    return pickle.loads(body) if len(body) == size else None
-
-
-def _read_exactly(conn, size) -> bytes:
-    """size bytes from conn, or fewer where the pipe ends."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(conn, size - len(data))
-        if not chunk:
-            break
-        data += chunk
-    return data
-
-
-def _out_dir(image_path, args) -> Path:
-    return Path(args.out) if args.out else image_path.parent
 
 
 def _route(image_path, args):
@@ -437,7 +297,6 @@ def _measure(image_path, manifest, args, params, write):
     the mask --mask names: a file, or <image-stem>.mask.pgm in a directory.
     Then write(image_path, args, image, manifest, run) writes the command's
     files and returns the "measured" triple; a failure is an "error".
-    Prints nothing, so that a worker process can run it.
     """
     try:
         image = load_image(image_path)
@@ -464,7 +323,7 @@ def _mask_path(image_path, mask):
 
 def _write_measurements(image_path, args, image, manifest, run):
     """analyze's writer: the CSV, the --dump-ecg signal and the summary line."""
-    out_dir = _out_dir(image_path, args)
+    out_dir = Path(args.out) if args.out else image_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{image_path.stem}.measurements.csv"
     write_study_csv(csv_path, run)

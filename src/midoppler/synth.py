@@ -41,6 +41,9 @@ MIN_WIDTH = 300
 # needs 40 rows; the spare rows never shrink as the height grows, and 454 is
 # the first height that leaves 40.
 MIN_HEIGHT = 454
+# The largest width or height: an 8192 x 8192 frame is 192 MiB of RGB, far
+# past any Doppler still, and a larger one may not fit in memory at all.
+MAX_SIDE = 8192
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,9 @@ def _validate(params: SynthParams) -> None:
         raise GenerationError(
             f"height must be at least {MIN_HEIGHT} to fit the ECG strip, got {params.height}"
         )
+    for name, side in (("width", params.width), ("height", params.height)):
+        if side > MAX_SIDE:
+            raise GenerationError(f"{name} must be at most {MAX_SIDE}, got {side}")
     # the manifest is UTF-8, read back line by line with each value stripped, so only a one-line label
     # without surrounding whitespace or lone surrogates (argv's non-UTF-8 bytes) survives the trip
     if params.label != params.label.strip() or len(params.label.splitlines()) > 1:

@@ -5,7 +5,6 @@ import re
 import shutil
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -17,7 +16,7 @@ import midoppler
 from midoppler import cli
 from midoppler.cli import main
 from midoppler.errors import ImageFormatError
-from midoppler.ingestion import KNOWN_LABELS, MITRAL_INFLOW_LABEL, load_image, load_manifest, save_image, save_manifest
+from midoppler.ingestion import MITRAL_INFLOW_LABEL, load_image, load_manifest, save_image, save_manifest
 from midoppler.kernels import MAX_MEDIAN_WINDOW
 from midoppler.measurement import measure_study, read_measurement_csv, study_csv_text
 from midoppler.overlay import (
@@ -37,54 +36,9 @@ from midoppler.synth import AliasBand, Dropout, Spike, SynthParams, generate_syn
 from conftest import alias_band_only, checkerboard_region, one_level_region, picture_mask
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="batches run in-process without fork")
-
-# the fewest accepted studies a batch on two CPUs runs pooled
-POOLED_ON_TWO = 2 * cli._STUDIES_PER_PROCESS
-
-
 def report_cpus(monkeypatch, count):
-    """Make `analyze` see count usable CPUs, so a batch runs on up to that many processes."""
+    """Make `analyze` see count usable CPUs: its outputs must not depend on them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def spy_forks(monkeypatch):
-    """The pids of the worker processes forked from now on, appended as they are forked.
-
-    Where os has no fork, batches run in-process and the list stays empty.
-    """
-    pids = []
-    if not hasattr(os, "fork"):
-        return pids
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def reaped(pid) -> bool:
-    """The forked pid has exited and been waited for: it is no child of this process any more."""
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-def outputs_of(capsys, monkeypatch, cpus, argv, out):
-    """(exit code, stdout, stderr, {output file: bytes}) of main(argv) on cpus CPUs; out is removed after."""
-    report_cpus(monkeypatch, cpus)
-    code = main(argv)
-    captured = capsys.readouterr()
-    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())} if out.exists() else {}
-    shutil.rmtree(out, ignore_errors=True)
-    return code, captured.out, captured.err, files
 
 
 def outcome_lines(captured, image_path):
@@ -170,8 +124,13 @@ def test_synth_params_file_overrides_flags_and_flags_fill_the_rest(tmp_path):
         (None, "params.txt: cannot read params file"),
         ("e_velocity = fast\n", "error: key 'e_velocity': expected a number, got 'fast'\n"),
         ("n_beats = 2.5\n", "error: key 'n_beats': expected an integer, got '2.5'\n"),
+        ("width = 1e30\n", "error: width must be at most 8192, got 1000000000000000019884624838656\n"),
+        (f"height = 1{'0' * 30}\n", f"error: height must be at most 8192, got 1{'0' * 30}\n"),
     ],
-    ids=["unknown-key", "no-equals", "duplicate", "missing-file", "non-numeric", "non-integer"],
+    ids=[
+        "unknown-key", "no-equals", "duplicate", "missing-file", "non-numeric", "non-integer",
+        "huge-float-size", "huge-digit-size",
+    ],
 )
 def test_synth_params_file_errors_are_one_line(tmp_path, capsys, text, message):
     params_file = tmp_path / "params.txt"
@@ -259,14 +218,15 @@ def test_synth_malformed_artifact_names_the_flag_and_its_form(tmp_path, capsys, 
 @pytest.mark.parametrize(
     "flags, params_text, message",
     [
-        (["--e", "nan"], None, "e_velocity must be finite"),
-        (["--a", "nan"], None, "a_velocity must be finite"),
-        (["--dt", "inf"], None, "dt must be finite"),
-        # a params file's float parser refuses the value before SynthParams sees it
-        ([], "e_rise_ms = nan\n", "key 'e_rise_ms': expected a finite number, got 'nan'\n"),
-        ([], "a_half_ms = nan\n", "key 'a_half_ms': expected a finite number, got 'nan'\n"),
-        ([], "lead_in_ms = inf\n", "key 'lead_in_ms': expected a finite number, got 'inf'\n"),
-        ([], "e_peak_frac = nan\n", "key 'e_peak_frac': expected a finite number, got 'nan'\n"),
+        # a flag and a params file parse a float alike and refuse the value
+        # before SynthParams sees it: a flag's is argparse's usage error
+        (["--e", "nan"], None, "midoppler synth: error: argument --e: invalid float value: 'nan'"),
+        (["--a", "nan"], None, "midoppler synth: error: argument --a: invalid float value: 'nan'"),
+        (["--dt", "inf"], None, "midoppler synth: error: argument --dt: invalid float value: 'inf'"),
+        ([], "e_rise_ms = nan\n", "error: key 'e_rise_ms': expected a finite number, got 'nan'"),
+        ([], "a_half_ms = nan\n", "error: key 'a_half_ms': expected a finite number, got 'nan'"),
+        ([], "lead_in_ms = inf\n", "error: key 'lead_in_ms': expected a finite number, got 'inf'"),
+        ([], "e_peak_frac = nan\n", "error: key 'e_peak_frac': expected a finite number, got 'nan'"),
     ],
     ids=["e-flag", "a-flag", "dt-flag", "e-rise-file", "a-half-file", "lead-in-file", "e-peak-frac-file"],
 )
@@ -275,12 +235,28 @@ def test_synth_non_finite_parameter_is_one_error_line(tmp_path, capsys, flags, p
         (tmp_path / "params.txt").write_text(params_text)
         flags = ["--params", str(tmp_path / "params.txt")]
     out = tmp_path / "out"
-    assert main(["synth", "--out", str(out), *flags]) == 1
+    try:
+        code = main(["synth", "--out", str(out), *flags])
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    assert code == (1 if params_text else 2)
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {message}")
-    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.err.endswith(f"{message}\n")
+    assert [line for line in captured.err.splitlines() if "error: " in line] == [message]
     assert not list(out.glob("*.ppm"))
+
+
+@pytest.mark.parametrize("flag, key, text", [("--seed", "seed", "1.0"), ("--beats", "n_beats", "2.0")])
+def test_synth_flag_parses_its_value_as_the_params_file_does(tmp_path, flag, key, text):
+    (tmp_path / "params.txt").write_text(f"{key} = {text}\n")
+    assert main(["synth", "--out", str(tmp_path / "flag"), flag, text]) == 0
+    assert main(["synth", "--out", str(tmp_path / "file"), "--params", str(tmp_path / "params.txt")]) == 0
+    written = {
+        side: {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()} for side in ("flag", "file")
+    }
+    assert written["flag"] == written["file"]
 
 
 @pytest.mark.parametrize(
@@ -368,10 +344,10 @@ def test_outputs_are_created_under_the_umask(tmp_path, capsys, umask):
         assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
 
 
-def run_fresh_interpreter(script):
-    """Run script in a new python process that imports this checkout's package."""
+def run_fresh_interpreter(script, environ=os.environ):
+    """Run script in a new python process, with environ, that imports this checkout's package."""
     src = str(Path(midoppler.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -427,6 +403,28 @@ def test_analyze_cold_start_loads_these_package_modules(tmp_path):
         "midoppler.stats", "midoppler.synth",
     ]
     assert result.stdout.splitlines()[-1] == f"0 {modules}"
+
+
+@pytest.mark.parametrize(
+    "chosen, threads",
+    [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3"), ({"OMP_NUM_THREADS": "2"}, "None")],
+    ids=["unset", "openblas-set", "omp-set"],
+)
+def test_cli_pins_openblas_to_one_thread_unless_the_user_chose(chosen, threads):
+    # starting OpenBLAS's thread pool costs a fresh process tens of ms, and
+    # no matrix product here is large enough to use it
+    environ = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    result = run_fresh_interpreter(
+        "import os, midoppler.cli\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)\n",
+        environ={**environ, **chosen},
+    )
+    assert result.returncode == 0, result.stderr
+    pinned, running = result.stdout.split()
+    assert pinned == threads
+    if not chosen:  # numpy loaded after the pin: no BLAS thread besides this one
+        assert running == "1"
 
 
 def test_analyze_cold_start_imports_no_numpy_ma(tmp_path):
@@ -599,9 +597,11 @@ def test_analyze_isolates_unexpected_exception(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_batch_equals_serial_single_runs(tmp_path, capsys, monkeypatch):
+    # on two CPUs too, a batch forks nothing: each input is routed (header,
+    # manifest, label), and measured only if accepted, before the next one
     inputs = tmp_path / "inputs"
     inputs.mkdir()
-    studies = 3 * cli._STUDIES_PER_PROCESS  # enough for three processes
+    studies = 9
     for k in range(studies):
         make_study(inputs, stem=f"m{k}", noise_sigma=0.15, heart_rate=55.0 + 6.0 * k, seed=k)
     make_study(inputs, stem="r_lvot", label="LVOT")
@@ -610,8 +610,25 @@ def test_analyze_batch_equals_serial_single_runs(tmp_path, capsys, monkeypatch):
     truncated = inputs / "t_truncated.ppm"
     truncated.write_bytes(truncated.read_bytes()[:1000])
     images = sorted(inputs.glob("*.ppm"))
-    report_cpus(monkeypatch, 3)  # fewer processes than inputs
-    forks = spy_forks(monkeypatch)
+    calls = []  # (function, input stem) of each header, manifest and pixel read, in call order
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def call(path, *args, **kwargs):
+            calls.append((name, Path(path).stem))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, call)
+
+    for name in ("read_image_size", "load_manifest", "load_image"):
+        spy(name)
+
+    def fork():
+        raise AssertionError("analyze forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    report_cpus(monkeypatch, 2)
     out = tmp_path / "out"
 
     def run(argvs):
@@ -622,7 +639,11 @@ def test_analyze_batch_equals_serial_single_runs(tmp_path, capsys, monkeypatch):
         return codes, captured.out, captured.err, files
 
     batch_codes, *batch = run([["analyze", str(inputs), "--dump-ecg", "--out", str(out)]])
-    assert len(forks) == (2 if hasattr(os, "fork") else 0)
+    position = {image.stem: k for k, image in enumerate(images)}
+    read = [position[stem] for _, stem in calls]
+    assert read == sorted(read)  # an input's reads end before the next input's begin
+    assert {stem for name, stem in calls if name == "read_image_size"} == set(position)
+    assert [stem for name, stem in calls if name == "load_image"] == [f"m{k}" for k in range(studies)]
     single_codes, *singles = run(
         [["analyze", str(image), "--dump-ecg", "--out", str(out)] for image in images]
     )
@@ -632,183 +653,29 @@ def test_analyze_batch_equals_serial_single_runs(tmp_path, capsys, monkeypatch):
     assert sorted(batch[2]) == sorted(
         f"m{k}.{kind}.csv" for k in range(studies) for kind in ("measurements", "ecg")
     )
-    assert all(reaped(pid) for pid in forks)
 
 
-@needs_fork
-def test_analyze_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
-    stems = ["a_dies", *(f"s{k}" for k in range(1, POOLED_ON_TWO))]
-    images = {
-        stem: make_study(tmp_path, stem=stem, heart_rate=60.0 + 5.0 * k)[0] for k, stem in enumerate(stems)
-    }
-    real_measure_study = cli.measure_study
-    test_pid = os.getpid()
-
-    def dying_measure_study(image, manifest, **kwargs):
-        if np.array_equal(image.pixels, images["a_dies"].pixels):
-            if os.getpid() == test_pid:  # run in-process: fail, do not end pytest
-                raise RuntimeError("a_dies ran in-process, not in a worker")
-            os._exit(3)
-        return real_measure_study(image, manifest, **kwargs)
-
-    monkeypatch.setattr(cli, "measure_study", dying_measure_study)
-    report_cpus(monkeypatch, 2)
-    forks = spy_forks(monkeypatch)
-    codes = []
-    batch = threading.Thread(
-        target=lambda: codes.append(main(["analyze", str(tmp_path)])), daemon=True
-    )
-    batch.start()
-    batch.join(timeout=120)
-    assert not batch.is_alive(), "the batch hung after a worker died"
-    captured = capsys.readouterr()
-    assert codes == [1]
-    (dead,) = outcome_lines(captured, tmp_path / "a_dies.ppm")
-    assert dead == f"{tmp_path / 'a_dies.ppm'}: error: worker process exited with code 3"
-    for stem in stems[1:]:  # the dead worker's other studies run in this process
-        (line,) = outcome_lines(captured, tmp_path / f"{stem}.ppm")
-        assert ": 3 beats" in line
-    assert len(forks) == 1 and reaped(forks[0])
-
-
-@needs_fork
-def test_analyze_batch_runs_its_last_inputs_in_this_process(tmp_path, capsys, monkeypatch):
-    # fork write-protects this process's pages; the studies it runs during
-    # the batch take those faults instead of the caller's next study
-    studies = POOLED_ON_TWO
-    images = [make_study(tmp_path, stem=f"s{k}", heart_rate=60.0 + 5.0 * k)[0] for k in range(studies)]
-    real_measure_study = cli.measure_study
-    test_pid = os.getpid()
-    calls = tmp_path / "calls.txt"  # appended to by every process
-
-    def measure_study(image, manifest, **kwargs):
-        (k,) = [k for k, seen in enumerate(images) if np.array_equal(image.pixels, seen.pixels)]
-        with open(calls, "a") as log:
-            log.write(f"{k} {int(os.getpid() == test_pid)}\n")
-        return real_measure_study(image, manifest, **kwargs)
-
-    monkeypatch.setattr(cli, "measure_study", measure_study)
-    report_cpus(monkeypatch, 2)
-    forks = spy_forks(monkeypatch)
-    assert main(["analyze", str(tmp_path)]) == 0
-    ran = [tuple(map(int, line.split())) for line in calls.read_text().splitlines()]
-    assert sorted(k for k, _ in ran) == list(range(studies))  # each input once
-    here = [k for k, in_here in ran if in_here]
-    assert here and here == list(reversed(range(studies)))[: len(here)]  # from the back, one at a time
-    assert len(here) < studies  # the worker ran the others
-    printed = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()]
-    assert printed == [str(tmp_path / f"s{k}.ppm") for k in range(studies)]
-    assert len(forks) == 1 and reaped(forks[0])
-
-
-@needs_fork
-def test_analyze_batch_closed_early_leaves_no_worker(tmp_path, monkeypatch):
-    pictures = [
-        make_study(tmp_path, stem=f"s{k}", heart_rate=60.0 + 5.0 * k)[0] for k in range(3 * cli._STUDIES_PER_PROCESS)
-    ]
-    real_measure_study = cli.measure_study
-
-    def measure_study(image, manifest, **kwargs):
-        if np.array_equal(image.pixels, pictures[1].pixels):
-            time.sleep(0.5)  # a worker is still on s1 when the batch is closed
-        return real_measure_study(image, manifest, **kwargs)
-
-    monkeypatch.setattr(cli, "measure_study", measure_study)
-    report_cpus(monkeypatch, 3)
-    forks = spy_forks(monkeypatch)
-    args = cli.build_parser().parse_args(["analyze", str(tmp_path)])
-    images = cli._expand_inputs(args.inputs)
-    batch = cli._analyze_all(images, args, cli._pipeline_params(args), cli._write_measurements)
-    outcome, out, _ = next(batch)
-    assert outcome == "measured" and out.startswith(f"{images[0]}: 3 beats")
-    assert len(forks) == 2
-    batch.close()
-    assert all(reaped(pid) for pid in forks)
-    # the worker on s1 stopped after it: s2, next in its run, was never measured
-    assert (tmp_path / "s1.measurements.csv").exists() and not (tmp_path / "s2.measurements.csv").exists()
-
-
-def make_exam(directory, studies):
-    """An echo exam as analyze sees it: studies mitral-inflow images, interleaved
-    by name with six rejected labels, an unknown label and a truncated PPM whose
-    manifest says mitral inflow. Returns the images to measure, in input order."""
-    others = [label for label in KNOWN_LABELS if label != MITRAL_INFLOW_LABEL][:6] + ["spectral_unknown", "truncated"]
-    for k, label in enumerate(others):
-        make_study(directory, stem=f"{2 * k + 1:02d}_{label}", label=MITRAL_INFLOW_LABEL if label == "truncated" else label)
-    truncated = directory / f"{2 * len(others) - 1:02d}_truncated.ppm"
-    truncated.write_bytes(truncated.read_bytes()[:1000])
-    stems = [f"{2 * k:02d}_mitral" for k in range(studies)]
-    for k, stem in enumerate(stems):
-        make_study(directory, stem=stem, noise_sigma=0.15, heart_rate=55.0 + 6.0 * k, seed=k)
-    return [directory / f"{stem}.ppm" for stem in stems]
-
-
-@needs_fork
-@pytest.mark.parametrize(
-    "studies, forked", [(2, 0), (POOLED_ON_TWO - 1, 0), (POOLED_ON_TWO, 1)], ids=["exam", "below", "at"]
-)
-def test_exam_forks_past_the_break_even_and_routes_in_this_process(tmp_path, capsys, monkeypatch, studies, forked):
-    # a batch forks only when each of its processes gets _STUDIES_PER_PROCESS
-    # studies; every input is routed here, and only the studies reach a worker
-    inputs, out = tmp_path / "inputs", tmp_path / "out"
-    inputs.mkdir()
-    mitral = make_exam(inputs, studies)
-    log = tmp_path / "calls.txt"  # appended to by every process
-    test_pid = os.getpid()
-
-    def spy(name):
-        real = getattr(cli, name)
-
-        def call(path, *args, **kwargs):
-            with open(log, "a") as lines:
-                lines.write(f"{name} {Path(path).name} {int(os.getpid() == test_pid)}\n")
-            return real(path, *args, **kwargs)
-
-        monkeypatch.setattr(cli, name, call)
-
-    for name in ("read_image_size", "load_manifest", "load_image"):
-        spy(name)
-    forks = spy_forks(monkeypatch)
-    argv = ["analyze", str(inputs), "--dump-ecg", "--out", str(out)]
-    batch = outputs_of(capsys, monkeypatch, 2, argv, out)
-    assert len(forks) == forked and all(reaped(pid) for pid in forks)
-    calls = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(path for name, path, _ in calls if name == "load_image") == [image.name for image in mitral]
-    in_workers = [(name, path) for name, path, here in calls if here == "0"]
-    assert all(name == "load_image" for name, _ in in_workers)
-    assert bool(in_workers) == bool(forked)
-    log.unlink()
-    monkeypatch.undo()
-    assert batch == outputs_of(capsys, monkeypatch, 1, argv, out)
-    code, stdout, stderr, files = batch
-    assert code == 1 and stdout.count(" beats ") == studies and stderr.count(": error: ") == 2
-    assert sorted(files) == sorted(f"{image.stem}.{kind}.csv" for image in mitral for kind in ("measurements", "ecg"))
-
-
-@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+@pytest.mark.parametrize("cpus", [1, 2])
 def test_analyze_reads_the_pixels_of_mitral_inflow_studies_only(tmp_path, capsys, monkeypatch, cpus):
     labels = {"a_lvot": "LVOT", "c_pulm_vein": "pulm_vein", "e_truncated": "LVOT"}
-    labels.update({f"b_mitral{k}": MITRAL_INFLOW_LABEL for k in range(POOLED_ON_TWO)})
+    labels.update({f"b_mitral{k}": MITRAL_INFLOW_LABEL for k in range(3)})
     for k, (stem, label) in enumerate(labels.items()):
         make_study(tmp_path, stem=stem, label=label, seed=k)
     truncated = tmp_path / "e_truncated.ppm"
     truncated.write_bytes(truncated.read_bytes()[:1_000_000])
     with pytest.raises(ImageFormatError) as truncation:
         load_image(truncated)
-    reads = tmp_path / "reads.txt"  # appended to by every process
+    reads = []
     real_load_image = cli.load_image
 
     def spy_load_image(path):
-        with open(reads, "a") as log:
-            log.write(f"{Path(path).name}\n")
+        reads.append(Path(path).name)
         return real_load_image(path)
 
     monkeypatch.setattr(cli, "load_image", spy_load_image)
     report_cpus(monkeypatch, cpus)
-    forks = spy_forks(monkeypatch)
     assert main(["analyze", str(tmp_path)]) == 1
-    assert len(forks) == cpus - 1
-    assert sorted(reads.read_text().split()) == [f"b_mitral{k}.ppm" for k in range(POOLED_ON_TWO)]
+    assert reads == [f"b_mitral{k}.ppm" for k in range(3)]
     captured = capsys.readouterr()
     for stem in ("a_lvot", "c_pulm_vein"):
         assert outcome_lines(captured, tmp_path / f"{stem}.ppm") == [
@@ -818,14 +685,13 @@ def test_analyze_reads_the_pixels_of_mitral_inflow_studies_only(tmp_path, capsys
     assert outcome_lines(captured, truncated) == [f"{truncated}: error: {truncation.value}"]
 
 
-@needs_fork
 def test_analyze_shared_output_keeps_serial_order(tmp_path, capsys, monkeypatch):
-    # enough studies to pool, but two inputs of a name write the same files:
-    # the batch runs in-process, in input order, and the second one's files stay
+    # two inputs of a name write the same files: the batch measures them in
+    # input order, and the second one's files stay
     first_dir, second_dir, out = tmp_path / "first", tmp_path / "second", tmp_path / "out"
     first_dir.mkdir()
     second_dir.mkdir()
-    stems = [f"study_{k:04d}" for k in range(POOLED_ON_TWO // 2)]
+    stems = [f"study_{k:04d}" for k in range(3)]
     first = [make_study(first_dir, stem=stem, heart_rate=60.0 + 5.0 * k)[0] for k, stem in enumerate(stems)]
     for k, stem in enumerate(stems):
         make_study(second_dir, stem=stem, heart_rate=80.0 + 5.0 * k)
@@ -840,9 +706,7 @@ def test_analyze_shared_output_keeps_serial_order(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(cli, "measure_study", slow_first)
     report_cpus(monkeypatch, 2)
-    forks = spy_forks(monkeypatch)
     assert main(["analyze", str(first_dir), str(second_dir), "--out", str(out)]) == 0
-    assert forks == []
     assert {stem: (out / f"{stem}.measurements.csv").read_bytes() for stem in stems} == expected
 
 
@@ -915,12 +779,11 @@ def test_analyze_mask_directory_pairs_each_image_with_its_stem(tmp_path, capsys,
     for k, stem in enumerate(["a_masked", "b_masked"]):
         _, _, truth = make_study(inputs, stem=stem, noise_sigma=0.15, heart_rate=60.0 + 15.0 * k, seed=k)
         export_mask(masks / f"{stem}.mask.pgm", lowered_mask(truth, 4 + 4 * k))
-    maskless = [f"c_maskless{k}" for k in range(POOLED_ON_TWO - 2)]  # so that two CPUs pool the batch
+    maskless = [f"c_maskless{k}" for k in range(2)]
     for k, stem in enumerate(maskless):
         make_study(inputs, stem=stem, seed=2 + k)
     make_study(inputs, stem="d_rejected", label="LVOT")
     report_cpus(monkeypatch, cpus)
-    forks = spy_forks(monkeypatch)
 
     def run(argvs):
         codes = [main(argv) for argv in argvs]
@@ -931,7 +794,6 @@ def test_analyze_mask_directory_pairs_each_image_with_its_stem(tmp_path, capsys,
 
     codes, batch, batch_files = run([["analyze", str(inputs), "--mask", str(masks), "--out", str(out)]])
     assert codes == [1]
-    assert len(forks) == (cpus - 1 if hasattr(os, "fork") else 0)
     for stem in maskless:
         [line] = outcome_lines(batch, inputs / f"{stem}.ppm")
         assert line.startswith(f"{inputs / stem}.ppm: error: mask-import: {masks / stem}.mask.pgm: cannot read file: ")
@@ -1477,7 +1339,7 @@ def on_glibc() -> bool:
         return False
 
 
-@pytest.mark.skipif(not (on_glibc() and hasattr(os, "sched_setaffinity")), reason="glibc heap only")
+@pytest.mark.skipif(not on_glibc(), reason="glibc heap only")
 def test_repeated_analyze_batches_keep_their_heap_pages(tmp_path):
     # A study frees arrays of a few MB; unless cli.main keeps glibc's heap,
     # the freed heap top goes back to the OS and every study of the next
@@ -1486,8 +1348,7 @@ def test_repeated_analyze_batches_keep_their_heap_pages(tmp_path):
     for seed in range(studies):
         make_study(tmp_path, stem=f"study_{seed:04d}", seed=seed, noise_sigma=0.15)
     result = run_fresh_interpreter(
-        "import contextlib, io, os, resource, midoppler.cli\n"
-        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # one CPU: batches run in-process\n"
+        "import contextlib, io, resource, midoppler.cli\n"
         "faults = []\n"
         "for batch in range(2):\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
