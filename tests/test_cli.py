@@ -16,7 +16,7 @@ import midoppler
 from midoppler import cli
 from midoppler.cli import main
 from midoppler.errors import ImageFormatError
-from midoppler.ingestion import MITRAL_INFLOW_LABEL, load_image, load_manifest, save_image, save_manifest
+from midoppler.ingestion import KNOWN_LABELS, MITRAL_INFLOW_LABEL, load_image, load_manifest, save_image, save_manifest
 from midoppler.kernels import MAX_MEDIAN_WINDOW
 from midoppler.measurement import measure_study, read_measurement_csv, study_csv_text
 from midoppler.overlay import (
@@ -653,6 +653,60 @@ def test_analyze_batch_equals_serial_single_runs(tmp_path, capsys, monkeypatch):
     assert sorted(batch[2]) == sorted(
         f"m{k}.{kind}.csv" for k in range(studies) for kind in ("measurements", "ecg")
     )
+
+
+def make_exam(directory, studies):
+    """An echo exam as analyze sees it: studies mitral-inflow images, interleaved
+    by name with six rejected labels, an unknown label and a truncated PPM whose
+    manifest says mitral inflow. Returns the images to measure, in input order."""
+    others = [label for label in KNOWN_LABELS if label != MITRAL_INFLOW_LABEL][:6] + ["spectral_unknown", "truncated"]
+    for k, label in enumerate(others):
+        make_study(directory, stem=f"{2 * k + 1:02d}_{label}", label=MITRAL_INFLOW_LABEL if label == "truncated" else label)
+    truncated = directory / f"{2 * len(others) - 1:02d}_truncated.ppm"
+    truncated.write_bytes(truncated.read_bytes()[:1000])
+    stems = [f"{2 * k:02d}_mitral" for k in range(studies)]
+    for k, stem in enumerate(stems):
+        make_study(directory, stem=stem, noise_sigma=0.15, heart_rate=55.0 + 6.0 * k, seed=k)
+    return [directory / f"{stem}.ppm" for stem in stems]
+
+
+# "below" and "at" are one short of and exactly the six studies at which a
+# batch on two CPUs used to fork a worker; no batch size forks now
+@pytest.mark.parametrize("studies", [2, 5, 6], ids=["exam", "below", "at"])
+def test_exam_forks_past_the_break_even_and_routes_in_this_process(tmp_path, capsys, monkeypatch, studies):
+    # an exam of any size, on two CPUs, is routed and measured in this
+    # process: only its mitral-inflow pixels are read, and its outputs are
+    # those of the same batch on one CPU
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    mitral = make_exam(inputs, studies)
+    reads = []
+
+    def spy_load_image(path):
+        reads.append(Path(path).name)
+        return load_image(path)
+
+    def fork():
+        raise AssertionError("analyze forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    argv = ["analyze", str(inputs), "--dump-ecg", "--out", str(out)]
+
+    def batch(cpus):
+        report_cpus(monkeypatch, cpus)
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return code, captured.out, captured.err, files
+
+    monkeypatch.setattr(cli, "load_image", spy_load_image)
+    two = batch(2)
+    assert reads == [image.name for image in mitral]
+    assert two == batch(1)
+    code, stdout, stderr, files = two
+    assert code == 1 and stdout.count(" beats ") == studies and stderr.count(": error: ") == 2
+    assert sorted(files) == sorted(f"{image.stem}.{kind}.csv" for image in mitral for kind in ("measurements", "ecg"))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
