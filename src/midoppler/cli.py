@@ -24,6 +24,7 @@ from pathlib import Path
 from .ecg import QrsParams, ecg_csv_text
 from .errors import GenerationError, MidopplerError, StatsError
 from .ingestion import (
+    _parse_int,
     atomic_write_text,
     key_value_fields,
     load_image,
@@ -109,8 +110,8 @@ def _checked_type(cls, field, parse):
 
 
 def _study_count(text) -> int:
-    """argparse type of synth's --n: a whole number of studies, at least 1."""
-    count = int(text)
+    """argparse type of synth's --n: a whole number of studies, at least 1, by the one integer rule."""
+    count = _parse_int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
@@ -217,14 +218,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _expand_inputs(inputs):
-    """The named images, and each named directory's studies: its .ppm files but overlay's output."""
+    """The named images, and each named directory's studies: its *.ppm entries but overlay's output, by name.
+
+    An entry is a study whatever its type, so a directory named x.ppm is an
+    input that ends in an error line. A directory that cannot be listed
+    holds no studies, as Path.glob finds none in it.
+    """
     images = []
     for raw in inputs:
         path = Path(raw)
-        if path.is_dir():
-            images.extend(sorted(p for p in path.glob("*.ppm") if not p.name.endswith(".overlay.ppm")))
-        else:
+        if not path.is_dir():
             images.append(path)
+            continue
+        try:
+            with os.scandir(path) as entries:
+                names = sorted(
+                    e.name for e in entries if e.name.endswith(".ppm") and not e.name.endswith(".overlay.ppm")
+                )
+        except PermissionError:
+            names = []
+        images.extend(path / name for name in names)
     return images
 
 

@@ -6,8 +6,11 @@ the scanner metadata a DICOM header would normally provide. Its keys are
 CalibrationManifest's keyword-only fields, whose order is the file's line order.
 """
 
+import codecs
+import errno
 import math
 import os
+import re
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -48,9 +51,15 @@ KNOWN_LABELS = (
 )
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+# PNM header runs: whitespace between fields, a field up to the next
+# whitespace byte (a # in it included), and a comment up to its newline
+_SPACE = re.compile(b"[%s]*" % re.escape(_WHITESPACE))
+_TOKEN = re.compile(b"[^%s]*" % re.escape(_WHITESPACE))
+_COMMENT = re.compile(rb"[^\n]*")
+_HASH = ord("#")
 
-# bytes the PNM reader buffers per read, so a size-only read reads at most
-# this many bytes past the header
+# bytes the PNM header reader reads at a time, so a size-only read reads at
+# most this many bytes past the header
 _HEADER_READ = 64
 
 
@@ -151,9 +160,13 @@ def atomic_write_bytes(path, *chunks) -> None:
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "wb") as fh:
+            try:
                 for chunk in chunks:
-                    fh.write(chunk)
+                    view = memoryview(chunk).cast("B")
+                    while view:
+                        view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -170,41 +183,91 @@ def atomic_write_text(path, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# file reads: one descriptor a file, no buffered file object
+
+
+def _open_file(path) -> tuple:
+    """(descriptor, size) of file path, opened to read; the caller closes the descriptor."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return fd, os.fstat(fd).st_size
+    except BaseException:
+        os.close(fd)
+        raise
+
+
+def _directory_error(path) -> IsADirectoryError:
+    """The error open() raises on directory path.
+
+    A descriptor opens on a directory, and only a read of it fails, with an
+    error that names no file: a reader raises this one in its place.
+    """
+    return IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+
+
+def read_file(path) -> bytes:
+    """The bytes of file path, read through its descriptor to the end of the file."""
+    fd, size = _open_file(path)
+    try:
+        data = os.read(fd, size + 1)
+        while more := os.read(fd, 1 << 16):
+            data += more
+    except IsADirectoryError:
+        raise _directory_error(path) from None
+    finally:
+        os.close(fd)
+    return data
+
+
+# ---------------------------------------------------------------------------
 # PNM decode / encode
 
 
-def _read_pnm_header(fh, path, magic: bytes) -> tuple:
-    """(width, height) of the PNM header fh starts with; fh is left at the raster.
+def _read_pnm_header(fd, path, magic: bytes) -> tuple:
+    """(width, height, head, start) of the PNM header at the start of descriptor fd.
 
+    head holds the bytes read, in os.pread chunks of _HEADER_READ, each read
+    only when the parser needs it; the raster starts at offset start.
     Whitespace and ``#`` comments to the end of their line separate the
     fields, each of which runs to the next whitespace byte; exactly one
     whitespace byte follows maxval.
     """
-    got = fh.read(2)
-    if got != magic:
+    head = bytearray()
+
+    def more() -> bool:
+        """Append the next chunk of the file to head; False at its end."""
+        chunk = os.pread(fd, _HEADER_READ, len(head))
+        head.extend(chunk)
+        return bool(chunk)
+
+    while len(head) < 2 and more():
+        pass
+    if head[:2] != magic:
         raise ImageFormatError(
-            f"{path}: corrupt header, expected {magic.decode()} magic, got {got!r}"
+            f"{path}: corrupt header, expected {magic.decode()} magic, got {bytes(head[:2])!r}"
         )
-    fields = []
+    fields, pos = [], 2
     while len(fields) < 3:
-        token = bytearray()
-        while byte := fh.read(1):
-            if byte == b"#" and not token:
-                fh.readline()
-            elif byte not in _WHITESPACE:
-                token += byte
-            elif token:
-                break
-        if not token:
+        pos = _SPACE.match(head, pos).end()
+        if pos == len(head):
+            if more():
+                continue
             raise ImageFormatError(f"{path}: corrupt header, truncated before size fields")
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise ImageFormatError(
-                f"{path}: corrupt header, non-numeric field {bytes(token)!r}"
-            ) from None
-    if not byte:
-        raise ImageFormatError(f"{path}: corrupt header, missing pixel data")
+        run = _COMMENT if head[pos] == _HASH else _TOKEN
+        start = pos
+        while (pos := run.match(head, pos).end()) == len(head) and more():
+            pass
+        if run is _TOKEN:
+            try:
+                fields.append(int(head[start:pos]))
+            except ValueError:
+                raise ImageFormatError(
+                    f"{path}: corrupt header, non-numeric field {bytes(head[start:pos])!r}"
+                ) from None
+        if pos < len(head):
+            pos += 1  # the newline that ends a comment, the whitespace byte that ends a field
+        elif len(fields) == 3:
+            raise ImageFormatError(f"{path}: corrupt header, missing pixel data")
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ImageFormatError(f"{path}: corrupt header, invalid size {width}x{height}")
@@ -212,7 +275,7 @@ def _read_pnm_header(fh, path, magic: bytes) -> tuple:
         raise ImageFormatError(
             f"{path}: unsupported bit depth (maxval {maxval}, only 8-bit supported)"
         )
-    return width, height
+    return width, height, head, pos
 
 
 def _check_pixel_bytes(path, shape, found: int) -> None:
@@ -227,22 +290,34 @@ def _check_pixel_bytes(path, shape, found: int) -> None:
 def _read_pnm(path, magic: bytes, channels: tuple, pixels: bool = True):
     """The (height, width, *channels) uint8 raster of a binary PNM file.
 
-    The header is parsed from the open file, and the pixel data is checked
-    against the size fstat reports. The raster is read straight into an
-    uninitialised array, which the caller then owns. With pixels false only
-    the raster's shape is returned, and no pixel is read. A raster read that
-    comes up short, as from a file that shrank after fstat, is still a
-    truncation.
+    The header is parsed from the file's descriptor, and the pixel data is
+    checked against the size fstat reports. The raster is read straight into
+    an uninitialised array, which the caller then owns: its first bytes from
+    the header's last chunk, the rest with one os.readv, so that each byte is
+    read once. With pixels false only the raster's shape is returned, and no
+    further byte is read. A raster read that comes up short, as from a file
+    that shrank after fstat, is still a truncation.
     """
     try:
-        with open(path, "rb", buffering=_HEADER_READ) as fh:
-            width, height = _read_pnm_header(fh, path, magic)
+        fd, size = _open_file(path)
+        try:
+            width, height, head, start = _read_pnm_header(fd, path, magic)
             shape = (height, width, *channels)
-            _check_pixel_bytes(path, shape, os.fstat(fh.fileno()).st_size - fh.tell())
+            _check_pixel_bytes(path, shape, size - start)
             if not pixels:
                 return shape
             raster = np.empty(shape, np.uint8)
-            _check_pixel_bytes(path, shape, fh.readinto(raster))
+            flat = memoryview(raster).cast("B")
+            found = min(len(head) - start, len(flat))
+            flat[:found] = head[start:start + found]
+            if found < len(flat):
+                os.lseek(fd, len(head), os.SEEK_SET)
+                found += os.readv(fd, [flat[found:]])
+            _check_pixel_bytes(path, shape, found)
+        except IsADirectoryError:
+            raise _directory_error(path) from None
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ImageFormatError(f"{path}: cannot read file: {exc}") from exc
     return raster
@@ -291,7 +366,8 @@ def read_key_values(path, keys, error, kind) -> dict:
     and the line where there is one; kind names the file in the message.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        # utf-8-sig: a leading BOM is dropped, and the rest decoded as UTF-8
+        text = read_file(path).removeprefix(codecs.BOM_UTF8).decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{path}: cannot read {kind}: {exc}") from exc
 

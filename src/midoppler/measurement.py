@@ -17,13 +17,12 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .ecg import EcgSignal, QrsMarks, QrsParams, detect_qrs, extract_ecg
 from .errors import MidopplerError
-from .ingestion import CalibrationManifest, RasterImage, atomic_write_text
+from .ingestion import CalibrationManifest, RasterImage, atomic_write_text, read_file
 from .segmentation import (
     EnvelopeMask,
     EnvelopeTrace,
@@ -483,8 +482,8 @@ def read_measurement_csv(path):
     output and synthetic ground-truth files (same schema); a file without
     a ``beat`` column is a ValueError that names it.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.DictReader(io.StringIO(text))
+    # newline=None reads a CR or CRLF line end as a newline, as a text file does
+    reader = csv.DictReader(io.StringIO(read_file(path).decode("utf-8"), newline=None))
     if "beat" not in (reader.fieldnames or ()):
         raise ValueError(f"{path}: no 'beat' column, not a per-beat measurement CSV")
     beats = {}

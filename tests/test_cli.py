@@ -318,6 +318,25 @@ def test_synth_fewer_than_one_study_is_a_usage_error(tmp_path, capsys, count):
     assert not out.exists()
 
 
+def test_synth_study_count_written_as_a_whole_number(tmp_path):
+    # --n follows the one integer rule, as --seed and a params file's integers do
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--n", "2.0", "--seed", "3.0"]) == 0
+    assert sorted(p.name for p in out.glob("*.ppm")) == ["study_0003.ppm", "study_0004.ppm"]
+
+
+@pytest.mark.parametrize("count", ["2.5", "abc", "nan"])
+def test_synth_study_count_that_is_no_whole_number_is_a_usage_error(tmp_path, capsys, count):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(out), f"--n={count}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --n: invalid int value: {count!r}\n")
+    assert not out.exists()
+
+
 # analyze ---------------------------------------------------------------------
 
 
@@ -875,6 +894,53 @@ def test_analyze_mask_directory_pairs_each_image_with_its_stem(tmp_path, capsys,
     assert main(["overlay", image, "--mask", str(masks), "--out", str(tmp_path / "dir.ppm")]) == 0
     assert main(["overlay", image, "--mask", str(masks / "b_masked.mask.pgm"), "--out", str(tmp_path / "file.ppm")]) == 0
     assert (tmp_path / "dir.ppm").read_bytes() == (tmp_path / "file.ppm").read_bytes()
+
+
+def test_analyze_batch_names_the_path_of_each_unreadable_file(tmp_path, capsys):
+    # a directory where a file should be, a non-UTF-8 manifest and a missing
+    # one each end in one error line that names the path, and the batch goes on
+    inputs, masks, out = tmp_path / "inputs", tmp_path / "masks", tmp_path / "out"
+    inputs.mkdir()
+    masks.mkdir()
+    _, _, truth = make_study(inputs, stem="a_good")
+    export_mask(masks / "a_good.mask.pgm", EnvelopeMask(truth.mask))
+    odd = inputs / "b_odd.ppm"
+    odd.mkdir()
+    make_study(inputs, stem="c_manifest_dir", seed=2)
+    manifest_dir = inputs / "c_manifest_dir.manifest"
+    manifest_dir.unlink()
+    manifest_dir.mkdir()
+    make_study(inputs, stem="d_mask_dir", seed=3)
+    mask_dir = masks / "d_mask_dir.mask.pgm"
+    mask_dir.mkdir()
+    make_study(inputs, stem="e_bytes", seed=4)
+    non_utf8 = inputs / "e_bytes.manifest"
+    non_utf8.write_bytes(non_utf8.read_bytes() + b"\xff")
+    make_study(inputs, stem="f_missing", seed=5)
+    missing = inputs / "f_missing.manifest"
+    missing.unlink()
+    assert main(["analyze", str(inputs), "--mask", str(masks), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{inputs / 'a_good.ppm'}: 3 beats ") and captured.out.count("\n") == 1
+    is_a_directory, no_such_file = "[Errno 21] Is a directory", "[Errno 2] No such file or directory"
+    assert captured.err.splitlines() == [
+        f"{odd}: error: {odd}: cannot read file: {is_a_directory}: {str(odd)!r}",
+        f"{inputs / 'c_manifest_dir.ppm'}: error: {manifest_dir}: cannot read manifest: {is_a_directory}: {str(manifest_dir)!r}",
+        f"{inputs / 'd_mask_dir.ppm'}: error: mask-import: {mask_dir}: cannot read file: {is_a_directory}: {str(mask_dir)!r}",
+        f"{inputs / 'e_bytes.ppm'}: error: {non_utf8}: cannot read manifest: 'utf-8' codec can't decode byte 0xff"
+        f" in position {non_utf8.stat().st_size - 1}: invalid start byte",
+        f"{inputs / 'f_missing.ppm'}: error: {missing}: cannot read manifest: {no_such_file}: {str(missing)!r}",
+    ]
+    assert sorted(path.name for path in out.iterdir()) == ["a_good.measurements.csv"]
+
+
+def test_synth_params_directory_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--params", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path}: cannot read params file: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert not out.exists()
 
 
 def test_empty_flow_side_is_one_trace_error_and_the_batch_goes_on(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Image decode/encode, manifest parsing, and label routing."""
 
-import io
 import math
+import os
 from dataclasses import MISSING, dataclass, fields, replace
 from types import SimpleNamespace
 
@@ -771,34 +771,25 @@ def test_header_reader_reads_past_a_long_comment(tmp_path):
 # the one PNM reader: bytes read, long headers of both kinds ----------------
 
 
+def ingestion_os(monkeypatch, **calls):
+    """Give ingestion an os module whose named calls are replaced by calls."""
+    monkeypatch.setattr(ingestion, "os", SimpleNamespace(**{**vars(os), **calls}))
+
+
 def count_raw_reads(monkeypatch) -> list:
-    """Open ingestion's files through a raw file that logs the byte count of
-    each read it makes; returns the log."""
+    """Log the byte count of each read ingestion makes from a file descriptor
+    (os.pread, os.read and os.readv); returns the log."""
     log = []
 
-    class CountingFile(io.FileIO):
-        def readinto(self, buffer):
-            n = super().readinto(buffer)
-            log.append(n or 0)
-            return n
+    def counted(read, count):
+        def spy(*args):
+            result = read(*args)
+            log.append(count(result))
+            return result
 
-        def read(self, size=-1):
-            data = super().read(size)
-            log.append(len(data or b""))
-            return data
+        return spy
 
-        def readall(self):
-            data = super().readall()
-            log.append(len(data))
-            return data
-
-    def counting_open(path, mode="r", buffering=-1):
-        raw = CountingFile(path, mode)
-        if buffering == 0:
-            return raw
-        return io.BufferedReader(raw, buffering if buffering > 0 else io.DEFAULT_BUFFER_SIZE)
-
-    monkeypatch.setattr(ingestion, "open", counting_open, raising=False)
+    ingestion_os(monkeypatch, pread=counted(os.pread, len), read=counted(os.read, len), readv=counted(os.readv, int))
     return log
 
 
@@ -875,3 +866,140 @@ def test_long_comment_pgm_mask_imports(tmp_path):
     path.write_bytes(long_comment_header(b"P5", 180, 90) + gray.tobytes())
     assert np.array_equal(load_gray_image(path), gray)
     assert np.array_equal(import_test_mask(path).cells, gray == 255)
+
+
+@pytest.mark.parametrize("load, magic, width", [(load_image, b"P6", 100), (load_gray_image, b"P5", 300)], ids=["ppm", "pgm"])
+def test_short_raster_read_is_a_truncation(tmp_path, monkeypatch, load, magic, width):
+    # fstat promises the whole raster, and the read that fills the array past
+    # the header's chunk returns 1000 bytes fewer than it asked for
+    path = tmp_path / "study.pnm"
+    need = 3000
+    path.write_bytes(magic + f"\n{width} 10\n255\n".encode() + bytes(range(250)) * 12)
+    readv = os.readv
+    ingestion_os(monkeypatch, readv=lambda fd, buffers: readv(fd, [buffers[0][:-1000]]))
+    with pytest.raises(ImageFormatError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: truncated pixel data, expected {need} bytes, found {need - 1000}"
+
+
+# the header parser against the byte-at-a-time reader it replaced ------------
+
+
+def oracle_pnm_header(fh, path, magic: bytes) -> tuple:
+    """(width, height) of the PNM header fh starts with; fh is left at the raster.
+
+    The reader the parser replaced, one byte at a time from a buffered file,
+    kept as the parser's oracle. Whitespace and ``#`` comments to the end of
+    their line separate the fields, each of which runs to the next
+    whitespace byte; exactly one whitespace byte follows maxval.
+    """
+    got = fh.read(2)
+    if got != magic:
+        raise ImageFormatError(
+            f"{path}: corrupt header, expected {magic.decode()} magic, got {got!r}"
+        )
+    fields = []
+    while len(fields) < 3:
+        token = bytearray()
+        while byte := fh.read(1):
+            if byte == b"#" and not token:
+                fh.readline()
+            elif byte not in b" \t\r\n\x0b\x0c":
+                token += byte
+            elif token:
+                break
+        if not token:
+            raise ImageFormatError(f"{path}: corrupt header, truncated before size fields")
+        try:
+            fields.append(int(token))
+        except ValueError:
+            raise ImageFormatError(
+                f"{path}: corrupt header, non-numeric field {bytes(token)!r}"
+            ) from None
+    if not byte:
+        raise ImageFormatError(f"{path}: corrupt header, missing pixel data")
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"{path}: corrupt header, invalid size {width}x{height}")
+    if maxval != 255:
+        raise ImageFormatError(
+            f"{path}: unsupported bit depth (maxval {maxval}, only 8-bit supported)"
+        )
+    return width, height
+
+
+# a run between two header fields: whitespace and comments, some longer than
+# a chunk, or nothing, so that two fields run into one
+HEADER_GAP = st.lists(
+    st.one_of(
+        st.lists(PNM_WHITESPACE, min_size=1, max_size=3).map(b"".join),
+        COMMENT_TEXT.map(lambda text: b"#" + text + b"\n"),
+    ),
+    max_size=3,
+).map(b"".join)
+HEADER_FIELD = st.one_of(
+    st.sampled_from([b"1", b"2", b"3", b"255", b"0", b"00", b"-1", b"65535", b"+2", b"1_0"]),
+    st.sampled_from([b"x", b"2#3", b"1.5", b"2#", b"\xff", b"1\x002"]),
+    st.integers(1, 10**6).map(lambda n: str(n).encode()),
+)
+
+
+@st.composite
+def pnm_headers(draw):
+    """(file bytes, magic): a header with whitespace and comments before each
+    field, read for the magic, and cut anywhere or just past the first chunk;
+    one in ten is random bytes."""
+    magic = draw(st.sampled_from([b"P6", b"P5"]))
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=3 * ingestion._HEADER_READ)), magic
+    data = draw(st.sampled_from([magic] * 6 + [b"P3", b"P", b"", b"6P"]))
+    for _ in range(3):
+        data += draw(HEADER_GAP) + draw(HEADER_FIELD)
+    data += draw(st.sampled_from([b"\n", b" ", b"\t", b"#c\n", b""])) + draw(st.binary(max_size=8))
+    chunk = ingestion._HEADER_READ
+    cut = draw(st.one_of(st.just(len(data)), st.integers(0, len(data)), st.integers(chunk - 2, chunk + 2)))
+    return data[:cut], magic
+
+
+def header_outcome(parse, path, magic):
+    try:
+        return parse(path, magic)
+    except ImageFormatError as exc:
+        return str(exc)
+
+
+def parsed_header(path, magic):
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        width, height, _, start = ingestion._read_pnm_header(fd, path, magic)
+    finally:
+        os.close(fd)
+    return width, height, start
+
+
+def oracle_header(path, magic):
+    with open(path, "rb") as fh:
+        width, height = oracle_pnm_header(fh, path, magic)
+        return width, height, fh.tell()
+
+
+@fuzz
+@given(pnm_headers())
+def test_header_parser_agrees_with_the_byte_at_a_time_reader(tmp_path, case):
+    data, magic = case
+    path = tmp_path / "header.pnm"
+    path.write_bytes(data)
+    assert header_outcome(parsed_header, path, magic) == header_outcome(oracle_header, path, magic)
+
+
+@pytest.mark.parametrize("data", [
+    b"P6\n#" + b"c" * 60 + b"\n2 1\n255\n",  # the first field starts in the second chunk
+    b"P6" + b" " * 62 + b"2 1 255\n",  # a whitespace run ends on the chunk boundary
+    b"P6 2 1 " + b"2" * 55 + b"55 ",  # maxval crosses the chunk boundary
+    b"P6 2 1 255" + b"#" * 54,  # maxval runs into the second chunk and to the end of the file
+    b"P6 2 1 #" + b"c" * 56 + b"\n255\n",  # a comment's newline is the second chunk's first byte
+], ids=["field-past-chunk", "space-to-boundary", "maxval-across", "field-to-eof", "newline-on-boundary"])
+def test_header_parser_agrees_with_the_reader_across_the_chunk_boundary(tmp_path, data):
+    path = tmp_path / "header.pnm"
+    path.write_bytes(data)
+    assert header_outcome(parsed_header, path, b"P6") == header_outcome(oracle_header, path, b"P6")
