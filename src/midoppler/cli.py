@@ -17,7 +17,6 @@ import ctypes
 import functools
 import sys
 import traceback
-from collections import Counter
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -264,74 +263,45 @@ def cmd_overlay(args) -> int:
 
 
 def _run(images, args, params, write) -> int:
-    """Print each input's lines, in input order, and return the exit code of the module docstring.
+    """Route, measure and write each input before the next; return the exit code of the module docstring.
 
-    Each input is routed (_route), and measured (_measure) only if it was
-    accepted, before the next one starts.
+    An input's lines print as soon as they are known. Only a mitral-inflow
+    study has its pixels read and is measured with measure_study(**params),
+    on the mask --mask names: a file, or <image-stem>.mask.pgm in a
+    directory. write(image_path, args, image, manifest, run) writes the
+    command's files and prints its lines.
     """
-    outcomes = Counter()
+    mask_dir = Path(args.mask) if args.mask and Path(args.mask).is_dir() else None
+    measured = errors = 0
     for image_path in images:
-        result = _route(image_path, args)
-        if not isinstance(result, tuple):  # accepted: result is its checked manifest
-            result = _measure(image_path, result, args, params, write)
-        outcome, out_text, err_text = result
-        sys.stdout.write(out_text)
-        sys.stderr.write(err_text)
-        outcomes[outcome] += 1
-    if outcomes["error"]:
+        try:
+            # the header first: it makes an input such as "." one error line,
+            # where Path(".").with_suffix would raise ValueError
+            image_size = read_image_size(image_path)
+            manifest_path = Path(args.manifest) if args.manifest else image_path.with_suffix(".manifest")
+            manifest = load_manifest(manifest_path, image_size=image_size)
+            decision = route_image(manifest)
+            if not decision.accepted:
+                print(f"{image_path}: rejected (label={decision.label})")
+                continue
+            image = load_image(image_path)
+            # a mask file goes on as typed, so its error lines name it so
+            mask_path = mask_dir / f"{image_path.stem}.mask.pgm" if mask_dir else args.mask
+            run = measure_study(image, manifest, mask_path=mask_path, **params)
+            write(image_path, args, image, manifest, run)
+            del image, run  # held into the next input, they would raise the batch's peak memory
+            measured += 1
+        except (MidopplerError, OSError) as exc:
+            print(f"{image_path}: error: {exc}", file=sys.stderr)
+            errors += 1
+        except Exception as exc:
+            # one faulty study must not abort the batch
+            traceback.print_exc()
+            print(f"{image_path}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            errors += 1
+    if errors:
         return 1
-    return 0 if outcomes["measured"] else 2
-
-
-def _route(image_path, args):
-    """The checked manifest of a study to measure, or the (outcome, stdout, stderr) of an input that ends here.
-
-    Reads the image's size from its header, loads its manifest (by default
-    <image-stem>.manifest) against that size and routes the study: only a
-    mitral-inflow study goes on to _measure. The outcome is "rejected" or
-    "error". Reads no pixels.
-    """
-    try:
-        image_size = read_image_size(image_path)
-        manifest_path = Path(args.manifest) if args.manifest else image_path.with_suffix(".manifest")
-        manifest = load_manifest(manifest_path, image_size=image_size)
-        decision = route_image(manifest)
-    except Exception as exc:
-        return _error(image_path, exc)
-    if not decision.accepted:
-        return "rejected", f"{image_path}: rejected (label={decision.label})\n", ""
-    return manifest
-
-
-def _measure(image_path, manifest, args, params, write):
-    """One routed study: (outcome, stdout text, stderr text).
-
-    Reads its pixels and measures them with measure_study(**params), on
-    the mask --mask names: a file, or <image-stem>.mask.pgm in a directory.
-    Then write(image_path, args, image, manifest, run) writes the command's
-    files and returns the "measured" triple; a failure is an "error".
-    """
-    try:
-        image = load_image(image_path)
-        run = measure_study(image, manifest, mask_path=_mask_path(image_path, args.mask), **params)
-        return write(image_path, args, image, manifest, run)
-    except Exception as exc:
-        return _error(image_path, exc)
-
-
-def _error(image_path, exc):
-    """The "error" triple of an input that raised exc: one line, after a traceback if exc was unexpected."""
-    if isinstance(exc, (MidopplerError, OSError)):
-        return "error", "", f"{image_path}: error: {exc}\n"
-    # one faulty study must not abort the batch
-    return "error", "", f"{traceback.format_exc()}{image_path}: error: {type(exc).__name__}: {exc}\n"
-
-
-def _mask_path(image_path, mask):
-    """The mask of image_path that --mask names: mask itself, or the image's mask in directory mask."""
-    if mask and Path(mask).is_dir():
-        return Path(mask) / f"{image_path.stem}.mask.pgm"
-    return mask
+    return 0 if measured else 2
 
 
 def _write_measurements(image_path, args, image, manifest, run):
@@ -342,15 +312,16 @@ def _write_measurements(image_path, args, image, manifest, run):
     write_study_csv(csv_path, run)
     if args.dump_ecg:
         atomic_write_text(out_dir / f"{image_path.stem}.ecg.csv", ecg_csv_text(run.ecg, manifest))
-    return "measured", f"{image_path}: {_summary_line(run)} -> {csv_path}\n", ""
+    print(f"{image_path}: {_summary_line(run)} -> {csv_path}")
 
 
 def _write_overlay(image_path, args, image, manifest, run):
     """overlay's writer: the annotated image and its path."""
     out_path = Path(args.out) if args.out else image_path.with_suffix(".overlay.ppm")
     save_image(out_path, render_overlay(image, manifest, run.trace, run.beats))
-    warning = "" if run.beats else f"warning: {image_path}: no measurable beats, drawing border only\n"
-    return "measured", f"{out_path}\n", warning
+    print(out_path)
+    if not run.beats:
+        print(f"warning: {image_path}: no measurable beats, drawing border only", file=sys.stderr)
 
 
 def _summary_line(means: StudyMeans) -> str:

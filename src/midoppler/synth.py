@@ -129,6 +129,12 @@ def _validate(params: SynthParams) -> None:
         raise GenerationError(f"a_velocity must be >= 0, got {params.a_velocity}")
     if params.dt <= 0:
         raise GenerationError(f"dt must be positive, got {params.dt}")
+    for name, value in (("e_rise_ms", params.e_rise_ms), ("a_half_ms", params.a_half_ms)):
+        if value <= 0:
+            raise GenerationError(f"{name} must be positive, got {value}")
+    for name, value in (("a_gap_ms", params.a_gap_ms), ("lead_in_ms", params.lead_in_ms), ("tail_ms", params.tail_ms)):
+        if value < 0:
+            raise GenerationError(f"{name} must be >= 0, got {value}")
     if not (30.0 <= params.heart_rate <= 220.0):
         raise GenerationError(f"heart_rate must be in [30, 220], got {params.heart_rate}")
     if params.n_beats < 1:
@@ -224,12 +230,11 @@ def _envelope(params: SynthParams, geoms, times: np.ndarray) -> np.ndarray:
     v = np.zeros_like(times)
     for g in geoms:
         rise = (times >= g.e_on) & (times <= g.e_time)
-        if params.e_rise_ms > 0:
-            np.maximum(
-                v,
-                np.where(rise, params.e_velocity * (times - g.e_on) / params.e_rise_ms, 0.0),
-                out=v,
-            )
+        np.maximum(
+            v,
+            np.where(rise, params.e_velocity * (times - g.e_on) / params.e_rise_ms, 0.0),
+            out=v,
+        )
         seg1_end = g.knee_time if g.knee_time is not None else g.foot
         slope1 = -params.e_velocity / params.dt
         descent = (times > g.e_time) & (times <= seg1_end)

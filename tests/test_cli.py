@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -126,10 +127,12 @@ def test_synth_params_file_overrides_flags_and_flags_fill_the_rest(tmp_path):
         ("n_beats = 2.5\n", "error: key 'n_beats': expected an integer, got '2.5'\n"),
         ("width = 1e30\n", "error: width must be at most 8192, got 1000000000000000019884624838656\n"),
         (f"height = 1{'0' * 30}\n", f"error: height must be at most 8192, got 1{'0' * 30}\n"),
+        ("tail_ms = -100000\n", "error: tail_ms must be >= 0, got -100000.0\n"),
+        ("a_half_ms = 0\n", "error: a_half_ms must be positive, got 0.0\n"),
     ],
     ids=[
         "unknown-key", "no-equals", "duplicate", "missing-file", "non-numeric", "non-integer",
-        "huge-float-size", "huge-digit-size",
+        "huge-float-size", "huge-digit-size", "negative-tail", "zero-a-half",
     ],
 )
 def test_synth_params_file_errors_are_one_line(tmp_path, capsys, text, message):
@@ -588,14 +591,36 @@ def test_analyze_reports_non_utf8_manifest_without_traceback(tmp_path, capsys):
     assert (tmp_path / "a_good.measurements.csv").exists()
 
 
+def test_analyze_batch_holds_one_study_at_a_time(tmp_path, capsys):
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    for k in range(2):
+        make_study(inputs, stem=f"study_{k:04d}", seed=k)
+
+    def peak(path):
+        main(["analyze", str(path), "--out", str(out)])  # warm: first-call caches are not the study's
+        tracemalloc.start()
+        try:
+            assert main(["analyze", str(path), "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single = peak(inputs / "study_0000.ppm")
+    batch = peak(inputs)
+    capsys.readouterr()
+    # the first study's image and StudyRun (its mask alone is 0.5 MB) are gone before the second is measured
+    assert batch - single < 100_000
+
+
 def test_analyze_isolates_unexpected_exception(tmp_path, capsys, monkeypatch):
     make_study(tmp_path, stem="a_good")
     boom, _, _ = make_study(tmp_path, stem="b_boom", heart_rate=70.0)
     make_study(tmp_path, stem="c_good")
     real_measure_study = cli.measure_study
 
-    # keyed on the image, not on a call count: worker processes see the
-    # monkeypatch but share no state with this process or with each other
+    # keyed on the image, not on a call count: the fault stays with b_boom
+    # whatever order the inputs are measured in
     def flaky_measure_study(image, manifest, **kwargs):
         if np.array_equal(image.pixels, boom.pixels):
             raise RuntimeError("injected fault")
@@ -835,6 +860,20 @@ def test_analyze_with_imported_mask(tmp_path):
     assert code == 0
     rows = read_measurement_csv(tmp_path / "study_0000.measurements.csv")
     assert rows[1]["e_mps"] == pytest.approx(0.8, abs=0.02)
+
+
+@pytest.mark.parametrize("command", ["analyze", "overlay"])
+def test_mask_file_is_named_as_typed(tmp_path, capsys, monkeypatch, command):
+    make_study(tmp_path)
+    (tmp_path / "masks").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "study_0000.ppm", "--mask", "./masks//missing.mask.pgm"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "study_0000.ppm: error: mask-import: ./masks//missing.mask.pgm: cannot read file: "
+        "[Errno 2] No such file or directory: './masks//missing.mask.pgm'\n"
+    )
 
 
 def lowered_mask(truth, rows) -> EnvelopeMask:

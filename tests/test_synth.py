@@ -100,6 +100,32 @@ def test_non_finite_parameter_is_a_generation_error_naming_it(name):
 
 
 @pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("e_rise_ms", -10.0, "e_rise_ms must be positive, got -10.0"),
+        ("e_rise_ms", 0.0, "e_rise_ms must be positive, got 0.0"),
+        ("a_half_ms", 0.0, "a_half_ms must be positive, got 0.0"),
+        ("a_gap_ms", -1.0, "a_gap_ms must be >= 0, got -1.0"),
+        ("lead_in_ms", -500.0, "lead_in_ms must be >= 0, got -500.0"),
+        ("tail_ms", -100000.0, "tail_ms must be >= 0, got -100000.0"),
+    ],
+)
+def test_out_of_range_wave_timing_is_a_generation_error_naming_it(name, value, message):
+    with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
+        generate_synthetic(SynthParams(**{name: value}))
+
+
+@pytest.mark.parametrize("name", ["a_gap_ms", "lead_in_ms", "tail_ms"])
+def test_zero_wave_timing_margin_measures_its_truth(name):
+    image, manifest, truth = generate_synthetic(SynthParams(**{name: 0.0}))
+    result = measure_study(image, manifest)
+    assert result.n_beats == len(truth.beats)
+    assert result.mean_e == pytest.approx(0.8, abs=0.01)
+    assert result.mean_a == pytest.approx(0.5, abs=0.01)
+    assert result.mean_dt == pytest.approx(180.0, abs=2.0)
+
+
+@pytest.mark.parametrize(
     "artifact, message",
     [
         (Spike(math.nan, 1.2, 5.0), "Spike time_ms must be finite, got nan"),
