@@ -36,7 +36,6 @@ from .ingestion import (
 )
 from .kernels import MAX_MEDIAN_WINDOW
 from .measurement import (
-    DtParams,
     PeakParams,
     StudyMeans,
     measure_study,
@@ -63,13 +62,8 @@ _PIPELINE_FLAGS = (
         ("--min-prominence", "min_prominence", "m/s; flow peak prominence gate"),
         ("--min-width-ms", "min_width_ms", "flow peak width gate at half prominence"),
     )),
-    ("dt_params", DtParams, (
-        ("--curvature-threshold", "curvature_threshold", "m/s per ms^2; DT slope-change gate"),
-        ("--skip-ms", "skip_ms", "descent skipped right after the E peak"),
-    )),
     ("qrs_params", QrsParams, (
         ("--refractory-ms", "refractory_ms", "minimum QRS spacing"),
-        ("--qrs-threshold-fraction", "threshold_fraction", "fraction of the 98th-percentile derivative energy"),
     )),
 )
 

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import EcgExtractionError
 from .ingestion import CalibrationManifest, RasterImage
 
+# QRS energy threshold, as a fraction of the 98th-percentile derivative energy
+_QRS_THRESHOLD_FRACTION = 0.5
+
 
 @dataclass
 class EcgSignal:
@@ -50,15 +53,10 @@ class QrsMarks:
 @dataclass(frozen=True)
 class QrsParams:
     refractory_ms: float = 200.0
-    threshold_fraction: float = 0.5  # of the 98th-percentile derivative energy
 
     def __post_init__(self):
         if self.refractory_ms <= 0:
             raise ValueError(f"refractory_ms must be positive, got {self.refractory_ms}")
-        if not (0 < self.threshold_fraction < 1):
-            raise ValueError(
-                f"threshold_fraction must be in (0, 1), got {self.threshold_fraction}"
-            )
 
 
 def extract_ecg(image: RasterImage, manifest: CalibrationManifest) -> EcgSignal:
@@ -108,8 +106,8 @@ def detect_qrs(
 ) -> QrsMarks:
     """Derivative-energy QRS detection with refractory enforcement.
 
-    Squared first differences above threshold_fraction times their 98th
-    percentile are grouped into runs; each run contributes the amplitude
+    Squared first differences above _QRS_THRESHOLD_FRACTION times their
+    98th percentile are grouped into runs; each run contributes the amplitude
     maximum of the columns it spans. Candidates closer than refractory_ms
     keep only the taller one. An energy-free signal yields no marks.
     """
@@ -117,7 +115,7 @@ def detect_qrs(
     if amp.size < 3:
         return QrsMarks(times=np.empty(0))
     energy = np.diff(amp) ** 2
-    threshold = params.threshold_fraction * _percentile(energy, 98.0)
+    threshold = _QRS_THRESHOLD_FRACTION * _percentile(energy, 98.0)
     supra = energy > threshold
     edges = np.diff(np.concatenate(([0], supra.astype(np.int8), [0])))
     starts = np.nonzero(edges == 1)[0]

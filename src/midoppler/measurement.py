@@ -7,10 +7,10 @@ E, flagged fused_ea and missing_a, rather than a guessed A.
 
 Deceleration time extends a line from the E peak to the first
 slope-change point on the descent (absolute second derivative of the
-smoothed trace above a threshold) and intersects it with the zero-velocity
-baseline. Monotone descents that never change slope fall back to the point
-where the trace reaches 5% of the E velocity, which lies on the same line
-for a straight descent, and are flagged.
+smoothed trace above _DT_CURVATURE_THRESHOLD) and intersects it with the
+zero-velocity baseline. Monotone descents that never change slope fall
+back to the point where the trace reaches 5% of the E velocity, which lies
+on the same line for a straight descent, and are flagged.
 """
 
 import csv
@@ -27,7 +27,6 @@ from .segmentation import (
     EnvelopeMask,
     EnvelopeTrace,
     SegmentationParams,
-    check_smoothing_window,
     import_mask,
     mask_to_trace,
     segment_envelope_threshold,
@@ -41,6 +40,11 @@ FLAG_NO_SLOPE_CHANGE = "no_slope_change"
 FLAG_MISSING_A = "missing_a"
 
 CSV_HEADER = "beat,e_mps,a_mps,ea_ratio,dt_ms,e_time_ms,a_time_ms,flags"
+
+# m/s per ms^2: the |second derivative| that marks the DT slope-change point
+_DT_CURVATURE_THRESHOLD = 1e-4
+# ms after the E apex whose curvature DT ignores, the rounded top of the wave
+_DT_SKIP_MS = 10.0
 
 
 @dataclass(frozen=True)
@@ -61,17 +65,8 @@ class PeakParams:
     def __post_init__(self):
         if self.min_prominence <= 0 or self.min_width_ms <= 0:
             raise ValueError("peak gates must be positive")
-        check_smoothing_window(self.smooth_window_ms)
-
-
-@dataclass(frozen=True)
-class DtParams:
-    curvature_threshold: float = 1e-4  # m/s per ms^2
-    skip_ms: float = 10.0              # ignore curvature right at the peak
-
-    def __post_init__(self):
-        if self.curvature_threshold <= 0 or self.skip_ms <= 0:
-            raise ValueError("DT parameters must be positive")
+        if self.smooth_window_ms <= 0:
+            raise ValueError(f"window_ms must be positive, got {self.smooth_window_ms}")
 
 
 @dataclass(frozen=True)
@@ -237,14 +232,13 @@ def deceleration_time(
     trace: EnvelopeTrace,
     e_column: int,
     e_velocity: float,
-    params: DtParams = DtParams(),
 ) -> DtResult:
     """Slope-change extrapolation of the E-wave descent to the baseline.
 
     The line starts at the E apex column and velocity read from the raw
-    trace; the descent is walked on this trace from skip_ms past the apex.
-    The first sample whose absolute discrete second derivative exceeds
-    curvature_threshold becomes the slope-change point; if the trace
+    trace; the descent is walked on this trace from _DT_SKIP_MS past the
+    apex. The first sample whose absolute discrete second derivative exceeds
+    _DT_CURVATURE_THRESHOLD becomes the slope-change point; if the trace
     reaches 5% of the E velocity first, that crossing is used instead and
     the beat is flagged no_slope_change. Running off the trace before
     either event, as a one-column trace does, yields an absent DT flagged
@@ -258,7 +252,7 @@ def deceleration_time(
 
     v_peak = float(e_velocity)
     floor = 0.05 * v_peak
-    start = e_column + max(1, math.ceil(params.skip_ms / spacing))
+    start = e_column + max(1, math.ceil(_DT_SKIP_MS / spacing))
 
     flags = set()
     stop_idx = None
@@ -271,7 +265,7 @@ def deceleration_time(
             flags.add(FLAG_NO_SLOPE_CHANGE)
             break
         curvature = (values[i + 1] - 2 * values[i] + values[i - 1]) / spacing_sq
-        if abs(curvature) > params.curvature_threshold:
+        if abs(curvature) > _DT_CURVATURE_THRESHOLD:
             stop_idx = i
             break
         i += 1
@@ -313,7 +307,6 @@ def measure_beats(
     peaks,
     qrs: QrsMarks,
     peak_params: PeakParams = PeakParams(),
-    dt_params: DtParams = DtParams(),
 ):
     """Per-beat E, A and DT from the flow peaks detected on the smoothed trace.
 
@@ -331,7 +324,7 @@ def measure_beats(
     for e_peak, a_peak in label_beats(peaks, qrs):
         e_col = _refine_peak(raw_trace, e_peak, radius)
         e = float(velocities[e_col])
-        dt = deceleration_time(smoothed, e_col, e, dt_params)
+        dt = deceleration_time(smoothed, e_col, e)
         if a_peak is None:
             a = a_time = ea_ratio = None
             flags = dt.flags | {FLAG_FUSED_EA, FLAG_MISSING_A}
@@ -363,7 +356,6 @@ def measure_study(
     *,
     seg_params: SegmentationParams = SegmentationParams(),
     peak_params: PeakParams = PeakParams(),
-    dt_params: DtParams = DtParams(),
     qrs_params: QrsParams = QrsParams(),
     mask_path=None,
     drop_outliers: bool = False,
@@ -387,7 +379,7 @@ def measure_study(
     qrs = _stage("qrs", detect_qrs, ecg, qrs_params, manifest)
     smoothed = smooth_trace(trace, peak_params.smooth_window_ms)
     peaks = detect_flow_peaks(smoothed, peak_params)
-    beats = measure_beats(trace, smoothed, peaks, qrs, peak_params, dt_params)
+    beats = measure_beats(trace, smoothed, peaks, qrs, peak_params)
     return StudyRun(
         **asdict(summarize_beats(beats, drop_outliers=drop_outliers)),
         mask=mask,

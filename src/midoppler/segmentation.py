@@ -251,7 +251,8 @@ def smooth_trace(trace: EnvelopeTrace, window_ms: float) -> EnvelopeTrace:
     Windows are clipped at the trace edges, so a window wider than the trace
     degrades to the global mean. Gap flags and spacing pass through.
     """
-    check_smoothing_window(window_ms)
+    if window_ms <= 0:
+        raise ValueError(f"window_ms must be positive, got {window_ms}")
     cols = smoothing_columns(window_ms, trace)
     if cols == 1:
         return EnvelopeTrace(trace.velocities.copy(), trace.gap_flags.copy(), trace.spacing)
@@ -263,12 +264,6 @@ def smooth_trace(trace: EnvelopeTrace, window_ms: float) -> EnvelopeTrace:
     hi = np.clip(idx + half + 1, 0, n)
     smoothed = np.maximum((sums[hi] - sums[lo]) / (hi - lo), 0.0)
     return EnvelopeTrace(smoothed, trace.gap_flags.copy(), trace.spacing)
-
-
-def check_smoothing_window(window_ms: float) -> None:
-    """Reject a non-positive smoothing window (smooth_trace, PeakParams)."""
-    if window_ms <= 0:
-        raise ValueError(f"window_ms must be positive, got {window_ms}")
 
 
 def smoothing_columns(window_ms: float, trace: EnvelopeTrace) -> int:

@@ -139,6 +139,8 @@ def _validate(params: SynthParams) -> None:
         raise GenerationError(f"heart_rate must be in [30, 220], got {params.heart_rate}")
     if params.n_beats < 1:
         raise GenerationError(f"n_beats must be >= 1, got {params.n_beats}")
+    if params.seed < 0:
+        raise GenerationError(f"seed must be >= 0, got {params.seed}")
     if not (0.0 <= params.noise_sigma <= 1.0):
         raise GenerationError(f"noise_sigma must be in [0, 1], got {params.noise_sigma}")
     if not (0.0 <= params.dt_second_slope_fraction <= 1.0):
@@ -428,7 +430,13 @@ def write_truth_csv(path, truth: GroundTruth) -> None:
 
 def corpus_params(base: SynthParams, seed: int) -> SynthParams:
     """Draw one corpus member: E, A, HR uniform; dt uniform inside the
-    geometrically feasible part of [120, 260] ms for the drawn heart rate."""
+    geometrically feasible part of [120, 260] ms for the drawn heart rate.
+
+    A negative seed, or a base whose knee leaves no feasible dt at the drawn
+    heart rate, is a GenerationError.
+    """
+    if seed < 0:
+        raise GenerationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     e = rng.uniform(0.4, 1.2)
     a = rng.uniform(0.3, 1.0)
@@ -439,5 +447,10 @@ def corpus_params(base: SynthParams, seed: int) -> SynthParams:
     knee_stretch = 1.0 + base.dt_second_slope_fraction
     # 10 ms margin also absorbs apex snapping to the column grid
     dt_max = (beat_ms - a_span - e_end - 10.0) / knee_stretch
+    if dt_max < 120.0:
+        raise GenerationError(
+            f"no dt fits a beat at the drawn heart rate {hr:.1f} bpm with knee fraction "
+            f"{base.dt_second_slope_fraction}: dt range [120, {dt_max:.1f}] ms is empty"
+        )
     dt = rng.uniform(120.0, min(260.0, dt_max))
     return replace(base, e_velocity=e, a_velocity=a, heart_rate=hr, dt=dt, seed=seed)

@@ -129,10 +129,11 @@ def test_synth_params_file_overrides_flags_and_flags_fill_the_rest(tmp_path):
         (f"height = 1{'0' * 30}\n", f"error: height must be at most 8192, got 1{'0' * 30}\n"),
         ("tail_ms = -100000\n", "error: tail_ms must be >= 0, got -100000.0\n"),
         ("a_half_ms = 0\n", "error: a_half_ms must be positive, got 0.0\n"),
+        ("seed = -1\n", "error: seed must be >= 0, got -1\n"),
     ],
     ids=[
         "unknown-key", "no-equals", "duplicate", "missing-file", "non-numeric", "non-integer",
-        "huge-float-size", "huge-digit-size", "negative-tail", "zero-a-half",
+        "huge-float-size", "huge-digit-size", "negative-tail", "zero-a-half", "negative-seed",
     ],
 )
 def test_synth_params_file_errors_are_one_line(tmp_path, capsys, text, message):
@@ -1404,14 +1405,11 @@ def test_overlay_mask_draws_what_analyze_mask_measures(tmp_path):
     [
         ("--median-window", "2"),
         ("--median-window", str(MAX_MEDIAN_WINDOW + 2)),
-        ("--qrs-threshold-fraction", "1.5"),
         ("--smooth-ms", "0"),
         ("--open-radius", "-1"),
         ("--min-component-area", "-1"),
         ("--min-prominence", "0"),
         ("--min-width-ms", "0"),
-        ("--curvature-threshold", "0"),
-        ("--skip-ms", "0"),
         ("--refractory-ms", "0"),
     ],
 )
@@ -1519,6 +1517,19 @@ def test_repeated_analyze_batches_keep_their_heap_pages(tmp_path):
     assert result.returncode == 0, result.stderr
     assert len(list((tmp_path / "out").glob("*.measurements.csv"))) == studies
     assert int(result.stdout.split()[-1]) / studies < 100
+
+
+@pytest.mark.parametrize("command", ["analyze", "overlay"])
+def test_pipeline_parameters_are_these_flags(capsys, command):
+    # each pipeline flag is a setting that tests and benchmarks must cover:
+    # a flag added to or dropped from this list is a decision
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    section = capsys.readouterr().out.split("pipeline parameters:\n")[1].split("\n\n")[0]
+    assert re.findall(r"^  (--[\w-]+)", section, re.MULTILINE) == [
+        "--median-window", "--open-radius", "--min-component-area", "--smooth-ms",
+        "--min-prominence", "--min-width-ms", "--refractory-ms", "--mask",
+    ]
 
 
 def test_flag_defaults_are_the_dataclass_defaults():

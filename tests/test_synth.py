@@ -108,6 +108,7 @@ def test_non_finite_parameter_is_a_generation_error_naming_it(name):
         ("a_gap_ms", -1.0, "a_gap_ms must be >= 0, got -1.0"),
         ("lead_in_ms", -500.0, "lead_in_ms must be >= 0, got -500.0"),
         ("tail_ms", -100000.0, "tail_ms must be >= 0, got -100000.0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_wave_timing_is_a_generation_error_naming_it(name, value, message):
@@ -188,6 +189,26 @@ def test_wave_overlap_raises_generation_error():
 
 def test_feasible_geometry_does_not_raise():
     generate_synthetic(SynthParams(heart_rate=110.0, dt=180.0))
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.6])
+def test_knee_corpus_draw_renders_or_is_a_generation_error(fraction):
+    # a knee stretches the E descent, so at a high drawn heart rate no dt
+    # of at least 120 ms fits the beat
+    base = SynthParams(dt_second_slope_fraction=fraction)
+    for seed in range(200):
+        try:
+            params = corpus_params(base, seed)
+        except GenerationError:
+            continue
+        generate_synthetic(params)
+
+
+def test_corpus_draw_errors_name_their_cause():
+    with pytest.raises(GenerationError, match=r"heart rate 109\.4 bpm with knee fraction 0\.5: dt range \[120, 119\.2\] ms"):
+        corpus_params(SynthParams(dt_second_slope_fraction=0.5), 190)
+    with pytest.raises(GenerationError, match=r"^seed must be >= 0, got -1$"):
+        corpus_params(SynthParams(), -1)
 
 
 def test_overlap_error_iff_supports_overlap():
