@@ -63,10 +63,10 @@ class PeakParams:
     smooth_window_ms: float = 15.0  # peaks are found on the trace smoothed over this
 
     def __post_init__(self):
-        if self.min_prominence <= 0 or self.min_width_ms <= 0:
-            raise ValueError("peak gates must be positive")
-        if self.smooth_window_ms <= 0:
-            raise ValueError(f"window_ms must be positive, got {self.smooth_window_ms}")
+        for name in ("min_prominence", "min_width_ms", "smooth_window_ms"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -97,8 +97,27 @@ class GroundTruth:
     beats: list             # BeatMeasurements: no flags, no DT geometry
     qrs_times: np.ndarray   # ms from the spectral left edge, n_beats + 1 marks
     envelope: np.ndarray    # analytic per-column velocity, m/s
-    mask: np.ndarray        # analytic binary mask over the spectral region
+    top_rows: np.ndarray    # uint16 region-local row of the envelope's outer edge per column
+    region_shape: tuple     # (rows, columns) of the spectral region
+    baseline_row: int       # region-local baseline row
     ecg_rows: np.ndarray    # absolute pixel row of the ECG polyline per column
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Analytic binary mask over the spectral region, built anew on each read."""
+        return _flow_mask(self.top_rows, self.region_shape, self.baseline_row)
+
+
+def _flow_mask(top_rows: np.ndarray, shape: tuple, baseline_row: int) -> np.ndarray:
+    """Each column set from its top row down to the baseline row, inclusive.
+
+    Rows below the baseline are never flow, so one compare over the flow side
+    fills the mask; uint16 rows compare several times faster than int64.
+    """
+    mask = np.zeros(shape, dtype=bool)
+    flow_rows = np.arange(baseline_row + 1, dtype=np.uint16)[:, None]
+    np.greater_equal(flow_rows, top_rows, out=mask[:baseline_row + 1])
+    return mask
 
 
 @dataclass(frozen=True)
@@ -310,13 +329,9 @@ def generate_synthetic(params: SynthParams):
     # every column carries at least the baseline row: zero-flow columns show
     # the bright baseline band, so the envelope touches the baseline everywhere
     top = baseline_local - np.round(envelope / velocity_scale).astype(np.int64)
-    top = np.clip(top, 0, baseline_local)
-    # rows below the baseline are never flow, so one compare over the flow
-    # side fills the mask; uint16 rows compare several times faster than int64
-    row_type = np.uint16 if region_h < 2**16 else np.intp
-    mask = np.zeros((region_h, region_w), dtype=bool)
-    flow_rows = np.arange(baseline_local + 1, dtype=row_type)[:, None]
-    np.greater_equal(flow_rows, top.astype(row_type), out=mask[:baseline_local + 1])
+    # MAX_SIDE keeps every region row inside uint16
+    top_rows = np.clip(top, 0, baseline_local).astype(np.uint16)
+    mask = _flow_mask(top_rows, (region_h, region_w), baseline_local)
 
     pixels = np.full((params.height, params.width, 3), BACKGROUND_INTENSITY, np.uint8)
     region_view = pixels[sy0:sy1 + 1, sx0:sx1 + 1]
@@ -388,7 +403,9 @@ def generate_synthetic(params: SynthParams):
         beats=beats,
         qrs_times=qrs_times,
         envelope=envelope,
-        mask=mask,
+        top_rows=top_rows,
+        region_shape=(region_h, region_w),
+        baseline_row=baseline_local,
         ecg_rows=ecg_rows,
     )
     return RasterImage(pixels), manifest, truth
@@ -432,25 +449,43 @@ def corpus_params(base: SynthParams, seed: int) -> SynthParams:
     """Draw one corpus member: E, A, HR uniform; dt uniform inside the
     geometrically feasible part of [120, 260] ms for the drawn heart rate.
 
-    A negative seed, or a base whose knee leaves no feasible dt at the drawn
-    heart rate, is a GenerationError.
+    When no dt of 120 ms fits the beat at the drawn heart rate (a knee
+    stretches the E descent), the heart rate is drawn once more, uniform from
+    50 bpm up to the highest rate at which 120 ms fits. A negative seed, or a
+    base at which 120 ms fits no heart rate from 50 bpm, is a GenerationError.
     """
     if seed < 0:
         raise GenerationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     e = rng.uniform(0.4, 1.2)
     a = rng.uniform(0.3, 1.0)
-    hr = rng.uniform(50.0, 110.0)
-    beat_ms = 60000.0 / hr
     a_span = base.a_gap_ms + 2.0 * base.a_half_ms
-    e_end = base.systole_frac * beat_ms + base.e_rise_ms
     knee_stretch = 1.0 + base.dt_second_slope_fraction
-    # 10 ms margin also absorbs apex snapping to the column grid
-    dt_max = (beat_ms - a_span - e_end - 10.0) / knee_stretch
+
+    def dt_max_at(hr):
+        beat_ms = 60000.0 / hr
+        e_end = base.systole_frac * beat_ms + base.e_rise_ms
+        # 10 ms margin also absorbs apex snapping to the column grid
+        return (beat_ms - a_span - e_end - 10.0) / knee_stretch
+
+    hr = rng.uniform(50.0, 110.0)
+    dt_max = dt_max_at(hr)
     if dt_max < 120.0:
-        raise GenerationError(
-            f"no dt fits a beat at the drawn heart rate {hr:.1f} bpm with knee fraction "
-            f"{base.dt_second_slope_fraction}: dt range [120, {dt_max:.1f}] ms is empty"
-        )
+        fixed_ms = 120.0 * knee_stretch + 10.0 + a_span + base.e_rise_ms
+        hr_fit = 60000.0 * (1.0 - base.systole_frac) / fixed_ms if base.systole_frac < 1.0 else 0.0
+        if hr_fit < 50.0:
+            raise GenerationError(
+                f"no heart rate from 50 bpm fits a 120 ms dt: the highest is {hr_fit:.1f} bpm, "
+                f"set by systole_frac {base.systole_frac}, e_rise_ms {base.e_rise_ms}, "
+                f"a_gap_ms {base.a_gap_ms}, a_half_ms {base.a_half_ms} and "
+                f"dt_second_slope_fraction {base.dt_second_slope_fraction}"
+            )
+        hr = rng.uniform(50.0, hr_fit)
+        dt_max = dt_max_at(hr)
+        if dt_max < 120.0:  # only rounding at the top of the redraw lands here
+            raise GenerationError(
+                f"no dt fits a beat at the drawn heart rate {hr:.1f} bpm with knee fraction "
+                f"{base.dt_second_slope_fraction}: dt range [120, {dt_max:.1f}] ms is empty"
+            )
     dt = rng.uniform(120.0, min(260.0, dt_max))
     return replace(base, e_velocity=e, a_velocity=a, heart_rate=hr, dt=dt, seed=seed)

@@ -1401,25 +1401,29 @@ def test_overlay_mask_draws_what_analyze_mask_measures(tmp_path):
 
 @pytest.mark.parametrize("command", ["analyze", "overlay"])
 @pytest.mark.parametrize(
-    "flag, value",
+    "flag, value, field, shown",
     [
-        ("--median-window", "2"),
-        ("--median-window", str(MAX_MEDIAN_WINDOW + 2)),
-        ("--smooth-ms", "0"),
-        ("--open-radius", "-1"),
-        ("--min-component-area", "-1"),
-        ("--min-prominence", "0"),
-        ("--min-width-ms", "0"),
-        ("--refractory-ms", "0"),
+        pytest.param(flag, value, field, shown, id=f"{flag}-{value}")
+        for flag, value, field, shown in [
+            ("--median-window", "2", "median_window", "2"),
+            ("--median-window", str(MAX_MEDIAN_WINDOW + 2), "median_window", str(MAX_MEDIAN_WINDOW + 2)),
+            ("--smooth-ms", "0", "smooth_window_ms", "0.0"),
+            ("--open-radius", "-1", "open_radius", "-1"),
+            ("--min-component-area", "-1", "min_component_area", "-1"),
+            ("--min-prominence", "0", "min_prominence", "0.0"),
+            ("--min-width-ms", "0", "min_width_ms", "0.0"),
+            ("--refractory-ms", "0", "refractory_ms", "0.0"),
+        ]
     ],
 )
-def test_rejected_pipeline_value_is_a_usage_error(tmp_path, capsys, command, flag, value):
+def test_rejected_pipeline_value_is_a_usage_error(tmp_path, capsys, command, flag, value, field, shown):
     make_study(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main([command, str(tmp_path / "study_0000.ppm"), flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}:" in err
+    # the message names the field the flag sets and the value it was given
+    assert re.search(rf"^midoppler {command}: error: argument {flag}: {field} must .*, got {re.escape(shown)}$", err, re.M)
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.measurements.csv")) and not list(tmp_path.glob("*.overlay.ppm"))
 

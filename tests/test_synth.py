@@ -182,6 +182,45 @@ def test_noise_free_render_allocates_no_frame_sized_temporaries():
     assert render_peak_bytes(corpus_params(SynthParams(), 7001)) <= 3.5 * 2**20
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        SynthParams(seed=11, noise_sigma=0.3),
+        SynthParams(seed=12, a_velocity=0.0, noise_sigma=0.15),
+        SynthParams(seed=13, noise_sigma=0.15, artifacts=(Spike(650.0, 1.2, 5.0), Dropout(1650.0, 40.0), AliasBand())),
+    ],
+    ids=["noisy", "fused", "artifacts"],
+)
+def test_truth_mask_is_the_dense_analytic_mask(params):
+    _, manifest, truth = generate_synthetic(params)
+    mask = truth.mask
+    assert mask.dtype == bool
+    assert np.array_equal(mask, dense_mask(manifest, truth))
+
+
+def test_each_truth_mask_read_is_a_new_array():
+    _, _, truth = generate_synthetic(SynthParams(seed=4))
+    first = truth.mask
+    expected = first.copy()
+    first[:] = ~first
+    assert truth.mask is not truth.mask
+    assert np.array_equal(truth.mask, expected)
+    with pytest.raises(AttributeError):
+        truth.mask = expected
+
+
+def test_corpus_truths_hold_no_dense_masks():
+    # a dense 561 x 896 bool mask is 0.5 MiB, so 20 of them would hold 10 MiB
+    tracemalloc.start()
+    try:
+        truths = [generate_synthetic(corpus_params(SynthParams(), seed))[2] for seed in range(20)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(truths) == 20
+    assert held < 2 * 2**20
+
+
 def test_wave_overlap_raises_generation_error():
     with pytest.raises(GenerationError, match="overlap"):
         generate_synthetic(SynthParams(heart_rate=200.0, dt=300.0))
@@ -191,22 +230,63 @@ def test_feasible_geometry_does_not_raise():
     generate_synthetic(SynthParams(heart_rate=110.0, dt=180.0))
 
 
+def single_draw(base, seed):
+    """corpus_params without the heart-rate redraw: None where no dt of
+    120 ms fits the first drawn heart rate."""
+    rng = np.random.default_rng(seed)
+    e = rng.uniform(0.4, 1.2)
+    a = rng.uniform(0.3, 1.0)
+    hr = rng.uniform(50.0, 110.0)
+    beat_ms = 60000.0 / hr
+    a_span = base.a_gap_ms + 2.0 * base.a_half_ms
+    e_end = base.systole_frac * beat_ms + base.e_rise_ms
+    dt_max = (beat_ms - a_span - e_end - 10.0) / (1.0 + base.dt_second_slope_fraction)
+    if dt_max < 120.0:
+        return None
+    dt = rng.uniform(120.0, min(260.0, dt_max))
+    return replace(base, e_velocity=e, a_velocity=a, heart_rate=hr, dt=dt, seed=seed)
+
+
 @pytest.mark.parametrize("fraction", [0.5, 0.6])
-def test_knee_corpus_draw_renders_or_is_a_generation_error(fraction):
-    # a knee stretches the E descent, so at a high drawn heart rate no dt
-    # of at least 120 ms fits the beat
+def test_knee_corpus_draw_renders(fraction):
+    # a knee stretches the E descent, so at a high first heart rate no dt of
+    # 120 ms fits the beat and the heart rate is drawn again below the
+    # highest rate that fits one; every other draw keeps its first values
     base = SynthParams(dt_second_slope_fraction=fraction)
+    hr_fit = 60000.0 * 0.7 / (120.0 * (1.0 + fraction) + 10.0 + 125.0 + 70.0)
+    redrawn = []
     for seed in range(200):
-        try:
-            params = corpus_params(base, seed)
-        except GenerationError:
-            continue
+        params = corpus_params(base, seed)
         generate_synthetic(params)
+        first = single_draw(base, seed)
+        if first is None:
+            redrawn.append(seed)
+            assert 50.0 <= params.heart_rate < hr_fit
+            assert 120.0 <= params.dt <= 260.0
+        else:
+            assert params == first
+    assert redrawn == {0.5: [190], 0.6: [4, 35, 40, 56, 116, 124, 176, 179, 190]}[fraction]
+
+
+def test_knee_corpus_draws_are_pinned():
+    # seed 7 fits at its first heart rate; seed 190 first draws 109.4 bpm,
+    # where dt could reach only 119.2 ms, and redraws below 109.1 bpm
+    base = SynthParams(dt_second_slope_fraction=0.5)
+    for seed, expected in ((7, (0.9001, 0.9280, 96.541, 127.514)), (190, (0.8253, 0.3582, 88.635, 154.874))):
+        params = corpus_params(base, seed)
+        assert (params.e_velocity, params.a_velocity, params.heart_rate, params.dt) == pytest.approx(expected, abs=1e-3)
 
 
 def test_corpus_draw_errors_name_their_cause():
-    with pytest.raises(GenerationError, match=r"heart rate 109\.4 bpm with knee fraction 0\.5: dt range \[120, 119\.2\] ms"):
-        corpus_params(SynthParams(dt_second_slope_fraction=0.5), 190)
+    # 60000 * 0.7 / (120 + 10 + 125 + 600) = 49.1 bpm: no rate from 50 fits 120 ms
+    with pytest.raises(
+        GenerationError,
+        match=r"^no heart rate from 50 bpm fits a 120 ms dt: the highest is 49\.1 bpm, set by systole_frac 0\.3, "
+        r"e_rise_ms 600\.0, a_gap_ms 15\.0, a_half_ms 55\.0 and dt_second_slope_fraction 0\.0$",
+    ):
+        corpus_params(SynthParams(e_rise_ms=600.0), 190)
+    with pytest.raises(GenerationError, match=r"the highest is 0\.0 bpm, set by systole_frac 1\.0,"):
+        corpus_params(SynthParams(systole_frac=1.0), 0)
     with pytest.raises(GenerationError, match=r"^seed must be >= 0, got -1$"):
         corpus_params(SynthParams(), -1)
 
@@ -281,15 +361,23 @@ def test_ecg_is_drawn_in_the_manifest_color_key():
     assert (drawn == manifest.ecg_color).all()
 
 
+def dense_mask(manifest, truth):
+    """The analytic mask built whole from the envelope: on the flow side,
+    every row at or below the envelope's rounded outer edge."""
+    _, y0, _, y1 = manifest.spectral_region
+    b = manifest.baseline_row - y0
+    top = np.clip(b - np.round(truth.envelope / manifest.velocity_scale).astype(np.int64), 0, b)
+    rows = np.arange(y1 - y0 + 1)[:, None]
+    return (rows >= top[None, :]) & (rows <= b)
+
+
 def reference_frame(params, manifest, truth):
     """The frame the module docstring specifies: one whole-region draw and the
     masked float64 chain, then the artifacts, then the ECG polyline."""
     x0, y0, x1, y1 = manifest.spectral_region
     height, width = y1 - y0 + 1, x1 - x0 + 1
     b = manifest.baseline_row - y0
-    top = np.clip(b - np.round(truth.envelope / manifest.velocity_scale).astype(np.int64), 0, b)
-    rows = np.arange(height)[:, None]
-    mask = (rows >= top[None, :]) & (rows <= b)
+    mask = dense_mask(manifest, truth)
     assert np.array_equal(truth.mask, mask)
     render_mask = mask.copy()
     render_mask[b + 1:b + 3] = True
