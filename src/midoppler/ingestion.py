@@ -205,8 +205,11 @@ def _directory_error(path) -> IsADirectoryError:
     return IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
 
 
-def read_file(path) -> bytes:
-    """The bytes of file path, read through its descriptor to the end of the file."""
+def read_text(path) -> str:
+    """The text of UTF-8 file path, read through its descriptor to the end of the file.
+
+    A leading byte-order mark is dropped, as the utf-8-sig codec drops it.
+    """
     fd, size = _open_file(path)
     try:
         data = os.read(fd, size + 1)
@@ -216,7 +219,7 @@ def read_file(path) -> bytes:
         raise _directory_error(path) from None
     finally:
         os.close(fd)
-    return data
+    return data.removeprefix(codecs.BOM_UTF8).decode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -358,36 +361,6 @@ def save_gray_image(path, gray: np.ndarray) -> None:
 # key = value files (manifests, synth params)
 
 
-def read_key_values(path, keys, error, kind) -> dict:
-    """{key: value text} of a ``key = value`` file; blank and ``#`` lines skip, as does a leading BOM.
-
-    A missing ``=``, a key not in keys, a repeated key and an unreadable or
-    non-UTF-8 file raise error (a MidopplerError subclass) naming the path,
-    and the line where there is one; kind names the file in the message.
-    """
-    try:
-        # utf-8-sig: a leading BOM is dropped, and the rest decoded as UTF-8
-        text = read_file(path).removeprefix(codecs.BOM_UTF8).decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"{path}: cannot read {kind}: {exc}") from exc
-
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise error(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in keys:
-            raise error(f"{path}:{lineno}: unknown {kind} key {key!r}")
-        if key in values:
-            raise error(f"{path}:{lineno}: duplicate {kind} key {key!r}")
-        values[key] = value
-    return values
-
-
 def _parse_bool(text: str) -> bool:
     if text.lower() not in ("true", "false"):
         raise ValueError(f"expected true/false, got {text!r}")
@@ -450,11 +423,35 @@ def key_value_fields(cls, skip=()) -> dict:
 
 
 def read_fields(path, table, error, kind) -> dict:
-    """read_key_values, then each value parsed by table's parser; a value refused raises error naming its key."""
-    values = read_key_values(path, table, error, kind)
-    for key, text in values.items():
+    """{key: value} of a ``key = value`` file, each value parsed by table's parser.
+
+    Blank and ``#`` lines skip, as does a leading BOM. A missing ``=``, a key
+    not in table, a repeated key and an unreadable or non-UTF-8 file raise
+    error (a MidopplerError subclass) naming the path, and the line where
+    there is one; kind names the file in the message. A value its parser
+    refuses raises error naming its key. Lines are checked in file order, so
+    the first faulty line is the one reported.
+    """
+    try:
+        text = read_text(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: cannot read {kind}: {exc}") from exc
+
+    values = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in table:
+            raise error(f"{path}:{lineno}: unknown {kind} key {key!r}")
+        if key in values:
+            raise error(f"{path}:{lineno}: duplicate {kind} key {key!r}")
         try:
-            values[key] = table[key][0](text)
+            values[key] = table[key][0](value.strip())
         except ValueError as exc:
             raise error(f"key {key!r}: {exc}") from None
     return values

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ecg import EcgSignal, QrsMarks, QrsParams, detect_qrs, extract_ecg
 from .errors import MidopplerError
-from .ingestion import CalibrationManifest, RasterImage, atomic_write_text, read_file
+from .ingestion import CalibrationManifest, RasterImage, atomic_write_text, read_text
 from .segmentation import (
     EnvelopeMask,
     EnvelopeTrace,
@@ -471,11 +471,11 @@ def read_measurement_csv(path):
     """Read a per-beat CSV into {beat_index: {field: value}}.
 
     The summary row and empty fields are skipped. Works for both pipeline
-    output and synthetic ground-truth files (same schema); a file without
-    a ``beat`` column is a ValueError that names it.
+    output and synthetic ground-truth files (same schema); a leading BOM is
+    dropped. A file without a ``beat`` column is a ValueError that names it.
     """
     # newline=None reads a CR or CRLF line end as a newline, as a text file does
-    reader = csv.DictReader(io.StringIO(read_file(path).decode("utf-8"), newline=None))
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=None))
     if "beat" not in (reader.fieldnames or ()):
         raise ValueError(f"{path}: no 'beat' column, not a per-beat measurement CSV")
     beats = {}

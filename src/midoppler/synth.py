@@ -120,18 +120,6 @@ def _flow_mask(top_rows: np.ndarray, shape: tuple, baseline_row: int) -> np.ndar
     return mask
 
 
-@dataclass(frozen=True)
-class _BeatGeometry:
-    e_on: float
-    e_time: float
-    knee_time: float | None
-    knee_velocity: float
-    foot: float
-    a_on: float | None
-    a_time: float | None
-    a_end: float | None
-
-
 def _validate(params: SynthParams) -> None:
     # NaN passes every comparison below, and inf breaks the pixel geometry
     for owner in (params, *params.artifacts):
@@ -183,15 +171,24 @@ def _validate(params: SynthParams) -> None:
         raise GenerationError(f"label must be UTF-8 text, got {params.label!r}")
 
 
-def _beat_geometry(
-    params: SynthParams, q_start: float, q_end: float, index: int, time_scale: float
-) -> _BeatGeometry:
+def _draw_beat(
+    params: SynthParams, envelope: np.ndarray, times: np.ndarray,
+    q_start: float, q_end: float, index: int, time_scale: float,
+) -> tuple:
+    """Lay out beat index between its QRS marks and draw its waves onto envelope.
+
+    Returns the (E, A) apex times in ms; A is None for a fused beat. A wave
+    that does not fit the beat is a GenerationError naming the beat.
+    """
     beat_ms = q_end - q_start
 
     def snap(t):
         # wave apexes land exactly on a pixel column so the rendered peak
         # carries the full amplitude
         return round(t / time_scale) * time_scale
+
+    def draw(support, values):
+        np.maximum(envelope, np.where(support, values, 0.0), out=envelope)
 
     if params.e_peak_frac is not None:
         e_time = snap(q_start + params.e_peak_frac * beat_ms)
@@ -207,7 +204,6 @@ def _beat_geometry(
     if params.a_velocity > 0:
         a_time = snap(q_end - params.a_gap_ms - params.a_half_ms)
         a_on = a_time - params.a_half_ms
-        a_end = a_time + params.a_half_ms
         if a_on < q_start:
             raise GenerationError(
                 f"beat {index}: A wave does not fit inside a {beat_ms:.0f} ms beat"
@@ -216,74 +212,38 @@ def _beat_geometry(
             raise GenerationError(f"beat {index}: A peak lands after the closing QRS")
         limit = a_on
     else:
-        a_time = a_on = a_end = None
+        a_time = None
         limit = q_end - 10.0
 
     fraction = params.dt_second_slope_fraction
     if fraction > 0:
         knee_time = e_time + (1.0 - fraction) * params.dt
-        knee_velocity = fraction * params.e_velocity
         foot = knee_time + 2.0 * fraction * params.dt  # second slope = s1 / 2
     else:
         knee_time = None
-        knee_velocity = 0.0
         foot = e_time + params.dt
-
     if foot > limit + 1e-9:
-        target = "the A wave starts" if a_on is not None else "the beat ends"
+        target = "the A wave starts" if a_time is not None else "the beat ends"
         raise GenerationError(
             f"beat {index}: E descent ends at {foot:.1f} ms but {target} at "
             f"{limit:.1f} ms (E and A supports overlap); reduce dt or heart_rate"
         )
-    return _BeatGeometry(
-        e_on=e_on,
-        e_time=e_time,
-        knee_time=knee_time,
-        knee_velocity=knee_velocity,
-        foot=foot,
-        a_on=a_on,
-        a_time=a_time,
-        a_end=a_end,
-    )
 
-
-def _envelope(params: SynthParams, geoms, times: np.ndarray) -> np.ndarray:
-    v = np.zeros_like(times)
-    for g in geoms:
-        rise = (times >= g.e_on) & (times <= g.e_time)
-        np.maximum(
-            v,
-            np.where(rise, params.e_velocity * (times - g.e_on) / params.e_rise_ms, 0.0),
-            out=v,
+    draw((times >= e_on) & (times <= e_time), params.e_velocity * (times - e_on) / params.e_rise_ms)
+    slope1 = -params.e_velocity / params.dt
+    seg1_end = knee_time if knee_time is not None else foot
+    draw((times > e_time) & (times <= seg1_end), params.e_velocity + slope1 * (times - e_time))
+    if knee_time is not None and foot > knee_time:
+        knee_velocity = fraction * params.e_velocity
+        slope2 = -knee_velocity / (foot - knee_time)
+        draw((times > knee_time) & (times <= foot), knee_velocity + slope2 * (times - knee_time))
+    if a_time is not None:
+        a_end = a_time + params.a_half_ms
+        draw(
+            (times >= a_on) & (times <= a_end),
+            params.a_velocity * (1.0 - np.abs(times - a_time) / params.a_half_ms),
         )
-        seg1_end = g.knee_time if g.knee_time is not None else g.foot
-        slope1 = -params.e_velocity / params.dt
-        descent = (times > g.e_time) & (times <= seg1_end)
-        np.maximum(
-            v,
-            np.where(descent, params.e_velocity + slope1 * (times - g.e_time), 0.0),
-            out=v,
-        )
-        if g.knee_time is not None and g.foot > g.knee_time:
-            slope2 = -g.knee_velocity / (g.foot - g.knee_time)
-            tail = (times > g.knee_time) & (times <= g.foot)
-            np.maximum(
-                v,
-                np.where(tail, g.knee_velocity + slope2 * (times - g.knee_time), 0.0),
-                out=v,
-            )
-        if g.a_time is not None:
-            awave = (times >= g.a_on) & (times <= g.a_end)
-            np.maximum(
-                v,
-                np.where(
-                    awave,
-                    params.a_velocity * (1.0 - np.abs(times - g.a_time) / params.a_half_ms),
-                    0.0,
-                ),
-                out=v,
-            )
-    return np.clip(v, 0.0, None)
+    return e_time, a_time
 
 
 def generate_synthetic(params: SynthParams):
@@ -318,13 +278,13 @@ def generate_synthetic(params: SynthParams):
     ey1 = min(params.height - 13, ey0 + 95)
 
     qrs_times = params.lead_in_ms + beat_ms * np.arange(params.n_beats + 1)
-    geoms = [
-        _beat_geometry(params, qrs_times[i], qrs_times[i + 1], i, time_scale)
+    times = np.arange(region_w, dtype=np.float64) * time_scale
+    envelope = np.zeros_like(times)
+    apexes = [
+        _draw_beat(params, envelope, times, qrs_times[i], qrs_times[i + 1], i, time_scale)
         for i in range(params.n_beats)
     ]
-
-    times = np.arange(region_w, dtype=np.float64) * time_scale
-    envelope = _envelope(params, geoms, times)
+    np.clip(envelope, 0.0, None, out=envelope)
 
     # every column carries at least the baseline row: zero-flow columns show
     # the bright baseline band, so the envelope touches the baseline everywhere
@@ -394,10 +354,10 @@ def generate_synthetic(params: SynthParams):
             a_velocity=params.a_velocity if has_a else None,
             ea_ratio=params.e_velocity / params.a_velocity if has_a else None,
             dt_ms=params.dt,
-            e_time=g.e_time,
-            a_time=g.a_time,
+            e_time=e_time,
+            a_time=a_time,
         )
-        for g in geoms
+        for e_time, a_time in apexes
     ]
     truth = GroundTruth(
         beats=beats,

@@ -1127,6 +1127,21 @@ def test_agree_on_a_csv_without_beat_column_names_the_file(tmp_path, capsys):
     assert err.startswith(f"error: {ecg_csv}: no 'beat' column")
 
 
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_agree_reads_a_truth_csv_with_a_bom_like_its_plain_copy(tmp_path, capsys, line_end):
+    # Excel's "CSV UTF-8" and Windows editors start the file with a byte-order mark
+    code, captured = agree_measured_vs_truth(tmp_path, capsys, ("study_0000", "study_0001"))
+    assert code == 0
+    bom_dir = tmp_path / "bom"
+    bom_dir.mkdir()
+    for plain in (tmp_path / "truth").glob("*.truth.csv"):
+        copy = bom_dir / plain.name
+        copy.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", line_end))
+        assert read_measurement_csv(copy) == read_measurement_csv(plain)
+    assert main(["agree", str(tmp_path / "measured"), str(bom_dir), "--fields", "E"]) == 0
+    assert capsys.readouterr() == captured
+
+
 def test_agree_refuses_a_study_read_from_two_files(tmp_path, capsys):
     # measurements written next to their truth: both name study_0000
     make_study(tmp_path, noise_sigma=0.1)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 from dataclasses import MISSING, dataclass, fields, replace
 from types import SimpleNamespace
 
@@ -28,7 +29,6 @@ from midoppler.ingestion import (
     load_manifest,
     read_fields,
     read_image_size,
-    read_key_values,
     route_image,
     save_gray_image,
     save_image,
@@ -410,7 +410,7 @@ def test_manifest_is_written_in_field_order(tmp_path):
 round_trip = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-# one line, as read_key_values strips it, of UTF-8 text (no lone surrogate)
+# one line, as read_fields strips it, of UTF-8 text (no lone surrogate)
 ONE_LINE_TEXT = st.text(st.characters(exclude_categories=["Cs"])).filter(lambda text: text == text.strip() and len(text.splitlines()) <= 1)
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -590,6 +590,9 @@ def test_route_accepts_exactly_one_known_label():
 
 # key = value reader ----------------------------------------------------------
 
+# every value kept as its text
+TEXT_FIELDS = {"a": (str, str), "b": (str, str)}
+
 
 @pytest.mark.parametrize(
     "text, message",
@@ -603,14 +606,14 @@ def test_key_value_reader_errors_name_path_and_line(tmp_path, text, message):
     path = tmp_path / "values.txt"
     path.write_text(text)
     with pytest.raises(GenerationError) as info:
-        read_key_values(path, ("a", "b"), GenerationError, "test file")
+        read_fields(path, TEXT_FIELDS, GenerationError, "test file")
     assert str(info.value) == message.format(path=path)
 
 
 def test_key_value_reader_strips_and_skips(tmp_path):
     path = tmp_path / "values.txt"
     path.write_text("# header\n\n  a =  x = y \n\tb=\n")
-    assert read_key_values(path, ("a", "b"), GenerationError, "test file") == {"a": "x = y", "b": ""}
+    assert read_fields(path, TEXT_FIELDS, GenerationError, "test file") == {"a": "x = y", "b": ""}
 
 
 @pytest.mark.parametrize("data", [None, b"a = 1\n\xc3\n"])
@@ -619,8 +622,33 @@ def test_key_value_reader_unreadable_file(tmp_path, data):
     if data is not None:
         path.write_bytes(data)
     with pytest.raises(GenerationError) as info:
-        read_key_values(path, ("a",), GenerationError, "test file")
+        read_fields(path, TEXT_FIELDS, GenerationError, "test file")
     assert str(info.value).startswith(f"{path}: cannot read test file: ")
+
+
+def test_key_value_reader_reports_the_first_faulty_line(tmp_path):
+    # a bad value on line 1 is reported before a syntax error on line 2
+    path = tmp_path / "values.txt"
+    path.write_text("a = x\nstray line\n")
+    with pytest.raises(GenerationError) as info:
+        read_fields(path, {"a": (int, str)}, GenerationError, "test file")
+    assert str(info.value) == "key 'a': invalid literal for int() with base 10: 'x'"
+
+
+def test_key_value_reader_reads_a_pipe_to_its_end():
+    # a --params <(...) file: fstat gives a pipe no size, so the reader
+    # reads past its first chunk until the writer closes its end
+    text = "# padding line\n" * 10_000 + "a = 1\n"
+    assert len(text) > 1 << 16
+    r, w = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(w, text.encode()), os.close(w)))
+    writer.start()
+    try:
+        values = read_fields(f"/dev/fd/{r}", TEXT_FIELDS, GenerationError, "test file")
+    finally:
+        os.close(r)  # a writer still blocked on a full pipe then fails and ends
+        writer.join()
+    assert values == {"a": "1"}
 
 
 # fuzz: mutated files end in the loader's own error ---------------------------

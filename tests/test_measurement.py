@@ -465,3 +465,14 @@ def test_spectral_region_past_the_image_edge_is_a_typed_error(edge):
     with pytest.raises(SegmentationError) as error:
         measure_study(image, replace(manifest, spectral_region=region))
     assert str(error.value) == f"segmentation: spectral_region {region} exceeds image bounds {width}x{height}"
+
+
+def test_two_column_ecg_region_gives_no_qrs_marks_and_no_beats():
+    # a strip under 3 columns has no derivative energy to detect QRS from
+    image, manifest, _ = generate_synthetic(SynthParams())
+    x0, y0, _, y1 = manifest.ecg_region
+    run = measure_study(image, replace(manifest, ecg_region=(x0, y0, x0 + 1, y1)))
+    assert run.ecg.samples.size == 2
+    assert len(run.qrs) == 0
+    assert run.n_beats == 0
+    assert run.beats == []

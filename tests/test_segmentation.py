@@ -123,6 +123,16 @@ def test_padded_mask_crops_back_to_region(tmp_path):
     assert np.array_equal(import_mask(path, manifest).cells, truth.mask)
 
 
+def test_padded_mask_of_a_region_past_column_1023_is_rejected(tmp_path):
+    _, manifest, _ = generate_synthetic(SynthParams(width=1200))
+    assert manifest.spectral_region[2] > 1023
+    path = tmp_path / "padded.pgm"
+    save_gray_image(path, np.zeros((1024, 1024), np.uint8))
+    with pytest.raises(SegmentationError) as error:
+        import_mask(path, manifest)
+    assert str(error.value) == f"{path}: spectral region does not fit inside the 1024x1024 padded frame"
+
+
 def test_mask_dimension_mismatch_rejected(tmp_path):
     manifest = make_manifest(
         spectral_region=(0, 0, 699, 499), baseline_row=450, ecg_region=(0, 510, 699, 560)

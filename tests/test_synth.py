@@ -109,11 +109,39 @@ def test_non_finite_parameter_is_a_generation_error_naming_it(name):
         ("lead_in_ms", -500.0, "lead_in_ms must be >= 0, got -500.0"),
         ("tail_ms", -100000.0, "tail_ms must be >= 0, got -100000.0"),
         ("seed", -1, "seed must be >= 0, got -1"),
+        ("a_velocity", -0.1, "a_velocity must be >= 0, got -0.1"),
+        ("dt", 0.0, "dt must be positive, got 0.0"),
+        ("n_beats", 0, "n_beats must be >= 1, got 0"),
+        ("dt_second_slope_fraction", 1.5, "dt_second_slope_fraction must be in [0, 1], got 1.5"),
     ],
 )
 def test_out_of_range_wave_timing_is_a_generation_error_naming_it(name, value, message):
     with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
         generate_synthetic(SynthParams(**{name: value}))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"e_peak_frac": 0.01}, "beat 0: E upstroke begins at -21.6 ms, before the beat start at 40.0 ms"),
+        ({"a_half_ms": 600.0}, "beat 0: A wave does not fit inside a 1000 ms beat"),
+        ({"a_half_ms": 0.001, "a_gap_ms": 0.0}, "beat 0: A peak lands after the closing QRS"),
+        (
+            {"dt": 900.0},
+            "beat 0: E descent ends at 1311.7 ms but the A wave starts at 913.8 ms "
+            "(E and A supports overlap); reduce dt or heart_rate",
+        ),
+        (
+            {"dt": 900.0, "a_velocity": 0.0},
+            "beat 0: E descent ends at 1311.7 ms but the beat ends at 1030.0 ms "
+            "(E and A supports overlap); reduce dt or heart_rate",
+        ),
+    ],
+    ids=["e_upstroke", "a_fit", "a_peak", "e_descent", "fused_e_descent"],
+)
+def test_wave_that_does_not_fit_its_beat_is_a_generation_error_naming_it(changes, message):
+    with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
+        generate_synthetic(SynthParams(**changes))
 
 
 @pytest.mark.parametrize("name", ["a_gap_ms", "lead_in_ms", "tail_ms"])
